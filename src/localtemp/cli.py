@@ -16,18 +16,12 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
 
-from .canonical import (
-    AccuracyParams,
-    EmptyIntervalError,
-    GroupStatistics,
-    InconsistentWindowError,
-    rho_diag,
-)
+from .canonical import AccuracyParams, EmptyIntervalError, InconsistentWindowError
 from .specfun import QuadratureError
 from . import harmonic, ising, oracle
 from .ising import IsingModel, UnsupportedCouplingError
@@ -417,7 +411,7 @@ def cmd_materials(args) -> int:
 # oracle drivers
 
 
-def _oracle_rows(args) -> tuple[list[str], list[list]]:
+def _oracle_report(args):
     model = _ising_from_args(args)
     if args.oracle_cmd == "spectrum":
         boundary = (
@@ -425,143 +419,34 @@ def _oracle_rows(args) -> tuple[list[str], list[list]]:
             if args.boundary == "periodic"
             else oracle.Boundary.OPEN
         )
-        h = oracle.build_hamiltonian(args.sites, model, boundary)
-        dense = np.sort(np.linalg.eigvalsh(h))
-        if boundary is oracle.Boundary.OPEN:
-            formula = np.sort(
-                [
-                    ising.group_energy(
-                        ising.GroupOccupations(
-                            tuple((a >> l) & 1 for l in range(args.sites))
-                        ),
-                        model,
-                    )
-                    for a in range(2**args.sites)
-                ]
-            )
-            deviation = float(np.max(np.abs(dense - formula)))
-            return ["quantity", "value"], [
-                ["sites", args.sites],
-                ["boundary", "open"],
-                ["max_spectrum_deviation", deviation],
-            ]
-        # periodic: parity sectors are not tracked; compare ground energy only
-        dense_ground = float(dense[0]) / args.sites
-        integral = ising.ground_energy_per_site(model)
-        return ["quantity", "value"], [
-            ["sites", args.sites],
-            ["boundary", "periodic"],
-            ["ground_per_site_dense", dense_ground],
-            ["ground_per_site_integral", integral],
-            ["deviation", abs(dense_ground - integral)],
-        ]
-
-    group_size = args.sites // args.groups
+        return oracle.spectrum_check(args.sites, model, boundary)
     if args.oracle_cmd == "moments":
-        sys_ = oracle.DenseThermalSystem.solve(
-            oracle.build_hamiltonian(args.sites, model), 0.0
-        )
-        pb = oracle.product_basis(args.sites, group_size, model)
-        worst_eps = 0.0
-        worst_mean = 0.0
-        worst_var = 0.0
-        worst_formula = 0.0
-        occs = (
-            oracle.occupations_by_energy(model, group_size)
-            if model.l_param == 0.0
-            else None
-        )
-        for a in range(2**args.sites):
-            eps, dsq = oracle.product_statistics(pb, a)
-            worst_eps = max(worst_eps, abs(eps))
-            mean, var, _ = oracle.distribution_moments(
-                oracle.w_a_distribution(sys_, pb, a)
-            )
-            e_a = float(pb.product_energies[a])
-            worst_mean = max(worst_mean, abs(mean - (e_a + eps)))
-            worst_var = max(worst_var, abs(var - dsq))
-            if occs is not None:
-                idx = [
-                    (a >> (group_size * g)) % 2**group_size
-                    for g in range(args.groups)
-                ]
-                states = [occs[i] for i in idx]
-                formula = sum(
-                    ising.delta_sq(states[g], states[g + 1], model)
-                    for g in range(args.groups - 1)
-                )
-                worst_formula = max(worst_formula, abs(dsq - formula))
-        rows = [
-            ["sites", args.sites],
-            ["groups", args.groups],
-            ["max_abs_eps", worst_eps],
-            ["max_mean_identity_dev", worst_mean],
-            ["max_var_identity_dev", worst_var],
-        ]
-        if occs is not None:
-            rows.append(["max_delta_sq_formula_dev", worst_formula])
-        return ["quantity", "value"], rows
-
+        return oracle.moments_check(args.sites, args.groups, model)
+    beta = args.beta_b / model.b_field
     if args.oracle_cmd == "gaussian":
-        rows = []
-        for n_groups in range(2, args.groups + 1):
-            sites = group_size * n_groups
-            sys_ = oracle.DenseThermalSystem.solve(
-                oracle.build_hamiltonian(sites, model), args.beta_b / model.b_field
-            )
-            pb = oracle.product_basis(sites, group_size, model)
-            worst = 0.0
-            for a in range(2**sites):
-                _, dsq = oracle.product_statistics(pb, a)
-                if dsq < 1e-12:
-                    continue
-                dist = oracle.w_a_distribution(sys_, pb, a)
-                worst = max(worst, abs(oracle.distribution_moments(dist)[2]))
-            rows.append([n_groups, sites, worst])
-        return ["n_groups", "sites", "max_abs_skewness"], rows
-
-    if args.oracle_cmd == "rho":
-        sys_ = oracle.DenseThermalSystem.solve(
-            oracle.build_hamiltonian(args.sites, model), args.beta_b / model.b_field
-        )
-        pb = oracle.product_basis(args.sites, group_size, model)
-        log_z, _ = oracle.thermal_state(sys_)
-        dense = oracle.rho_product_diag(sys_, pb)
-        e0 = float(np.min(sys_.eigenvalues))
-        e1 = float(np.max(sys_.eigenvalues))
-        worst = 0.0
-        for a in range(2**args.sites):
-            eps, dsq = oracle.product_statistics(pb, a)
-            if dsq < 1e-12:
-                continue
-            stats = GroupStatistics(
-                e_a=float(pb.product_energies[a]),
-                eps_a=eps,
-                delta_sq_a=dsq,
-                delta_tilde_sq=0.0,
-                e0=e0,
-                e1=e1,
-            )
-            predicted = rho_diag(stats, sys_.beta, log_z)
-            worst = max(worst, abs(predicted - math.log(float(dense[a]))))
-        junctions = args.groups - 1
-        return ["quantity", "value"], [
-            ["sites", args.sites],
-            ["groups", args.groups],
-            ["max_abs_log_deviation", worst],
-            ["per_junction", worst / junctions],
-        ]
-
-    raise ValueError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+        return oracle.skewness_by_groups(args.sites, args.groups, model, beta)
+    return oracle.rho_diag_check(args.sites, args.groups, model, beta)
 
 
 def cmd_oracle(args) -> int:
     if args.oracle_cmd != "spectrum":
         if args.groups < 1 or args.sites % args.groups != 0:
             raise ValueError("--groups must divide --sites")
-        if args.oracle_cmd in ("gaussian", "rho") and args.beta_b <= 0:
-            raise ValueError("--beta-b must be positive")
-    header, rows = _oracle_rows(args)
+        if args.oracle_cmd in ("gaussian", "rho") and not (
+            args.beta_b > 0 and math.isfinite(args.beta_b)
+        ):
+            raise ValueError("--beta-b must be positive and finite")
+    report = _oracle_report(args)
+    if isinstance(report, tuple):  # gaussian: one row per group count
+        header = [f.name for f in fields(oracle.SkewnessRow)]
+        rows = [[getattr(row, name) for name in header] for row in report]
+    else:
+        header = ["quantity", "value"]
+        rows = [
+            [f.name, getattr(report, f.name)]
+            for f in fields(report)
+            if getattr(report, f.name) is not None
+        ]
     with _out_stream(args.out) as fh:
         if args.format == "json":
             payload = [dict(zip(header, row)) for row in rows]

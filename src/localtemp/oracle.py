@@ -1,24 +1,35 @@
-"""Dense verification of the analytic building blocks on small spin chains.
+"""Exact verification of the analytic building blocks on small spin chains.
 
-Everything here is brute force on purpose: build the full 2^n Hamiltonian,
-diagonalize it, and measure the quantities the analytic modules predict
-(product-state interaction moments, the energy distribution w_a, diagonal
-and off-diagonal elements of the thermal state in the product basis). No
-Gaussian or thermodynamic-limit approximation enters, so any disagreement
-beyond numerical noise points at the formulas, not at the check.
+Everything here is exact, built from the chain's structure: the full 2^n
+Hamiltonian is filled by bit arithmetic on basis indices, diagonalized one
+fermion-parity block at a time, and used to measure the quantities the
+analytic modules predict (product-state interaction moments, the energy
+distribution w_a, diagonal and off-diagonal elements of the thermal state in
+the product basis). No Gaussian or thermodynamic-limit approximation enters,
+so any disagreement beyond numerical noise points at the formulas, not at
+the check.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
 value 0, with sigma^z = diag(1, -1), making the single-site Hamiltonian
--B sigma^z = diag(-B, +B). sigma^y sigma^y is assembled as
--(i sigma^y) x (i sigma^y), keeping all matrices real. The product basis
-matrix is the Kronecker power of the group eigenvector matrix with group 0
-on the low index bits.
+-B sigma^z = diag(-B, +B). A bond (i, j) flips bits i and j: sigma^x sigma^x
+gives that element 1, and sigma^y sigma^y gives it -1 when the two bits agree
+and +1 when they differ, so every matrix stays real. The product basis matrix
+is the Kronecker power of the group eigenvector matrix with group 0 on the
+low index bits.
+
+Parity blocks: every bond flips two bits, so the fermion parity prod sigma^z
+(the parity of a basis index's bit count) commutes with H for every K, L and
+boundary. Chains are diagonalized in the even and the odd block separately
+and the eigenpairs merged into ascending eigenvalue order; a matrix with an
+element between the blocks is rejected. Group Hamiltonians are diagonalized
+whole, so the product basis is the one a full eigh of the group picks.
 
 Caveats baked into the checks: for periodic chains only ground-energy
-comparisons at O(1/n) tolerance are meaningful (no fermion parity-sector
-bookkeeping), and with exactly two groups on a ring both junctions couple
-the same pair, so the per-junction width sum does not apply there.
+comparisons at O(1/n) tolerance are meaningful (the two parity blocks see
+different fermion boundary conditions, which no formula here tracks), and
+with exactly two groups on a ring both junctions couple the same pair, so the
+per-junction width sum does not apply there.
 """
 from __future__ import annotations
 
@@ -31,34 +42,49 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .canonical import AccuracyParams, energy_window
+from .canonical import AccuracyParams, GroupStatistics, energy_window, rho_diag
 from .harmonic import HarmonicModel
-from .ising import GroupOccupations, IsingModel, group_energy
+from .ising import (
+    GroupOccupations,
+    IsingModel,
+    delta_sq,
+    ground_energy_per_site,
+    group_energy,
+)
 
 __all__ = [
     "Boundary",
     "DenseThermalSystem",
     "ProductBasisData",
     "OffDiagReport",
+    "SpectrumReport",
+    "GroundEnergyReport",
+    "MomentsReport",
+    "SkewnessRow",
+    "RhoDiagReport",
     "build_hamiltonian",
     "product_basis",
     "thermal_state",
     "product_statistics",
+    "interaction_statistics",
     "w_a_distribution",
     "distribution_moments",
+    "product_moments",
     "rho_product_diag",
     "rho_product_offdiag_max",
     "adjacent_junction_covariance",
     "occupations_by_energy",
     "harmonic_mode_check",
+    "spectrum_check",
+    "moments_check",
+    "skewness_by_groups",
+    "rho_diag_check",
 ]
 
-_MAX_SITES = 14
+_MAX_SITES = 12
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-# i * sigma^y; sigma^y sigma^y = -(i sigma^y) x (i sigma^y)
-_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# product states whose interaction width lies below this carry no w_a shape
+_ZERO_WIDTH = 1e-12
 
 
 class Boundary(enum.Enum):
@@ -66,32 +92,81 @@ class Boundary(enum.Enum):
     PERIODIC = "Periodic"
 
 
-def _site_op(op: np.ndarray, j: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at site j (bit j of the basis index)."""
-    return np.kron(np.eye(2 ** (n_sites - 1 - j)), np.kron(op, np.eye(2**j)))
+def _check_sites(n_sites: int) -> None:
+    if not 1 <= n_sites <= _MAX_SITES:
+        raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
 
 
-def _bond_term(model: IsingModel, i: int, j: int, n_sites: int) -> np.ndarray:
-    xx = _site_op(_SX, i, n_sites) @ _site_op(_SX, j, n_sites)
-    yy = -(_site_op(_IY, i, n_sites) @ _site_op(_IY, j, n_sites))
-    return -0.5 * model.jx * xx - 0.5 * model.jy * yy
+def _bonds_matrix(
+    n_sites: int, model: IsingModel, bonds: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Dense sum of -(Jx/2) sx_i sx_j - (Jy/2) sy_i sy_j over the given bonds."""
+    idx = np.arange(2**n_sites)
+    h = np.zeros((idx.size, idx.size))
+    xx, yy = -0.5 * model.jx, 0.5 * model.jy
+    for i, j in bonds:
+        equal = ((idx >> i) ^ (idx >> j)) & 1 == 0
+        h[idx ^ (1 << i | 1 << j), idx] += np.where(equal, xx + yy, xx - yy)
+    return h
+
+
+def _junction_bonds(
+    n_sites: int, group_size: int, boundary: Boundary
+) -> list[tuple[int, int]]:
+    """Bonds between neighbouring groups, junction v after group v."""
+    n_junctions = n_sites // group_size - 1
+    if boundary is Boundary.PERIODIC and n_sites > 1:
+        n_junctions += 1
+    return [
+        ((v + 1) * group_size - 1, (v + 1) * group_size % n_sites)
+        for v in range(n_junctions)
+    ]
 
 
 def build_hamiltonian(
     n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
 ) -> np.ndarray:
     """Dense chain Hamiltonian sum_i -B sz_i - (Jx/2) sx sx - (Jy/2) sy sy."""
-    if not 1 <= n_sites <= _MAX_SITES:
-        raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
-    dim = 2**n_sites
-    h = np.zeros((dim, dim))
-    for j in range(n_sites):
-        h -= model.b_field * _site_op(_SZ, j, n_sites)
-    for i in range(n_sites - 1):
-        h += _bond_term(model, i, i + 1, n_sites)
+    _check_sites(n_sites)
+    bonds = [(i, i + 1) for i in range(n_sites - 1)]
     if boundary is Boundary.PERIODIC and n_sites > 1:
-        h += _bond_term(model, n_sites - 1, 0, n_sites)
+        bonds.append((n_sites - 1, 0))
+    h = _bonds_matrix(n_sites, model, bonds)
+    idx = np.arange(2**n_sites)
+    diag = np.zeros(idx.size)
+    for j in range(n_sites):
+        diag -= np.where((idx >> j) & 1, -model.b_field, model.b_field)
+    h[idx, idx] = diag
     return h
+
+
+def _parity_blocks(hamiltonian: np.ndarray):
+    """Yield (indices, block) for the even and the odd bit-count sector."""
+    idx = np.arange(hamiltonian.shape[0])
+    parity = np.zeros_like(idx)
+    for j in range(idx.size.bit_length() - 1):
+        parity ^= (idx >> j) & 1
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    if np.any(hamiltonian[np.ix_(even, odd)]):
+        raise ValueError("hamiltonian mixes the fermion-parity sectors")
+    for rows in (even, odd):
+        if rows.size:
+            yield rows, hamiltonian[np.ix_(rows, rows)]
+
+
+def _parity_eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of each parity block, merged into ascending eigenvalue order."""
+    blocks = [(rows, *np.linalg.eigh(b)) for rows, b in _parity_blocks(hamiltonian)]
+    vals = np.concatenate([w for _, w, _ in blocks])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(vals.size, dtype=int)
+    column[order] = np.arange(vals.size)
+    vecs = np.zeros((vals.size, vals.size))
+    start = 0
+    for rows, w, v in blocks:
+        vecs[np.ix_(rows, column[start : start + w.size])] = v
+        start += w.size
+    return vals[order], vecs
 
 
 @dataclass(eq=False)
@@ -111,8 +186,8 @@ class DenseThermalSystem:
         dim = 2**self.n_sites
         if self.hamiltonian.shape != (dim, dim):
             raise ValueError("hamiltonian shape inconsistent with n_sites")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be finite and nonnegative")
         scale = max(1.0, float(np.max(np.abs(self.hamiltonian))))
         if np.max(np.abs(self.hamiltonian - self.hamiltonian.T)) > 1e-12 * scale:
             raise ValueError("hamiltonian must be symmetric")
@@ -126,13 +201,14 @@ class DenseThermalSystem:
 
     @classmethod
     def solve(cls, hamiltonian: np.ndarray, beta: float) -> "DenseThermalSystem":
+        """Diagonalize block by parity; rejects a matrix that mixes parities."""
         dim = hamiltonian.shape[0]
         n_sites = int(round(math.log2(dim)))
         if 2**n_sites != dim:
             raise ValueError("hamiltonian dimension must be a power of two")
         if n_sites > _MAX_SITES:
             raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
-        vals, vecs = np.linalg.eigh(hamiltonian)
+        vals, vecs = _parity_eigh(hamiltonian)
         return cls(
             n_sites=n_sites,
             hamiltonian=hamiltonian,
@@ -178,42 +254,43 @@ def _group_indices(a: int, group_size: int, n_groups: int) -> list[int]:
     return [(a >> (group_size * g)) % dim for g in range(n_groups)]
 
 
+def _group_digits(n_groups: int, group_size: int) -> list[np.ndarray]:
+    """Group-state index of every product state, one array per group."""
+    indices = np.arange(2 ** (group_size * n_groups))
+    return [(indices >> (group_size * g)) % 2**group_size for g in range(n_groups)]
+
+
 def product_basis(
     n_sites: int,
     group_size: int,
     model: IsingModel,
     boundary: Boundary = Boundary.OPEN,
 ) -> ProductBasisData:
-    """Partition the chain into equal groups and set up the product basis."""
+    """Partition the chain into equal groups and set up the product basis.
+
+    H - H_0 is exactly the bonds between groups, so the interaction is those
+    junction bonds rotated into the product basis.
+    """
+    _check_sites(n_sites)
     if n_sites % group_size != 0:
         raise ValueError("group_size must divide n_sites")
     n_groups = n_sites // group_size
-    h_full = build_hamiltonian(n_sites, model, boundary)
-    h_group = build_hamiltonian(group_size, model, Boundary.OPEN)
-    vals, vecs = np.linalg.eigh(h_group)
-
-    dim_group = 2**group_size
-    h0 = np.zeros_like(h_full)
-    for g in range(n_groups):
-        h0 += np.kron(
-            np.eye(2 ** (group_size * (n_groups - 1 - g))),
-            np.kron(h_group, np.eye(2 ** (group_size * g))),
-        )
+    vals, vecs = np.linalg.eigh(build_hamiltonian(group_size, model, Boundary.OPEN))
 
     # group 0 lives on the low bits, i.e. the last Kronecker factor
     basis = functools.reduce(np.kron, [vecs] * n_groups)
 
     energies = np.zeros(2**n_sites)
-    indices = np.arange(2**n_sites)
-    for g in range(n_groups):
-        energies += vals[(indices >> (group_size * g)) % dim_group]
+    for digits in _group_digits(n_groups, group_size):
+        energies += vals[digits]
 
-    interaction = basis.T @ (h_full - h0) @ basis
+    bonds = _junction_bonds(n_sites, group_size, boundary)
+    interaction = basis.T @ _bonds_matrix(n_sites, model, bonds)
     return ProductBasisData(
         group_size=group_size,
         group_eigs=tuple((vals, vecs) for _ in range(n_groups)),
         product_energies=energies,
-        interaction_matrix=interaction,
+        interaction_matrix=interaction @ basis,
         basis_matrix=basis,
     )
 
@@ -232,6 +309,13 @@ def product_statistics(pb: ProductBasisData, a: int) -> tuple[float, float]:
     row = pb.interaction_matrix[a]
     eps = float(row[a])
     return eps, float(row @ row - eps * eps)
+
+
+def interaction_statistics(pb: ProductBasisData) -> tuple[np.ndarray, np.ndarray]:
+    """product_statistics for every product state: arrays (eps, delta_sq)."""
+    inter = pb.interaction_matrix
+    eps = np.diag(inter).copy()
+    return eps, np.einsum("ab,ab->a", inter, inter) - eps * eps
 
 
 def _product_column(pb: ProductBasisData, a: int) -> np.ndarray:
@@ -283,11 +367,40 @@ def distribution_moments(
     return mean, var, m3 / var**1.5
 
 
+def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
+    """|<a|phi>|^2: product states a by eigenstates phi."""
+    probs = pb.basis_matrix.T @ sys.eigenvectors
+    probs *= probs
+    return probs
+
+
+def product_moments(
+    sys: DenseThermalSystem, pb: ProductBasisData
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, variance, skewness) of w_a for every product state a at once.
+
+    Centred sums over the unbinned spectrum; merging degenerate eigenvalues
+    does not move a moment, so each entry equals
+    distribution_moments(w_a_distribution(sys, pb, a)) up to roundoff.
+    Skewness is 0 where the variance is not positive.
+    """
+    probs = _overlap_sq(sys, pb)
+    mean = probs @ sys.eigenvalues
+    dev = sys.eigenvalues[None, :] - mean[:, None]
+    probs *= dev
+    probs *= dev
+    var = probs.sum(axis=1)
+    m3 = np.einsum("ab,ab->a", probs, dev)
+    skew = np.zeros_like(var)
+    wide = var > 0.0
+    skew[wide] = m3[wide] / var[wide] ** 1.5
+    return mean, var, skew
+
+
 def rho_product_diag(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
     """Exact diagonal <a|rho|a> of the thermal state in the product basis."""
     _, weights = thermal_state(sys)
-    overlap = pb.basis_matrix.T @ sys.eigenvectors
-    return (overlap**2) @ weights
+    return _overlap_sq(sys, pb) @ weights
 
 
 @dataclass(frozen=True)
@@ -334,11 +447,9 @@ def rho_product_offdiag_max(
         e_mu_min=float(vals[0]),
         e_mu_max=float(vals[-1]),
     )
-    indices = np.arange(pb.product_energies.size)
-    inside = np.ones(indices.size, dtype=bool)
-    dim_group = 2**pb.group_size
-    for g in range(pb.n_groups):
-        ge = vals[(indices >> (pb.group_size * g)) % dim_group]
+    inside = np.ones(pb.product_energies.size, dtype=bool)
+    for digits in _group_digits(pb.n_groups, pb.group_size):
+        ge = vals[digits]
         inside &= (ge >= window.e_min) & (ge <= window.e_max)
     if not np.any(inside):
         return OffDiagReport(max_offdiag, math.nan, math.nan, max_coherence)
@@ -368,18 +479,13 @@ def adjacent_junction_covariance(
     measured instead of assumed.
     """
     pb = product_basis(n_sites, group_size, model, boundary)
-    n_groups = n_sites // group_size
-    n_junctions = n_groups - 1 + (1 if boundary is Boundary.PERIODIC else 0)
-    if n_junctions < 2:
+    bonds = _junction_bonds(n_sites, group_size, boundary)
+    if len(bonds) < 2:
         raise ValueError("need at least two junctions")
-    ops = []
-    for v in range(n_junctions):
-        i = (v + 1) * group_size - 1
-        j = ((v + 1) * group_size) % n_sites
-        ops.append(pb.basis_matrix.T @ _bond_term(model, i, j, n_sites) @ pb.basis_matrix)
+    basis = pb.basis_matrix
+    ops = [basis.T @ _bonds_matrix(n_sites, model, [bond]) @ basis for bond in bonds]
     worst = 0.0
-    for v in range(n_junctions - 1):
-        left, right = ops[v], ops[v + 1]
+    for left, right in zip(ops, ops[1:]):
         cross = np.einsum("ab,ba->a", left, right)
         cov = cross - np.diag(left) * np.diag(right)
         worst = max(worst, float(np.max(np.abs(cov))))
@@ -421,3 +527,165 @@ def harmonic_mode_check(n: int, model: HarmonicModel) -> float:
     l = np.arange(1, n + 1)
     expected = 4.0 * w2 * np.sin(math.pi * l / (2.0 * (n + 1))) ** 2
     return float(np.max(np.abs(got - expected)))
+
+
+# ---------------------------------------------------------------------------
+# whole checks, one per `localtemp oracle` subcommand; field order is the
+# order of the printed rows
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Open chain: worst gap between the sorted dense and formula spectra."""
+
+    sites: int
+    boundary: str
+    max_spectrum_deviation: float
+
+
+@dataclass(frozen=True)
+class GroundEnergyReport:
+    """Periodic chain: dense ground energy per site against the k-integral."""
+
+    sites: int
+    boundary: str
+    ground_per_site_dense: float
+    ground_per_site_integral: float
+    deviation: float
+
+
+@dataclass(frozen=True)
+class MomentsReport:
+    """Worst deviations of the product-state moment identities.
+
+    The w_a mean must equal E_a + eps_a and its variance Delta_a^2. At L = 0
+    max_delta_sq_formula_dev compares Delta_a^2 with the per-junction width
+    sum of ising.delta_sq; it is None otherwise.
+    """
+
+    sites: int
+    groups: int
+    max_abs_eps: float
+    max_mean_identity_dev: float
+    max_var_identity_dev: float
+    max_delta_sq_formula_dev: float | None = None
+
+
+@dataclass(frozen=True)
+class SkewnessRow:
+    """Largest |skewness| of w_a over product states with nonzero width."""
+
+    n_groups: int
+    sites: int
+    max_abs_skewness: float
+
+
+@dataclass(frozen=True)
+class RhoDiagReport:
+    """Worst |ln rho_aa| error of the Gaussian-weight formula (rho_diag)."""
+
+    sites: int
+    groups: int
+    max_abs_log_deviation: float
+    per_junction: float
+
+
+def spectrum_check(
+    n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
+) -> SpectrumReport | GroundEnergyReport:
+    """Dense spectrum against the mode formula (open) or the ground-energy
+    integral (periodic, where only that is meaningful)."""
+    h = build_hamiltonian(n_sites, model, boundary)
+    dense = np.sort(
+        np.concatenate([np.linalg.eigvalsh(b) for _, b in _parity_blocks(h)])
+    )
+    label = boundary.name.lower()
+    if boundary is Boundary.OPEN:
+        formula = np.sort(
+            [
+                group_energy(
+                    GroupOccupations(tuple((a >> l) & 1 for l in range(n_sites))), model
+                )
+                for a in range(2**n_sites)
+            ]
+        )
+        return SpectrumReport(n_sites, label, float(np.max(np.abs(dense - formula))))
+    dense_ground = float(dense[0]) / n_sites
+    integral = ground_energy_per_site(model)
+    return GroundEnergyReport(
+        n_sites, label, dense_ground, integral, abs(dense_ground - integral)
+    )
+
+
+def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsReport:
+    """Moment identities of w_a for every product state of an open chain."""
+    group_size = n_sites // n_groups
+    occs = occupations_by_energy(model, group_size) if model.l_param == 0.0 else None
+    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), 0.0)
+    pb = product_basis(n_sites, group_size, model)
+    eps, dsq = interaction_statistics(pb)
+    mean, var, _ = product_moments(sys, pb)
+    formula_dev = None
+    if occs is not None:
+        widths = np.array([[delta_sq(o1, o2, model) for o2 in occs] for o1 in occs])
+        digits = _group_digits(n_groups, group_size)
+        formula = np.zeros(dsq.size)
+        for left, right in zip(digits, digits[1:]):
+            formula += widths[left, right]
+        formula_dev = float(np.max(np.abs(dsq - formula)))
+    return MomentsReport(
+        sites=n_sites,
+        groups=n_groups,
+        max_abs_eps=float(np.max(np.abs(eps))),
+        max_mean_identity_dev=float(
+            np.max(np.abs(mean - (pb.product_energies + eps)))
+        ),
+        max_var_identity_dev=float(np.max(np.abs(var - dsq))),
+        max_delta_sq_formula_dev=formula_dev,
+    )
+
+
+def skewness_by_groups(
+    n_sites: int, n_groups: int, model: IsingModel, beta: float
+) -> tuple[SkewnessRow, ...]:
+    """Worst w_a skewness for 2..n_groups groups of n_sites // n_groups sites."""
+    group_size = n_sites // n_groups
+    rows = []
+    for count in range(2, n_groups + 1):
+        sites = group_size * count
+        sys = DenseThermalSystem.solve(build_hamiltonian(sites, model), beta)
+        pb = product_basis(sites, group_size, model)
+        _, dsq = interaction_statistics(pb)
+        _, _, skew = product_moments(sys, pb)
+        worst = float(np.max(np.abs(skew[dsq >= _ZERO_WIDTH]), initial=0.0))
+        rows.append(SkewnessRow(count, sites, worst))
+    return tuple(rows)
+
+
+def rho_diag_check(
+    n_sites: int, n_groups: int, model: IsingModel, beta: float
+) -> RhoDiagReport:
+    """Gaussian-weight formula for ln <a|rho|a> against the exact diagonal,
+    over the product states of nonzero interaction width."""
+    if n_groups < 2:
+        raise ValueError("rho check needs at least two groups")
+    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), beta)
+    pb = product_basis(n_sites, n_sites // n_groups, model)
+    log_z, _ = thermal_state(sys)
+    dense = rho_product_diag(sys, pb)
+    e0 = float(np.min(sys.eigenvalues))
+    e1 = float(np.max(sys.eigenvalues))
+    eps, dsq = interaction_statistics(pb)
+    worst = 0.0
+    for a in np.flatnonzero(dsq >= _ZERO_WIDTH):
+        stats = GroupStatistics(
+            e_a=float(pb.product_energies[a]),
+            eps_a=float(eps[a]),
+            delta_sq_a=float(dsq[a]),
+            delta_tilde_sq=0.0,
+            e0=e0,
+            e1=e1,
+        )
+        predicted = rho_diag(stats, sys.beta, log_z)
+        worst = max(worst, abs(predicted - math.log(float(dense[a]))))
+    return RhoDiagReport(n_sites, n_groups, worst, worst / (n_groups - 1))

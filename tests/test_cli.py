@@ -212,3 +212,73 @@ def test_oracle_rho_driver():
     assert code == 0
     payload = {row["quantity"]: row["value"] for row in json.loads(out)}
     assert payload["max_abs_log_deviation"] == pytest.approx(0.005127, rel=1e-3)
+
+
+@pytest.mark.parametrize("command", ["rho", "gaussian"])
+@pytest.mark.parametrize("beta_b", ["nan", "inf", "0"])
+def test_oracle_rejects_non_finite_or_nonpositive_beta(command, beta_b):
+    code, out, err = run_cli(
+        "oracle", command, "--sites", "4", "--groups", "2", "--K", "0.3", "--L", "0",
+        "--beta-b", beta_b,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--beta-b" in err
+
+
+def test_oracle_rho_needs_two_groups():
+    code, out, err = run_cli("oracle", "rho", "--sites", "4", "--groups", "1")
+    assert code == 1
+    assert out == ""
+    assert "two groups" in err
+
+
+def test_oracle_row_layout_per_format():
+    # keys, row order and plain float formatting of every oracle subcommand
+    cases = [
+        (("spectrum", "--sites", "4"), ["sites", "boundary", "max_spectrum_deviation"]),
+        (
+            ("spectrum", "--sites", "4", "--boundary", "periodic"),
+            ["sites", "boundary", "ground_per_site_dense", "ground_per_site_integral",
+             "deviation"],
+        ),
+        (
+            ("moments", "--sites", "4", "--groups", "2"),
+            ["sites", "groups", "max_abs_eps", "max_mean_identity_dev",
+             "max_var_identity_dev", "max_delta_sq_formula_dev"],
+        ),
+        (
+            ("moments", "--sites", "4", "--groups", "2", "--L", "0.2"),
+            ["sites", "groups", "max_abs_eps", "max_mean_identity_dev",
+             "max_var_identity_dev"],
+        ),
+        (
+            ("rho", "--sites", "4", "--groups", "2"),
+            ["sites", "groups", "max_abs_log_deviation", "per_junction"],
+        ),
+    ]
+    for argv, keys in cases:
+        argv = ("oracle",) + argv + ("--K", "0.3")
+        code, out, _ = run_cli(*argv, "--format", "json")
+        assert code == 0
+        assert [row["quantity"] for row in json.loads(out)] == keys
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        lines = [line.split("  ") for line in out.splitlines()]
+        assert [line[0] for line in lines] == keys
+        for line in lines[2:]:
+            float(line[1])  # plain repr, not a numpy scalar repr
+        code, out, _ = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "quantity,value"
+        assert [line.split(",")[0] for line in out.splitlines()[2:]] == keys
+
+    code, out, _ = run_cli(
+        "oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    columns = ["n_groups", "sites", "max_abs_skewness"]
+    assert [list(row) for row in rows] == [columns, columns]
+    assert [(row["n_groups"], row["sites"]) for row in rows] == [(2, 4), (3, 6)]

@@ -22,8 +22,10 @@ from localtemp.oracle import (
     build_hamiltonian,
     distribution_moments,
     harmonic_mode_check,
+    interaction_statistics,
     occupations_by_energy,
     product_basis,
+    product_moments,
     product_statistics,
     rho_product_diag,
     rho_product_offdiag_max,
@@ -318,3 +320,113 @@ def test_harmonic_mode_check_values():
 def test_harmonic_mode_check_scales_with_frequency():
     model = HarmonicModel(theta=5.0, a0=1.0, omega0=2.5)
     assert harmonic_mode_check(16, model) <= 1e-10 * 2.5**2
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-product reference: every operator embedded site by site
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma^y
+
+
+def _site_op(op, j, n):
+    return np.kron(np.eye(2 ** (n - 1 - j)), np.kron(op, np.eye(2**j)))
+
+
+def _reference_hamiltonian(n, model, boundary=Boundary.OPEN):
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if boundary is Boundary.PERIODIC and n > 1:
+        bonds.append((n - 1, 0))
+    h = -model.b_field * sum(_site_op(_SZ, j, n) for j in range(n))
+    for i, j in bonds:
+        xx = _site_op(_SX, i, n) @ _site_op(_SX, j, n)
+        yy = -(_site_op(_IY, i, n) @ _site_op(_IY, j, n))
+        h = h - 0.5 * model.jx * xx - 0.5 * model.jy * yy
+    return h
+
+
+_COUPLINGS = ((0.3, 0.0), (1.2, 2.0), (0.0, 0.5), (-0.7, 0.7))
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_build_hamiltonian_matches_kronecker_reference(boundary, k_param, l_param):
+    model = _model(k_param, l_param)
+    for n in range(1, 7):
+        dev = build_hamiltonian(n, model, boundary) - _reference_hamiltonian(
+            n, model, boundary
+        )
+        assert np.max(np.abs(dev)) <= 1e-14
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_interaction_is_full_minus_decoupled_hamiltonian(boundary, k_param, l_param):
+    # junction bonds alone must equal H - H_0 with H_0 the Kronecker sum of
+    # the open group Hamiltonians
+    model = _model(k_param, l_param)
+    for n_sites, group_size in ((4, 2), (6, 3), (6, 2), (3, 3)):
+        n_groups = n_sites // group_size
+        h_group = _reference_hamiltonian(group_size, model)
+        h0 = sum(
+            np.kron(
+                np.eye(2 ** (group_size * (n_groups - 1 - g))),
+                np.kron(h_group, np.eye(2 ** (group_size * g))),
+            )
+            for g in range(n_groups)
+        )
+        pb = product_basis(n_sites, group_size, model, boundary)
+        basis = pb.basis_matrix
+        h = _reference_hamiltonian(n_sites, model, boundary)
+        reference = basis.T @ (h - h0) @ basis
+        assert np.max(np.abs(pb.interaction_matrix - reference)) <= 1e-13
+
+
+def test_product_moments_match_per_state_distribution():
+    # skewness is compared only where the width is above roundoff, as the
+    # oracle commands do: a point distribution's skewness is noise / noise
+    for k_param, l_param in _COUPLINGS:
+        model = _model(k_param, l_param)
+        sys = _system(6, model, beta_b=1.0)
+        pb = product_basis(6, 2, model)
+        mean, var, skew = product_moments(sys, pb)
+        eps, dsq = interaction_statistics(pb)
+        for a in range(2**6):
+            dist = w_a_distribution(sys, pb, a)
+            ref_mean, ref_var, ref_skew = distribution_moments(dist)
+            assert abs(mean[a] - ref_mean) <= 1e-10
+            assert abs(var[a] - ref_var) <= 1e-10
+            if ref_var >= 1e-12:
+                assert abs(skew[a] - ref_skew) <= 1e-10
+            ref_eps, ref_dsq = product_statistics(pb, a)
+            assert abs(eps[a] - ref_eps) <= 1e-14
+            assert abs(dsq[a] - ref_dsq) <= 1e-14
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_parity_blocked_solve_matches_full_spectrum(boundary, k_param, l_param):
+    model = _model(k_param, l_param)
+    for n in (1, 2, 5, 7):
+        h = build_hamiltonian(n, model, boundary)
+        sys = DenseThermalSystem.solve(h, 1.0)
+        assert np.all(np.diff(sys.eigenvalues) >= 0.0)
+        assert np.max(np.abs(sys.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12
+        vecs = sys.eigenvectors
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(2**n))) <= 1e-12
+
+
+def test_solve_rejects_cross_parity_entries():
+    h = build_hamiltonian(3, _model(0.3, 0.2))
+    h[0, 1] = h[1, 0] = 0.25  # index 0 is even, index 1 odd
+    with pytest.raises(ValueError, match="parity"):
+        DenseThermalSystem.solve(h, 1.0)
+
+
+def test_dense_system_rejects_non_finite_beta():
+    h = build_hamiltonian(2, _model(0.3, 0.0))
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            DenseThermalSystem.solve(h, beta)
