@@ -23,9 +23,14 @@ constant condition takes over below t ~ 0.09, diverging like
 (3 alpha / (2 pi^2)) / t^3. Group interaction widths are available both in
 the Debye form Delta^2 = 4 E_mu E_{mu+1} / n^2 and as the exact finite-n
 mode sum, so the two can be compared directly.
+
+mean_energy_reduced keeps its last few results (keyed on t and the
+quadrature spec), so the e_bar >= 1/4 guard and both bounds at one
+temperature share a single quadrature.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +97,7 @@ def dispersion(k: float, model: HarmonicModel) -> float:
     return 2.0 * model.omega0 * abs(math.sin(0.5 * k * model.a0))
 
 
+@functools.lru_cache(maxsize=4)
 def mean_energy_reduced(
     t_over_theta: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
@@ -156,6 +162,12 @@ def cond_const_bound(t_over_theta: float, acc: AccuracyParams) -> float:
     sweeps for plots use the raw curve.
     """
     e_bar = mean_energy_reduced(t_over_theta)
+    if e_bar == 0.0:
+        # t^2 underflowed: the bound ~ 1/(t e_bar) exceeds every float
+        raise OverflowError(
+            f"e_bar underflows to 0 at t_over_theta={t_over_theta!r}; "
+            "the constant-condition bound is not finite"
+        )
     ratio = 4.0 * e_bar / acc.alpha
     return (1.0 / t_over_theta) * (acc.alpha / (4.0 * e_bar)) * (1.0 + ratio) ** 2
 

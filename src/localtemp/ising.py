@@ -29,6 +29,10 @@ trapezoid sums when the dispersion is gapped (spectrally accurate for smooth
 periodic integrands) and by a geometric cell ladder anchored at the gapless
 point otherwise; at low T the Fermi weight is supported on a width ~ T/|w'|
 that uniform grids miss entirely.
+
+Two caches keep repeated work out of temperature sweeps: the gapped k-grid
+and its dispersion are built once per model (read-only arrays), and the
+ground energy is computed once per model.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
-from .specfun import QuadratureSpec, integrate, min_integer_above
+from .specfun import QuadratureError, QuadratureSpec, integrate, min_integer_above
 
 __all__ = [
     "CouplingCase",
@@ -217,10 +221,17 @@ def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
     return None
 
 
-def _omega_grid(k: np.ndarray, model: IsingModel) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes on [0, pi] and omega_k there, shared by every
+    temperature of one model; both arrays are read-only."""
+    k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
     c = 1.0 - model.k_param * np.cos(k)
     s = model.l_param * np.sin(k)
-    return 2.0 * model.b_field * np.hypot(c, s)
+    w = 2.0 * model.b_field * np.hypot(c, s)
+    k.flags.writeable = False
+    w.flags.writeable = False
+    return k, w
 
 
 def _ladder_integral(f, k0: float, k_end: float, delta: float) -> float:
@@ -229,7 +240,14 @@ def _ladder_integral(f, k0: float, k_end: float, delta: float) -> float:
     delta is the width of the innermost cell (the scale on which f varies
     next to k0); each further cell doubles. Every cell goes through the
     adaptive rule with a tolerance split evenly after a midpoint pre-pass.
+    A delta that is not positive and finite raises QuadratureError: a zero
+    width (the node slope overflowed) never reaches k_end, and an infinite
+    one means the thermal scale at the node was lost.
     """
+    if not 0.0 < delta < math.inf:
+        raise QuadratureError(
+            f"ladder cell width {delta!r} is not positive and finite"
+        )
     length = abs(k_end - k0)
     if length == 0.0:
         return 0.0
@@ -264,8 +282,7 @@ def mean_energy_per_site(beta_b: float, model: IsingModel) -> float:
 
     node = _gap_node(model)
     if node is None:
-        k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
-        w = _omega_grid(k, model)
+        k, w = _trapezoid_grid(model)
         x = np.minimum(beta * w, _EXP_CLIP)
         return float(np.trapezoid(w / (np.exp(x) + 1.0), k) / math.pi)
 
@@ -275,10 +292,18 @@ def mean_energy_per_site(beta_b: float, model: IsingModel) -> float:
     else:
         delta = 1.0 / math.sqrt(beta * scale / 2.0)
 
+    # dispersion_periodic written out with locals: the ladder calls this
+    # about a thousand times per point, and the expressions (hence every bit
+    # of the result) are the same
+    cos, sin, hypot, exp = math.cos, math.sin, math.hypot, math.exp
+    k_param, l_param, two_b = model.k_param, model.l_param, 2.0 * model.b_field
+
     def integrand(k: float) -> float:
-        w = dispersion_periodic(k, model)
-        x = min(beta * w, _EXP_CLIP)
-        return w / (math.exp(x) + 1.0)
+        w = two_b * hypot(1.0 - k_param * cos(k), l_param * sin(k))
+        x = beta * w
+        if x > _EXP_CLIP:
+            x = _EXP_CLIP
+        return w / (exp(x) + 1.0)
 
     total = _ladder_integral(integrand, k0, 0.0, delta)
     total += _ladder_integral(integrand, k0, math.pi, delta)
@@ -290,8 +315,8 @@ def ground_energy_per_site(model: IsingModel) -> float:
     """Ground energy per site, -(1/2pi) int_0^pi omega_k dk (doubled by parity)."""
     node = _gap_node(model)
     if node is None:
-        k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
-        return float(-np.trapezoid(_omega_grid(k, model), k) / (2.0 * math.pi))
+        k, w = _trapezoid_grid(model)
+        return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     # split at the node: omega has a kink (or flat touch) there
     k0 = node[0]
     spec = QuadratureSpec(abs_tol=1e-12, max_subdivisions=4096)

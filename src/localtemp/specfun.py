@@ -139,10 +139,6 @@ def erfc_asymptotic(x: float) -> float:
     return tail if x > 0 else 2.0 + tail
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return (fa + 4.0 * fm + fb) * h / 6.0
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Adaptive Simpson quadrature of f over [a, b].
 
@@ -156,16 +152,18 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) ->
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
-    stack = [(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), spec.abs_tol)]
+    stack = [(a, b, fa, fm, fb, (fa + 4.0 * fm + fb) * (b - a) / 6.0, spec.abs_tol)]
+    # hot loop: Simpson's rule written out and the stack methods bound once
+    pop, push = stack.pop, stack.append
     total = 0.0
     splits = 0
     while stack:
-        x0, x1, f0, f1, f2, whole, tol = stack.pop()
+        x0, x1, f0, f1, f2, whole, tol = pop()
         xm = 0.5 * (x0 + x1)
         xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x1)
         fl, fr = f(xl), f(xr)
-        left = _simpson(f0, fl, f1, xm - x0)
-        right = _simpson(f1, fr, f2, x1 - xm)
+        left = (f0 + 4.0 * fl + f1) * (xm - x0) / 6.0
+        right = (f1 + 4.0 * fr + f2) * (x1 - xm) / 6.0
         err = left + right - whole
         if abs(err) <= 15.0 * tol:
             total += left + right + err / 15.0
@@ -177,8 +175,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) ->
                 f"on [{a!r}, {b!r}]"
             )
         half = 0.5 * tol
-        stack.append((x0, xm, f0, fl, f1, left, half))
-        stack.append((xm, x1, f1, fr, f2, right, half))
+        push((x0, xm, f0, fl, f1, left, half))
+        push((xm, x1, f1, fr, f2, right, half))
     return total
 
 

@@ -282,3 +282,51 @@ def test_oracle_row_layout_per_format():
     columns = ["n_groups", "sites", "max_abs_skewness"]
     assert [list(row) for row in rows] == [columns, columns]
     assert [(row["n_groups"], row["sites"]) for row in rows] == [(2, 4), (3, 6)]
+
+
+def test_harmonic_e_bar_underflow_exit_two():
+    # t^2 underflows to 0 here, so e_bar is 0 and the bound has no value
+    code, out, err = run_cli("nmin", "harmonic", "--t-over-theta", "1e-200")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_ladder_node_slope_overflow_exit_two():
+    # K = 1e300 overflows the node slope; the ladder used to loop forever
+    # while its cell list grew. A subprocess with capped memory and time
+    # keeps a regression from taking the test run down with it.
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "localtemp.cli", "nmin", "ising", "--t-over-b", "1",
+         "--B", "1e-300", "--jx", "1", "--jy", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert "numerical failure" in proc.stderr
+
+
+def test_oracle_gaussian_needs_two_groups():
+    code, out, err = run_cli("oracle", "gaussian", "--sites", "4", "--groups", "1")
+    assert code == 1
+    assert out == ""
+    assert "two groups" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, localtemp.cli; localtemp.cli.build_parser(); "
+         "print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

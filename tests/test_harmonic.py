@@ -206,3 +206,31 @@ def test_nmin_rejects_nonpositive_temperature():
         nmin(0.0, ACC)
     with pytest.raises(ValueError):
         mean_energy_reduced(-1.0)
+
+
+@pytest.mark.parametrize(
+    "t, expected",
+    [
+        (1e-4, 1.6449340668484526e-08),
+        (0.1, 0.01644434656799449),
+        (10.0, 9.752777500047355),
+    ],
+)
+def test_mean_energy_reduced_bitwise(t, expected):
+    # frozen before the memo and the faster integrator loop; exact equality
+    assert mean_energy_reduced(t) == expected
+
+
+def test_mean_energy_reduced_memo_keyed_on_spec():
+    from localtemp.specfun import QuadratureSpec
+
+    default, loose = 0.01644434656799449, 0.016444346586788536
+    assert mean_energy_reduced(0.1) == default
+    assert mean_energy_reduced(0.1, QuadratureSpec(abs_tol=1e-6)) == loose
+    assert mean_energy_reduced(0.1) == default
+
+
+def test_cond_const_bound_overflows_when_e_bar_underflows():
+    # t^2 underflows below t ~ 1e-162, leaving e_bar = 0
+    with pytest.raises(OverflowError):
+        cond_const_bound(1e-200, ACC)

@@ -312,3 +312,57 @@ def test_group_k_values_open_grid():
     assert math.isclose(dispersion_group(float(k[0]), _model(0.5, 0.0)), 2 * (1 - 0.5 * math.cos(math.pi / 4)))
     with pytest.raises(ValueError):
         group_k_values(0)
+
+
+# Values produced before the ladder integrand and the gapped grid were
+# rewritten for speed; the rewrite keeps the arithmetic, so they must match
+# to the last bit.
+_MEAN_ENERGY_BITWISE = {
+    (0.0, 0.5): (2.0899346953978098e-304, 0.22711454772067127, 1.0587143806121273),
+    (2.0, 0.0): (1.5115003407762503e-07, 0.14775689171228512, 1.4329911305102305),
+    (1.0, 1.0): (1.3089972219168492e-07, 0.15529770739498677, 1.271239546735158),
+    (1.0, 0.0): (3.413518758060227e-06, 0.14816618724782124, 0.9985000014583316),
+}
+
+
+@pytest.mark.parametrize("kl", sorted(_MEAN_ENERGY_BITWISE))
+def test_mean_energy_per_site_bitwise(kl):
+    # gapped trapezoid, linear nodes (|K| > 1 isotropic; K = L = 1), and the
+    # quadratic node at K = 1, L = 0
+    model = _model(*kl)
+    got = tuple(mean_energy_per_site(1.0 / t, model) for t in (1e-3, 1.0, 1e3))
+    assert got == _MEAN_ENERGY_BITWISE[kl]
+
+
+def test_trapezoid_grid_is_shared_and_read_only():
+    from localtemp.ising import _trapezoid_grid
+
+    model = _model(0.0, 0.5)
+    k, w = _trapezoid_grid(model)
+    assert _trapezoid_grid(model)[0] is k
+    for array in (k, w):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+@pytest.mark.parametrize("delta", [0.0, math.inf, math.nan, -1.0])
+def test_ladder_rejects_degenerate_cell_width(delta):
+    import signal
+
+    from localtemp.ising import _ladder_integral
+    from localtemp.specfun import QuadratureError
+
+    # without the check, delta <= 0 loops forever while the cell list grows;
+    # a one-second alarm turns that into a failure before memory runs out
+    def timed_out(signum, frame):
+        raise TimeoutError("ladder did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(QuadratureError):
+            _ladder_integral(math.cos, 0.0, math.pi, delta)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -430,3 +430,19 @@ def test_dense_system_rejects_non_finite_beta():
     for beta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="beta"):
             DenseThermalSystem.solve(h, beta)
+
+
+def test_thermal_state_log_z_at_large_beta():
+    # beta * |E| ~ 1e3: exp(-beta E) overflows a double, log Z must not
+    sys = _system(4, _model(0.5, 0.0), beta_b=300.0)
+    e_min = float(np.min(sys.eigenvalues))
+    assert sys.beta * abs(e_min) > 500.0
+    log_z, weights = thermal_state(sys)
+    assert math.isfinite(log_z)
+    assert -sys.beta * e_min <= log_z <= -sys.beta * e_min + math.log(16)
+    assert math.isclose(float(np.sum(weights)), 1.0, rel_tol=1e-12)
+    # small beta: agrees with the plain sum
+    sys = _system(4, _model(0.5, 0.0), beta_b=0.01)
+    log_z, _ = thermal_state(sys)
+    direct = math.log(math.fsum(math.exp(-sys.beta * e) for e in sys.eigenvalues))
+    assert math.isclose(log_z, direct, rel_tol=1e-14)

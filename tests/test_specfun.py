@@ -149,3 +149,12 @@ def test_min_integer_above_semantics():
         min_integer_above(math.inf)
     with pytest.raises(ValueError):
         min_integer_above(math.nan)
+
+
+def test_integrate_bitwise():
+    # frozen before Simpson's rule was written out inside the loop
+    assert integrate(math.sin, 0.0, math.pi) == 1.999999999999999
+    assert integrate(lambda x: math.exp(-x * x), 0.0, 2.0) == 0.8820813907623639
+    assert integrate(math.sin, 0.0, math.pi, QuadratureSpec(abs_tol=1e-6)) == (
+        1.9999999988423987
+    )
