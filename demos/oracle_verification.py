@@ -86,7 +86,6 @@ for n_groups in (2, 3, 4):
             e_a=float(pb_g.product_energies[a]),
             eps_a=eps,
             delta_sq_a=dsq,
-            delta_tilde_sq=0.0,
             e0=e0,
             e1=e1,
         )

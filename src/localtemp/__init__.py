@@ -10,8 +10,6 @@ from .canonical import (
     CriterionReport,
     EnergyWindow,
     GroupStatistics,
-    PartitionSpec,
-    Regime,
 )
 from .harmonic import HarmonicModel
 from .ising import CouplingCase, GroupOccupations, IsingModel, UnsupportedCouplingError
@@ -28,8 +26,6 @@ __all__ = [
     "GroupStatistics",
     "HarmonicModel",
     "IsingModel",
-    "PartitionSpec",
-    "Regime",
     "UnsupportedCouplingError",
     "__version__",
 ]

@@ -16,54 +16,34 @@ A group has an intensive local temperature when, across an energy window
 picked by the accuracy parameter alpha, (i) the argument of the first erfc is
 negative enough that the Boltzmann branch dominates and (ii) the leftover
 exponent is affine in the group energy with slope below the tolerance delta.
-This module provides those two predicates, the window, the affine-fit check,
-and the report container; the chain-specific modules reduce their Hamiltonians
-to these calls.
+The chain-specific modules turn both conditions into closed-form bounds on
+the group size. This module holds what they share: the Gaussian <a|rho|a>
+(checked against the exact diagonal by the oracle), the energy window, and
+the report container.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
 
 from .specfun import erfc_exact, erfcx
 
 __all__ = [
-    "PartitionSpec",
     "GroupStatistics",
     "EnergyWindow",
     "AccuracyParams",
     "CriterionReport",
-    "Regime",
     "Binding",
     "InconsistentWindowError",
-    "EmptyIntervalError",
-    "gaussian_weight",
     "rho_diag",
-    "classify_regime",
-    "check_cond_const",
     "energy_window",
-    "linearity_lhs",
-    "linearity_residual",
-    "valid_energy_interval",
     "build_report",
 ]
 
 
 class InconsistentWindowError(ValueError):
     """Energy window came out empty (lower endpoint above upper endpoint)."""
-
-
-class EmptyIntervalError(RuntimeError):
-    """No grid energy satisfies both existence criteria."""
-
-
-class Regime(enum.Enum):
-    LOWER_BRANCH = "LowerBranch"
-    UPPER_BRANCH = "UpperBranch"
 
 
 class Binding(enum.Enum):
@@ -73,34 +53,16 @@ class Binding(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    """Chain partition: n subsystems per group, n_groups groups."""
-
-    n: int
-    n_groups: int
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.n_groups < 1:
-            raise ValueError("group size and group count must be >= 1")
-        if self.total != self.n * self.n_groups:
-            raise ValueError("total must equal n * n_groups")
-
-
-@dataclass(frozen=True)
 class GroupStatistics:
     """Moments of one product state: energy, interaction mean/width, edges.
 
     e1 may be math.inf for models with unbounded spectra; the upper erfc term
-    then drops out. delta_tilde_sq carries the covariance of adjacent junction
-    operators; it is exactly zero for the chains shipped here but kept so
-    measured values can be propagated.
+    then drops out.
     """
 
     e_a: float
     eps_a: float
     delta_sq_a: float
-    delta_tilde_sq: float
     e0: float
     e1: float
 
@@ -188,15 +150,6 @@ def build_report(
     )
 
 
-def gaussian_weight(E: float, stats: GroupStatistics) -> float:
-    """Normal density of w_a at energy E (mean e_a + eps_a, var delta_sq_a)."""
-    if stats.delta_sq_a <= 0:
-        raise ValueError("gaussian_weight needs delta_sq_a > 0")
-    mean = stats.e_a + stats.eps_a
-    z = (E - mean) ** 2 / (2.0 * stats.delta_sq_a)
-    return math.exp(-z) / math.sqrt(2.0 * math.pi * stats.delta_sq_a)
-
-
 def _log_erfc_difference(a0: float, a1: float) -> float:
     """ln[erfc(a0) - erfc(a1)] for a0 <= a1, stable for large arguments."""
     if a1 <= a0:
@@ -239,31 +192,6 @@ def rho_diag(stats: GroupStatistics, beta: float, log_z: float) -> float:
     return -math.log(2.0) - log_z - beta * y + 0.5 * beta * beta * dsq + log_diff
 
 
-def classify_regime(stats: GroupStatistics, beta: float) -> Regime:
-    """Which asymptotic erfc branch applies to the lower spectral edge.
-
-    LOWER_BRANCH when E_0 - (E_a + eps_a) + beta Delta_a^2 < 0, i.e. the
-    Boltzmann factor (rather than the Gaussian tail) controls <a|rho|a>.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if stats.delta_sq_a <= 0:
-        raise ValueError("classify_regime needs delta_sq_a > 0")
-    arg = stats.e0 - (stats.e_a + stats.eps_a) + beta * stats.delta_sq_a
-    return Regime.LOWER_BRANCH if arg < 0 else Regime.UPPER_BRANCH
-
-
-def check_cond_const(stats: GroupStatistics, beta: float) -> bool:
-    """Strict inequality E_a + eps_a - E_0 > beta Delta_a^2.
-
-    This is the lower-branch condition: it makes the exponent of <a|rho|a>
-    independent of Delta_a^2 up to the explicit beta^2 Delta_a^2 / 2 term.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return stats.e_a + stats.eps_a - stats.e0 > beta * stats.delta_sq_a
-
-
 def energy_window(
     e_bar_total: float,
     e0_total: float,
@@ -284,64 +212,3 @@ def energy_window(
     lo = max(e_mu_min, e_bar_total / (acc.alpha * n_groups) + e0_total / n_groups)
     hi = min(e_mu_max, acc.alpha * e_bar_total / n_groups + e0_total / n_groups)
     return EnergyWindow(e_min=lo, e_max=hi)
-
-
-def linearity_lhs(
-    eps_prev: float,
-    eps_cur: float,
-    dsq_prev: float,
-    dsq_cur: float,
-    dtilde_sq: float,
-    beta: float,
-) -> float:
-    """Left-hand side whose affinity in the group energy is being tested:
-    -(eps_prev + eps_cur)/2 + (beta/4)(dsq_prev + dsq_cur)
-    + (beta/6) dtilde_sq."""
-    return (
-        -0.5 * (eps_prev + eps_cur)
-        + 0.25 * beta * (dsq_prev + dsq_cur)
-        + beta * dtilde_sq / 6.0
-    )
-
-
-def linearity_residual(
-    samples: Sequence[tuple[float, float]],
-) -> tuple[float, float, float]:
-    """Least-squares affine fit lhs ~ c1 * e_mu + c2 over the samples.
-
-    Returns (c1, c2, max_residual). Needs at least three samples spanning a
-    nonzero energy range.
-    """
-    if len(samples) < 3:
-        raise ValueError("need at least three samples")
-    e = np.asarray([s[0] for s in samples], dtype=float)
-    lhs = np.asarray([s[1] for s in samples], dtype=float)
-    if np.ptp(e) == 0.0:
-        raise ValueError("degenerate fit: all group energies equal")
-    c1, c2 = np.polyfit(e, lhs, 1)
-    residual = float(np.max(np.abs(lhs - (c1 * e + c2))))
-    return float(c1), float(c2), residual
-
-
-def valid_energy_interval(
-    cond_const_at: Callable[[float], bool],
-    linearity_at: Callable[[float], bool],
-    window: EnergyWindow,
-    grid_points: int = 512,
-) -> tuple[float, float]:
-    """Scan the window on a uniform grid for where the two criteria hold.
-
-    Returns (e_low, e_high): the smallest grid energy satisfying the constant
-    condition and the largest satisfying the linearity condition. Raises
-    EmptyIntervalError when no grid point satisfies both at once.
-    """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    grid = np.linspace(window.e_min, window.e_max, grid_points)
-    mask_c = np.fromiter((cond_const_at(float(e)) for e in grid), bool, grid.size)
-    mask_l = np.fromiter((linearity_at(float(e)) for e in grid), bool, grid.size)
-    if not np.any(mask_c & mask_l):
-        raise EmptyIntervalError("criteria never hold simultaneously on the grid")
-    e_low = float(grid[np.argmax(mask_c)])
-    e_high = float(grid[grid.size - 1 - np.argmax(mask_l[::-1])])
-    return e_low, e_high

@@ -7,7 +7,8 @@ materials (Debye-temperature database and minimal physical lengths), oracle
 everything below the argument layer works in dimensionless ratios.
 
 Exit codes: 0 success, 1 invalid parameters or files, 2 numerical failure
-(quadrature or window construction), 3 unsupported Ising coupling case.
+(quadrature, or a quantity that overflows or underflows the float range),
+3 unsupported Ising coupling case.
 """
 from __future__ import annotations
 
@@ -21,14 +22,13 @@ from importlib import resources
 
 import numpy as np
 
-from .canonical import AccuracyParams, EmptyIntervalError, InconsistentWindowError
+from .canonical import AccuracyParams
 from .specfun import QuadratureError
 from . import harmonic, ising, oracle
 from .ising import IsingModel, UnsupportedCouplingError
 
 __all__ = [
     "MaterialRecord",
-    "SweepRow",
     "cmd_nmin",
     "cmd_sweep",
     "cmd_figure",
@@ -52,20 +52,6 @@ class MaterialRecord:
             raise ValueError("material name must be nonempty")
         if not self.theta_kelvin > 0 or not self.a0_angstrom > 0:
             raise ValueError(f"material {self.name!r} needs positive theta and a0")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    t_ratio: float
-    n_cond_const: int
-    n_linearity: int
-    n_min: int
-    binding: str
-    l_min_m: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_min != max(self.n_cond_const, self.n_linearity):
-            raise ValueError("n_min must be the max of the two bounds")
 
 
 class _UsageError(Exception):
@@ -234,14 +220,14 @@ def cmd_sweep(args) -> int:
         else:
             report = ising.nmin(t, acc, model)
         rows.append(
-            SweepRow(
-                t_ratio=t,
-                n_cond_const=report.n_cond_const,
-                n_linearity=report.n_linearity,
-                n_min=report.n_min,
-                binding=report.binding.value,
-                l_min_m=None if a0_m is None else report.n_min * a0_m,
-            )
+            {
+                "t_ratio": t,
+                "n_cond_const": report.n_cond_const,
+                "n_linearity": report.n_linearity,
+                "n_min": report.n_min,
+                "binding": report.binding.value,
+                "l_min_m": None if a0_m is None else report.n_min * a0_m,
+            }
         )
 
     header = ["t_ratio", "n_cond_const", "n_linearity", "n_min", "binding"]
@@ -259,9 +245,9 @@ def cmd_sweep(args) -> int:
         )
     with _out_stream(args.out) as fh:
         if args.format == "json":
-            fh.write(json.dumps([row.__dict__ for row in rows], indent=2) + "\n")
+            fh.write(json.dumps(rows, indent=2) + "\n")
         else:
-            table = [[getattr(row, key) for key in header] for row in rows]
+            table = [[row[key] for key in header] for row in rows]
             _write_csv(fh, comments, header, table)
     return 0
 
@@ -561,10 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCouplingError as exc:
         print(f"localtemp: unsupported coupling: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, EmptyIntervalError, InconsistentWindowError) as exc:
-        print(f"localtemp: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
+    except (QuadratureError, OverflowError) as exc:
         print(f"localtemp: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -20,9 +20,7 @@ for its temperature to be intensive:
 
 The linearity bound grows toward the plateau 2 alpha / delta at high T; the
 constant condition takes over below t ~ 0.09, diverging like
-(3 alpha / (2 pi^2)) / t^3. Group interaction widths are available both in
-the Debye form Delta^2 = 4 E_mu E_{mu+1} / n^2 and as the exact finite-n
-mode sum, so the two can be compared directly.
+(3 alpha / (2 pi^2)) / t^3.
 
 mean_energy_reduced keeps its last few results (keyed on t and the
 quadrature spec), so the e_bar >= 1/4 guard and both bounds at one
@@ -33,20 +31,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .canonical import AccuracyParams, CriterionReport, build_report
 from .specfun import QuadratureSpec, bose_integrand, integrate, min_integer_above
 
 __all__ = [
     "HarmonicModel",
-    "ReducedEnergies",
-    "dispersion",
     "mean_energy_reduced",
     "ground_energy_reduced",
-    "reduced_energies",
-    "delta_sq_debye",
-    "delta_sq_exact",
     "cond_const_bound",
     "linearity_bound",
     "nmin_cond_const",
@@ -63,38 +55,15 @@ _BOSE_CUTOFF = 700.0
 
 @dataclass(frozen=True)
 class HarmonicModel:
-    """Chain parameters: Theta in kelvin, a0 in meters, omega0 in 1/time.
-
-    mass only feeds the oracle-side dynamical matrix.
-    """
+    """Chain parameters: Theta in kelvin, a0 in meters, omega0 in 1/time."""
 
     theta: float
     a0: float
     omega0: float
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.theta > 0 and self.a0 > 0 and self.omega0 > 0):
             raise ValueError("theta, a0 and omega0 must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-
-
-@dataclass(frozen=True)
-class ReducedEnergies:
-    """Dimensionless per-site energies in units of k_B Theta."""
-
-    e_bar: float
-    e0: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.e_bar < 0:
-            raise ValueError("e_bar must be nonnegative")
-
-
-def dispersion(k: float, model: HarmonicModel) -> float:
-    """Phonon frequency 2 omega0 |sin(k a0 / 2)| at wavenumber k (1/m)."""
-    return 2.0 * model.omega0 * abs(math.sin(0.5 * k * model.a0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -111,48 +80,6 @@ def mean_energy_reduced(
 def ground_energy_reduced() -> float:
     """Zero-point energy per site over k_B Theta."""
     return 0.25
-
-
-def reduced_energies(t_over_theta: float) -> ReducedEnergies:
-    return ReducedEnergies(e_bar=mean_energy_reduced(t_over_theta))
-
-
-def delta_sq_debye(e_mu: float, e_mu_next: float, n: int) -> float:
-    """Junction interaction width in the Debye regime, (4/n^2) E_mu E_{mu+1}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 4.0 * e_mu * e_mu_next / (n * n)
-
-
-def delta_sq_exact(
-    occupations_mu: Sequence[int],
-    occupations_next: Sequence[int],
-    model: HarmonicModel,
-    n: int,
-) -> float:
-    """Exact finite-n junction width from the group normal modes.
-
-    For a group of n sites with open ends the modes sit at x_l = pi l / (2(n+1))
-    and the width of the coupling to the next group factorizes:
-
-      Delta^2 = (2/(n+1))^2 * A(occ_mu) * A(occ_next),
-      A(occ)  = sum_l cos^2(x_l) * 2 omega0 sin(x_l) * (occ_l + 1/2).
-
-    The vacuum 1/2 keeps every factor strictly positive.
-    """
-    if len(occupations_mu) != n or len(occupations_next) != n:
-        raise ValueError("occupation lists must have length n")
-    if any(o < 0 for o in occupations_mu) or any(o < 0 for o in occupations_next):
-        raise ValueError("occupations must be nonnegative")
-
-    def mode_sum(occ: Sequence[int]) -> float:
-        total = 0.0
-        for l, n_l in enumerate(occ, start=1):
-            x = math.pi * l / (2.0 * (n + 1))
-            total += math.cos(x) ** 2 * 2.0 * model.omega0 * math.sin(x) * (n_l + 0.5)
-        return total
-
-    return (2.0 / (n + 1)) ** 2 * mode_sum(occupations_mu) * mode_sum(occupations_next)
 
 
 def cond_const_bound(t_over_theta: float, acc: AccuracyParams) -> float:

@@ -40,7 +40,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,8 +52,6 @@ __all__ = [
     "GroupOccupations",
     "UnsupportedCouplingError",
     "dispersion_periodic",
-    "bogoliubov_angle",
-    "dispersion_group",
     "group_k_values",
     "mean_energy_per_site",
     "ground_energy_per_site",
@@ -110,6 +107,10 @@ class IsingModel:
     coupling_case: CouplingCase
 
     def __post_init__(self) -> None:
+        for name in ("b_field", "jx", "jy", "k_param", "l_param"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.b_field > 0:
             raise ValueError("b_field must be positive")
         scale = max(1.0, abs(self.k_param), abs(self.l_param))
@@ -135,6 +136,8 @@ class IsingModel:
 
     @classmethod
     def from_couplings(cls, b_field: float, jx: float, jy: float) -> "IsingModel":
+        if not b_field > 0:
+            raise ValueError("b_field must be positive")
         k_param = (jx + jy) / (2.0 * b_field)
         l_param = (jx - jy) / (2.0 * b_field)
         return cls(
@@ -170,24 +173,6 @@ def dispersion_periodic(k: float, model: IsingModel) -> float:
     c = 1.0 - model.k_param * math.cos(k)
     s = model.l_param * math.sin(k)
     return 2.0 * model.b_field * math.hypot(c, s)
-
-
-def bogoliubov_angle(k: float, model: IsingModel) -> float:
-    """cos of the Bogoliubov angle diagonalizing mode k.
-
-    Undefined where the dispersion vanishes (gapless point); raises there.
-    """
-    c = 1.0 - model.k_param * math.cos(k)
-    s = model.l_param * math.sin(k)
-    norm = math.hypot(c, s)
-    if norm == 0.0:
-        raise ValueError("Bogoliubov angle degenerate at a gapless point")
-    return c / norm
-
-
-def dispersion_group(k: float, model: IsingModel) -> float:
-    """Signed mode energy 2B(1 - K cos k) of an open group."""
-    return 2.0 * model.b_field * (1.0 - model.k_param * math.cos(k))
 
 
 def group_k_values(n: int) -> np.ndarray:

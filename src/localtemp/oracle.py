@@ -669,7 +669,11 @@ def rho_diag_check(
     n_sites: int, n_groups: int, model: IsingModel, beta: float
 ) -> RhoDiagReport:
     """Gaussian-weight formula for ln <a|rho|a> against the exact diagonal,
-    over the product states of nonzero interaction width."""
+    over the product states of nonzero interaction width.
+
+    Raises OverflowError when an exact diagonal entry underflows to 0 (large
+    beta), since its logarithm is then not finite.
+    """
     if n_groups < 2:
         raise ValueError("rho check needs at least two groups")
     sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), beta)
@@ -681,14 +685,19 @@ def rho_diag_check(
     eps, dsq = interaction_statistics(pb)
     worst = 0.0
     for a in np.flatnonzero(dsq >= _ZERO_WIDTH):
+        exact = float(dense[a])
+        if exact == 0.0:
+            raise OverflowError(
+                f"exact <a|rho|a> underflows to 0 at product state a={a}"
+                f" (beta={sys.beta!r}); its logarithm is not finite"
+            )
         stats = GroupStatistics(
             e_a=float(pb.product_energies[a]),
             eps_a=float(eps[a]),
             delta_sq_a=float(dsq[a]),
-            delta_tilde_sq=0.0,
             e0=e0,
             e1=e1,
         )
         predicted = rho_diag(stats, sys.beta, log_z)
-        worst = max(worst, abs(predicted - math.log(float(dense[a]))))
+        worst = max(worst, abs(predicted - math.log(exact)))
     return RhoDiagReport(n_sites, n_groups, worst, worst / (n_groups - 1))

@@ -2,10 +2,9 @@
 
 Everything here is pure Python on top of math.exp/math.sqrt so results are
 bit-stable across platforms: the complementary error function erfc and its
-scaled variant erfcx, the leading asymptotic branch of erfc, an adaptive
-Simpson integrator, the Bose occupation integrand x/(e^x - 1) with its
-removable singularity filled in, and integer extraction for strict
-inequalities of the form n > bound.
+scaled variant erfcx, an adaptive Simpson integrator, the Bose occupation
+integrand x/(e^x - 1) with its removable singularity filled in, and integer
+extraction for strict inequalities of the form n > bound.
 """
 from __future__ import annotations
 
@@ -17,18 +16,12 @@ __all__ = [
     "QuadratureError",
     "erfc_exact",
     "erfcx",
-    "log_erfc",
-    "erfc_asymptotic",
     "integrate",
     "bose_integrand",
     "min_integer_above",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# Below this point the asymptotic branch errs by more than ~10% and is not a
-# meaningful approximation of erfc.
-ASYMPTOTIC_X_SWITCH = 2.0
 
 # Crossover between the Maclaurin series of erf and the continued fraction for
 # erfcx. The series route computes erfc as 1 - erf and loses about
@@ -116,27 +109,6 @@ def erfc_exact(x: float) -> float:
         return 1.0 - _erf_series(x)
     # erfc underflows past ~27; exp(-x*x) handles that naturally.
     return math.exp(-x * x) * _erfcx_cf(x)
-
-
-def log_erfc(x: float) -> float:
-    """ln erfc(x) without underflow for large positive x."""
-    if x >= _SERIES_CF_SPLIT:
-        return -x * x + math.log(_erfcx_cf(x))
-    return math.log(erfc_exact(x))
-
-
-def erfc_asymptotic(x: float) -> float:
-    """Leading asymptotic branch of erfc for |x| >= ASYMPTOTIC_X_SWITCH.
-
-    Returns e^{-x^2}/(sqrt(pi) x) as x -> +inf and 2 + e^{-x^2}/(sqrt(pi) x)
-    (the same expression, x negative) as x -> -inf.
-    """
-    if abs(x) < ASYMPTOTIC_X_SWITCH:
-        raise ValueError(
-            f"asymptotic branch needs |x| >= {ASYMPTOTIC_X_SWITCH}, got {x!r}"
-        )
-    tail = math.exp(-x * x) / (_SQRT_PI * x)
-    return tail if x > 0 else 2.0 + tail
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:

@@ -1,4 +1,4 @@
-"""Group statistics, density-matrix diagonal, criteria, and the energy window."""
+"""Group statistics, density-matrix diagonal, the energy window, and the report."""
 from __future__ import annotations
 
 import math
@@ -11,38 +11,17 @@ from localtemp.canonical import (
     AccuracyParams,
     Binding,
     CriterionReport,
-    EmptyIntervalError,
     EnergyWindow,
     GroupStatistics,
     InconsistentWindowError,
-    PartitionSpec,
-    Regime,
     build_report,
-    check_cond_const,
-    classify_regime,
     energy_window,
-    gaussian_weight,
-    linearity_lhs,
-    linearity_residual,
     rho_diag,
-    valid_energy_interval,
 )
-from localtemp.specfun import integrate
 
 
 def _stats(e_a=1.0, eps_a=0.0, dsq=1.0, e0=-10.0, e1=math.inf):
-    return GroupStatistics(
-        e_a=e_a, eps_a=eps_a, delta_sq_a=dsq, delta_tilde_sq=0.0, e0=e0, e1=e1
-    )
-
-
-def test_partition_spec_validates_total():
-    spec = PartitionSpec(n=4, n_groups=3, total=12)
-    assert spec.total == 12
-    with pytest.raises(ValueError):
-        PartitionSpec(n=4, n_groups=3, total=13)
-    with pytest.raises(ValueError):
-        PartitionSpec(n=0, n_groups=3, total=0)
+    return GroupStatistics(e_a=e_a, eps_a=eps_a, delta_sq_a=dsq, e0=e0, e1=e1)
 
 
 def test_group_statistics_invariants():
@@ -63,16 +42,6 @@ def test_accuracy_params_ranges():
         AccuracyParams(alpha=10.0, delta=0.0)
     with pytest.raises(ValueError):
         AccuracyParams(alpha=10.0, delta=1.0)
-
-
-def test_gaussian_weight_peak_and_normalization():
-    stats = _stats(e_a=2.0, eps_a=0.5, dsq=0.49)
-    peak = gaussian_weight(2.5, stats)
-    assert math.isclose(peak, 1.0 / math.sqrt(2.0 * math.pi * 0.49), rel_tol=1e-12)
-    mass = integrate(lambda E: gaussian_weight(E, stats), 2.5 - 10 * 0.7, 2.5 + 10 * 0.7)
-    assert abs(mass - 1.0) <= 1e-10
-    with pytest.raises(ValueError):
-        gaussian_weight(0.0, _stats(dsq=0.0))
 
 
 def test_rho_diag_degenerate_width_limit():
@@ -107,36 +76,6 @@ def test_rho_diag_rejects_bad_inputs():
         rho_diag(_stats(), 0.0, 0.0)
     with pytest.raises(ValueError):
         rho_diag(_stats(dsq=0.0), 1.0, 0.0)
-
-
-def test_classify_regime_sign_flip():
-    # boundary at beta * dsq = e_a + eps_a - e0
-    stats = _stats(e_a=1.0, eps_a=0.0, dsq=2.0, e0=0.0)
-    assert classify_regime(stats, 0.49) is Regime.LOWER_BRANCH
-    assert classify_regime(stats, 0.51) is Regime.UPPER_BRANCH
-    ground = _stats(e_a=0.0, eps_a=0.0, dsq=1.0, e0=0.0)
-    assert classify_regime(ground, 1.0) is Regime.UPPER_BRANCH
-
-
-@given(
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=1e-6, max_value=10.0),
-    st.floats(min_value=1e-3, max_value=10.0),
-)
-@settings(max_examples=100)
-def test_regime_and_cond_const_agree(y, dsq, beta):
-    # same strict inequality read two ways
-    stats = _stats(e_a=y, eps_a=0.0, dsq=dsq, e0=-5.0)
-    assert (classify_regime(stats, beta) is Regime.LOWER_BRANCH) == check_cond_const(
-        stats, beta
-    )
-
-
-def test_check_cond_const_equality_is_false():
-    stats = _stats(e_a=1.0, eps_a=0.0, dsq=0.0, e0=0.0)
-    assert check_cond_const(stats, 1.0)
-    boundary = _stats(e_a=1.0, eps_a=0.0, dsq=1.0, e0=0.0)
-    assert not check_cond_const(boundary, 1.0)  # y - e0 == beta * dsq exactly
 
 
 def test_energy_window_harmonic_golden():
@@ -179,60 +118,6 @@ def test_energy_window_monotone_in_alpha(e_bar, e0, alpha, widen):
     )
     assert hi.e_min <= lo.e_min + 1e-12
     assert hi.e_max >= lo.e_max - 1e-12
-
-
-def test_linearity_lhs_formula():
-    got = linearity_lhs(0.2, 0.4, 1.0, 3.0, 0.6, 2.0)
-    assert math.isclose(got, -0.3 + 0.5 * 4.0 + 2.0 * 0.1, rel_tol=1e-12)
-
-
-def test_linearity_residual_affine_and_shift():
-    affine = [(e, 3.0 * e - 1.0) for e in (0.0, 1.0, 2.5, 4.0)]
-    c1, c2, res = linearity_residual(affine)
-    assert math.isclose(c1, 3.0, rel_tol=1e-10)
-    assert math.isclose(c2, -1.0, rel_tol=1e-10)
-    assert res <= 1e-12
-
-    shifted = [(e, lhs + 7.0) for e, lhs in affine]
-    c1s, c2s, ress = linearity_residual(shifted)
-    assert math.isclose(c1s, c1, rel_tol=1e-9, abs_tol=1e-12)
-    assert math.isclose(c2s, c2 + 7.0, rel_tol=1e-9)
-    assert abs(ress - res) <= 1e-12
-
-    flat = [(e, 2.0) for e in (0.0, 1.0, 2.0)]
-    c1f, _, resf = linearity_residual(flat)
-    assert abs(c1f) <= 1e-12 and resf <= 1e-12
-
-
-def test_linearity_residual_degenerate():
-    with pytest.raises(ValueError):
-        linearity_residual([(0.0, 1.0), (1.0, 2.0)])
-    with pytest.raises(ValueError):
-        linearity_residual([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)])
-
-
-def test_valid_energy_interval_structure():
-    window = EnergyWindow(0.0, 10.0)
-    e_low, e_high = valid_energy_interval(
-        lambda e: e > 2.0, lambda e: e < 8.0, window, grid_points=501
-    )
-    step = 10.0 / 500
-    assert window.e_min < e_low <= 2.0 + step
-    assert 8.0 - step <= e_high < window.e_max
-    assert e_low <= e_high
-
-    both = valid_energy_interval(lambda e: True, lambda e: True, window)
-    assert both == (0.0, 10.0)
-
-
-def test_valid_energy_interval_empty():
-    window = EnergyWindow(0.0, 10.0)
-    with pytest.raises(EmptyIntervalError):
-        valid_energy_interval(lambda e: False, lambda e: True, window)
-    with pytest.raises(EmptyIntervalError):
-        valid_energy_interval(lambda e: e > 6.0, lambda e: e < 4.0, window)
-    with pytest.raises(ValueError):
-        valid_energy_interval(lambda e: True, lambda e: True, window, grid_points=1)
 
 
 def test_build_report_binding_rules():

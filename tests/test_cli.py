@@ -330,3 +330,36 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("nmin", "ising", "--t-over-b", "1", "--K", "nan", "--L", "nan"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--K", "inf"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "inf", "--K", "0.5"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--jx", "nan", "--jy", "1"), "must be finite"),
+        (("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--L=-inf"),
+         "must be finite"),
+        (("oracle", "spectrum", "--sites", "4", "--K", "nan"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "0", "--jx", "1"), "must be positive"),
+    ],
+)
+def test_ising_rejects_invalid_field_and_couplings(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_oracle_rho_diagonal_underflow_exit_two():
+    # at beta B = 200 the exact <a|rho|a> of excited product states is below
+    # the smallest double, so its logarithm cannot be compared
+    code, out, err = run_cli(
+        "oracle", "rho", "--sites", "4", "--groups", "2", "--K", "0.3",
+        "--beta-b", "200",
+    )
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+    assert "<a|rho|a> underflows to 0" in err

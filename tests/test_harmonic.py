@@ -1,4 +1,4 @@
-"""Harmonic chain: reduced energies, junction widths, and both criteria."""
+"""Harmonic chain: reduced energies, both criteria, and lengths."""
 from __future__ import annotations
 
 import math
@@ -11,16 +11,12 @@ from localtemp.harmonic import (
     HarmonicModel,
     asymptotic_nmin,
     cond_const_bound,
-    delta_sq_debye,
-    delta_sq_exact,
-    dispersion,
     linearity_bound,
     mean_energy_reduced,
     min_length,
     nmin,
     nmin_cond_const,
     nmin_linearity,
-    reduced_energies,
 )
 from localtemp.specfun import min_integer_above
 
@@ -33,13 +29,6 @@ def test_model_validation():
         HarmonicModel(theta=-1.0, a0=2.5e-10, omega0=235.0)
     with pytest.raises(ValueError):
         HarmonicModel(theta=470.0, a0=0.0, omega0=235.0)
-
-
-def test_dispersion_band_edges():
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
-    assert dispersion(0.0, model) == 0.0
-    assert math.isclose(dispersion(math.pi, model), 2.0, rel_tol=1e-12)
-    assert math.isclose(dispersion(math.pi / 3, model), 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -72,12 +61,6 @@ def test_mean_energy_strictly_increasing():
     grid = np.geomspace(1e-3, 1e3, 40)
     values = [mean_energy_reduced(float(t)) for t in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_reduced_energies_ground():
-    red = reduced_energies(1.0)
-    assert red.e0 == 0.25
-    assert math.isclose(red.e_bar, 0.7775046341122482, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -149,39 +132,6 @@ def test_bounds_scale_with_accuracy():
     )
     # cond bound grows with alpha too (more conservative window)
     assert cond_const_bound(0.1, tight) > cond_const_bound(0.1, ACC)
-
-
-def test_delta_sq_debye_scaling():
-    assert delta_sq_debye(2.0, 3.0, 10) == 4.0 * 6.0 / 100.0
-    assert math.isclose(
-        delta_sq_debye(4.0, 6.0, 10), 4.0 * delta_sq_debye(2.0, 3.0, 10), rel_tol=1e-12
-    )
-
-
-def test_delta_sq_exact_vacuum_single_site():
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
-    got = delta_sq_exact([0], [0], model, 1)
-    assert math.isclose(got, 0.125, rel_tol=1e-12)  # omega0^2/8
-
-
-def test_delta_sq_exact_debye_limit():
-    # low modes heavily occupied: finite-n width approaches the coarse form
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
-    n = 64
-    occ = [10_000] * 4 + [0] * (n - 4)
-    exact = delta_sq_exact(occ, occ, model, n)
-    x = math.pi * np.arange(1, n + 1) / (2 * (n + 1))
-    e_group = float(np.sum(2.0 * np.sin(x) * (np.array(occ) + 0.5)))
-    coarse = delta_sq_debye(e_group, e_group, n)
-    assert 0.9 <= exact / coarse <= 1.1
-
-
-def test_delta_sq_exact_validation():
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
-    with pytest.raises(ValueError):
-        delta_sq_exact([0, 0], [0], model, 2)
-    with pytest.raises(ValueError):
-        delta_sq_exact([-1], [0], model, 1)
 
 
 def test_min_length_uses_lattice_constant():

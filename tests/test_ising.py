@@ -14,11 +14,9 @@ from localtemp.ising import (
     GroupOccupations,
     IsingModel,
     UnsupportedCouplingError,
-    bogoliubov_angle,
     cond_const_bound,
     delta_sq,
     delta_sq_extremes,
-    dispersion_group,
     dispersion_periodic,
     e_mu_extremes,
     ground_energy_per_site,
@@ -84,27 +82,6 @@ def test_dispersion_periodic_band_edges():
     critical = _model(1.0, 0.5, b=1.0)
     assert dispersion_periodic(0.0, critical) == 0.0
     assert math.isclose(dispersion_periodic(1e-7, critical) / 1e-7, 1.0, rel_tol=1e-9)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=math.pi),
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=-3.0, max_value=3.0),
-)
-@settings(max_examples=150)
-def test_bogoliubov_cosine_in_range(k, kk, ll):
-    m = _model(kk, ll)
-    try:
-        c = bogoliubov_angle(k, m)
-    except ValueError:
-        return  # zero dispersion point: angle undefined
-    assert -1.0 <= c <= 1.0 + 1e-15
-
-
-def test_bogoliubov_no_mixing_without_anisotropy():
-    m = _model(0.7, 0.0)
-    for k in (0.3, 1.0, 2.5):
-        assert abs(abs(bogoliubov_angle(k, m)) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -309,7 +286,6 @@ def test_nmin_dispatch_by_case():
 def test_group_k_values_open_grid():
     k = group_k_values(3)
     assert np.allclose(k, [math.pi / 4, math.pi / 2, 3 * math.pi / 4])
-    assert math.isclose(dispersion_group(float(k[0]), _model(0.5, 0.0)), 2 * (1 - 0.5 * math.cos(math.pi / 4)))
     with pytest.raises(ValueError):
         group_k_values(0)
 

@@ -222,7 +222,6 @@ def test_rho_diag_formula_tracks_dense():
                 e_a=float(pb.product_energies[a]),
                 eps_a=eps,
                 delta_sq_a=dsq,
-                delta_tilde_sq=0.0,
                 e0=e0,
                 e1=e1,
             )

@@ -11,11 +11,9 @@ from localtemp.specfun import (
     QuadratureError,
     QuadratureSpec,
     bose_integrand,
-    erfc_asymptotic,
     erfc_exact,
     erfcx,
     integrate,
-    log_erfc,
     min_integer_above,
 )
 
@@ -53,15 +51,6 @@ def test_erfc_exact_table(x, expected):
         assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
-def test_log_erfc_matches_table_tail():
-    # direct erfc underflows long before log_erfc does
-    for x, expected in ERFC_TABLE:
-        if expected > 0:
-            assert math.isclose(log_erfc(x), math.log(expected), rel_tol=1e-12)
-    assert log_erfc(40.0) < -1600
-    assert math.isfinite(log_erfc(40.0))
-
-
 def test_erfcx_large_argument():
     # erfcx(x) ~ 1/(x sqrt(pi)) for large x
     for x in (10.0, 100.0, 1e4):
@@ -69,20 +58,6 @@ def test_erfcx_large_argument():
     assert math.isclose(
         erfcx(1.0), math.e * 0.15729920705028513, rel_tol=1e-13
     )
-
-
-def test_erfc_asymptotic_leading_term():
-    assert math.isclose(
-        erfc_asymptotic(3.0), 2.3208841991124642e-05, rel_tol=1e-12
-    )
-    rel = abs(erfc_asymptotic(3.0) - erfc_exact(3.0)) / erfc_exact(3.0)
-    assert 0.045 <= rel <= 0.056
-
-
-def test_erfc_asymptotic_rejects_small_x():
-    with pytest.raises(ValueError):
-        erfc_asymptotic(1.9)
-    erfc_asymptotic(2.0)
 
 
 @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
