@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -62,14 +62,16 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags, but exit 2 is reserved here
     for numerical failures, so route usage problems through exit code 1."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes "-1e-3" and "-inf" for flags, so
+        # "--K -1e-3" would lose its value; subparsers inherit this class
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$"
+        )
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _out_stream(path: str | None):
-    if path:
-        return open(path, "w", encoding="utf-8")
-    return nullcontext(sys.stdout)
 
 
 def _fmt(value) -> str:
@@ -78,12 +80,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(fh, comments: list[str], header: list[str], rows: list[list]) -> None:
-    for line in comments:
-        fh.write(f"# {line}\n")
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _emit(args, payload, comments, header=None, human=None) -> int:
+    """Write a computed result to --out (or stdout) in the chosen --format.
+
+    payload is one record (a dict) or a list of them. json dumps it as is;
+    csv writes the comment lines, then the header columns (by default the
+    first record's keys) of every record; human writes the given lines, and
+    falls back to csv for a command that has none. The output file is opened
+    only here, so a command that fails leaves it untouched.
+    """
+    if args.format == "json":
+        lines = [json.dumps(payload, indent=2)]
+    elif args.format == "human" and human is not None:
+        lines = human
+    else:
+        records = payload if isinstance(payload, list) else [payload]
+        if header is None:
+            header = list(records[0])
+        lines = [f"# {line}" for line in comments] + [",".join(header)]
+        lines += [",".join(_fmt(r[key]) for key in header) for r in records]
+    text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _criteria(report) -> dict:
+    """The group-size fields every criteria command reports."""
+    return {
+        "n_cond_const": report.n_cond_const,
+        "n_linearity": report.n_linearity,
+        "n_min": report.n_min,
+        "binding": report.binding.value,
+    }
 
 
 def _acc_from_args(args) -> AccuracyParams:
@@ -138,10 +170,10 @@ def _material_by_name(records: list[MaterialRecord], name: str) -> MaterialRecor
 
 def cmd_nmin(args) -> int:
     acc = _acc_from_args(args)
+    l_min = None
     if args.chain == "harmonic":
         report = harmonic.nmin(args.t_over_theta, acc)
         t_label, t_value = "t_over_theta", args.t_over_theta
-        l_min = None
         if args.name:
             material = _material_by_name(_load_materials(args.file), args.name)
             l_min = report.n_min * material.a0_angstrom * _ANGSTROM
@@ -149,42 +181,26 @@ def cmd_nmin(args) -> int:
         model = _ising_from_args(args)
         report = ising.nmin(args.t_over_b, acc, model)
         t_label, t_value = "t_over_b", args.t_over_b
-        l_min = None
 
     payload = {
         t_label: t_value,
-        "n_cond_const": report.n_cond_const,
-        "n_linearity": report.n_linearity,
-        "n_min": report.n_min,
-        "binding": report.binding.value,
+        **_criteria(report),
         "c1_estimate": report.c1_estimate,
         "intensive": report.intensive,
     }
+    human = [
+        f"{args.chain} chain at {t_label} = {_fmt(t_value)}",
+        f"  n_cond_const = {report.n_cond_const}",
+        f"  n_linearity  = {report.n_linearity}",
+        f"  n_min        = {report.n_min}  (binding: {report.binding.value})",
+        f"  c1_estimate  = {report.c1_estimate:.6e}"
+        f"  (intensive: {'yes' if report.intensive else 'no'})",
+    ]
     if l_min is not None:
         payload["l_min_m"] = l_min
-
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        elif args.format == "csv":
-            _write_csv(
-                fh,
-                [f"localtemp nmin {args.chain}", f"alpha={args.alpha} delta={args.delta}"],
-                list(payload),
-                [list(payload.values())],
-            )
-        else:
-            fh.write(f"{args.chain} chain at {t_label} = {_fmt(t_value)}\n")
-            fh.write(f"  n_cond_const = {report.n_cond_const}\n")
-            fh.write(f"  n_linearity  = {report.n_linearity}\n")
-            fh.write(f"  n_min        = {report.n_min}  (binding: {report.binding.value})\n")
-            fh.write(
-                f"  c1_estimate  = {report.c1_estimate:.6e}"
-                f"  (intensive: {'yes' if report.intensive else 'no'})\n"
-            )
-            if l_min is not None:
-                fh.write(f"  l_min        = {_fmt(l_min)} m\n")
-    return 0
+        human.append(f"  l_min        = {_fmt(l_min)} m")
+    comments = [f"localtemp nmin {args.chain}", f"alpha={args.alpha} delta={args.delta}"]
+    return _emit(args, payload, comments, human=human)
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +231,16 @@ def cmd_sweep(args) -> int:
     rows = []
     for t in grid:
         t = float(t)
-        if model is None:
-            report = harmonic.nmin(t, acc)
-        else:
-            report = ising.nmin(t, acc, model)
+        report = harmonic.nmin(t, acc) if model is None else ising.nmin(t, acc, model)
         rows.append(
             {
                 "t_ratio": t,
-                "n_cond_const": report.n_cond_const,
-                "n_linearity": report.n_linearity,
-                "n_min": report.n_min,
-                "binding": report.binding.value,
+                **_criteria(report),
                 "l_min_m": None if a0_m is None else report.n_min * a0_m,
             }
         )
 
+    # json rows always carry l_min_m; the csv column needs a material
     header = ["t_ratio", "n_cond_const", "n_linearity", "n_min", "binding"]
     if a0_m is not None:
         header.append("l_min_m")
@@ -243,13 +254,7 @@ def cmd_sweep(args) -> int:
             f"B={_fmt(model.b_field)} K={_fmt(model.k_param)} L={_fmt(model.l_param)}"
             f" case={model.coupling_case.value}"
         )
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            fh.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            table = [[row[key] for key in header] for row in rows]
-            _write_csv(fh, comments, header, table)
-    return 0
+    return _emit(args, rows, comments, header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +310,9 @@ def cmd_figure(args) -> int:
     rows = []
     for t in grid:
         t = float(t)
-        rows.append([t] + [fn(t) for _, fn in curves])
-    header = [t_label] + [name for name, _ in curves]
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            comments = [f"localtemp figure {args.id}", "alpha=10.0 delta=0.01"]
-            _write_csv(fh, comments, header, rows)
-    return 0
+        rows.append({t_label: t, **{name: fn(t) for name, fn in curves}})
+    comments = [f"localtemp figure {args.id}", "alpha=10.0 delta=0.01"]
+    return _emit(args, rows, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -328,69 +326,45 @@ _MATERIALS_NOTE = (
 )
 
 
+def _describe(r: MaterialRecord) -> str:
+    return f"{r.name}: Theta = {_fmt(r.theta_kelvin)} K, a0 = {_fmt(r.a0_angstrom)} A"
+
+
 def cmd_materials(args) -> int:
     records = _load_materials(args.file)
-    with _out_stream(args.out) as fh:
-        if args.name is None:
-            if args.format == "json":
-                fh.write(json.dumps([r.__dict__ for r in records], indent=2) + "\n")
-            elif args.format == "csv":
-                _write_csv(
-                    fh,
-                    ["localtemp materials"],
-                    ["name", "theta_kelvin", "a0_angstrom"],
-                    [[r.name, r.theta_kelvin, r.a0_angstrom] for r in records],
-                )
-            else:
-                for r in records:
-                    fh.write(
-                        f"{r.name}: Theta = {_fmt(r.theta_kelvin)} K,"
-                        f" a0 = {_fmt(r.a0_angstrom)} A\n"
-                    )
-            return 0
+    if args.name is None:
+        return _emit(
+            args,
+            [asdict(r) for r in records],
+            ["localtemp materials"],
+            header=[f.name for f in fields(MaterialRecord)],
+            human=[_describe(r) for r in records],
+        )
 
-        material = _material_by_name(records, args.name)
-        if args.temp_kelvin is None:
-            raise ValueError("--temp-kelvin is required with --name")
-        if args.temp_kelvin <= 0:
-            raise ValueError("--temp-kelvin must be positive")
-        acc = _acc_from_args(args)
-        t = args.temp_kelvin / material.theta_kelvin
-        report = harmonic.nmin(t, acc)
-        l_min = report.n_min * material.a0_angstrom * _ANGSTROM
-        payload = {
-            "name": material.name,
-            "theta_kelvin": material.theta_kelvin,
-            "a0_angstrom": material.a0_angstrom,
-            "temp_kelvin": args.temp_kelvin,
-            "t_over_theta": t,
-            "n_cond_const": report.n_cond_const,
-            "n_linearity": report.n_linearity,
-            "n_min": report.n_min,
-            "binding": report.binding.value,
-            "l_min_m": l_min,
-        }
-        if args.format == "json":
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        elif args.format == "csv":
-            _write_csv(
-                fh,
-                [f"localtemp materials {material.name}"],
-                list(payload),
-                [list(payload.values())],
-            )
-        else:
-            fh.write(
-                f"{material.name}: Theta = {_fmt(material.theta_kelvin)} K,"
-                f" a0 = {_fmt(material.a0_angstrom)} A\n"
-            )
-            fh.write(
-                f"  T = {_fmt(args.temp_kelvin)} K  (T/Theta = {_fmt(t)})\n"
-            )
-            fh.write(f"  n_min = {report.n_min}  (binding: {report.binding.value})\n")
-            fh.write(f"  l_min = {_fmt(l_min)} m\n")
-            fh.write(_MATERIALS_NOTE + "\n")
-    return 0
+    material = _material_by_name(records, args.name)
+    if args.temp_kelvin is None:
+        raise ValueError("--temp-kelvin is required with --name")
+    if args.temp_kelvin <= 0:
+        raise ValueError("--temp-kelvin must be positive")
+    acc = _acc_from_args(args)
+    t = args.temp_kelvin / material.theta_kelvin
+    report = harmonic.nmin(t, acc)
+    l_min = report.n_min * material.a0_angstrom * _ANGSTROM
+    payload = {
+        **asdict(material),
+        "temp_kelvin": args.temp_kelvin,
+        "t_over_theta": t,
+        **_criteria(report),
+        "l_min_m": l_min,
+    }
+    human = [
+        _describe(material),
+        f"  T = {_fmt(args.temp_kelvin)} K  (T/Theta = {_fmt(t)})",
+        f"  n_min = {report.n_min}  (binding: {report.binding.value})",
+        f"  l_min = {_fmt(l_min)} m",
+        _MATERIALS_NOTE,
+    ]
+    return _emit(args, payload, [f"localtemp materials {material.name}"], human=human)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +374,7 @@ def cmd_materials(args) -> int:
 def _oracle_report(args):
     model = _ising_from_args(args)
     if args.oracle_cmd == "spectrum":
-        boundary = (
-            oracle.Boundary.PERIODIC
-            if args.boundary == "periodic"
-            else oracle.Boundary.OPEN
-        )
+        boundary = oracle.Boundary[args.boundary.upper()]
         return oracle.spectrum_check(args.sites, model, boundary)
     if args.oracle_cmd == "moments":
         return oracle.moments_check(args.sites, args.groups, model)
@@ -424,25 +394,15 @@ def cmd_oracle(args) -> int:
             raise ValueError("--beta-b must be positive and finite")
     report = _oracle_report(args)
     if isinstance(report, tuple):  # gaussian: one row per group count
-        header = [f.name for f in fields(oracle.SkewnessRow)]
-        rows = [[getattr(row, name) for name in header] for row in report]
+        rows = [asdict(row) for row in report]
     else:
-        header = ["quantity", "value"]
         rows = [
-            [f.name, getattr(report, f.name)]
+            {"quantity": f.name, "value": getattr(report, f.name)}
             for f in fields(report)
             if getattr(report, f.name) is not None
         ]
-    with _out_stream(args.out) as fh:
-        if args.format == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        elif args.format == "csv":
-            _write_csv(fh, [f"localtemp oracle {args.oracle_cmd}"], header, rows)
-        else:
-            for row in rows:
-                fh.write("  ".join(_fmt(v) for v in row) + "\n")
-    return 0
+    human = ["  ".join(_fmt(v) for v in row.values()) for row in rows]
+    return _emit(args, rows, [f"localtemp oracle {args.oracle_cmd}"], human=human)
 
 
 # ---------------------------------------------------------------------------

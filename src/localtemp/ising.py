@@ -377,6 +377,25 @@ def delta_sq_extremes(model: IsingModel) -> tuple[float, float]:
 # criteria
 
 
+def _underflow_is_overflow(bound):
+    """Raise OverflowError, not ZeroDivisionError, from a raw bound whose
+    divisor (t B, t (1 - |K|) or an energy gap) underflows to 0: the bound
+    then exceeds every float, which min_integer_above reports the same way."""
+
+    @functools.wraps(bound)
+    def checked(t_over_b: float, *args):
+        try:
+            return bound(t_over_b, *args)
+        except ZeroDivisionError:
+            raise OverflowError(
+                f"{bound.__name__} divides by a quantity that underflows to 0"
+                f" at t_over_b={t_over_b!r}; the bound is not finite"
+            ) from None
+
+    return checked
+
+
+@_underflow_is_overflow
 def cond_const_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
     """Raw constant-condition bound beta [Delta^2]_max / (e_min - e_0).
 
@@ -394,6 +413,7 @@ def cond_const_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) ->
     return beta * delta_sq_extremes(model)[1] / gap
 
 
+@_underflow_is_overflow
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
     """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span."""
     if not t_over_b > 0:
@@ -404,6 +424,7 @@ def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> 
     return beta / (2.0 * acc.delta) * (d_hi - d_lo) / (e_hi - e_lo)
 
 
+@_underflow_is_overflow
 def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
     """Raw bound 2 B beta K^2 / (1 - |K|) for isotropic coupling below the
     critical field ratio; needs no accuracy parameters because it covers

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -221,36 +221,27 @@ class DenseThermalSystem:
 class ProductBasisData:
     """Spectra of the decoupled groups and the interaction they leave over.
 
-    group_eigs holds one (eigenvalues, eigenvectors) pair per group, all
-    identical here since the groups are congruent; product_energies[a] is
-    E_a = sum of group eigenvalues selected by a; interaction_matrix is
-    I = H - H_0 rotated into the product basis.
+    The n_groups groups are congruent, so they share one spectrum:
+    group_vals and the eigenvector columns group_vecs. product_energies[a]
+    is E_a = sum of group eigenvalues selected by a; basis_matrix holds the
+    product states as columns, and interaction_matrix is I = H - H_0
+    rotated into that basis.
     """
 
     group_size: int
-    group_eigs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n_groups: int
+    group_vals: np.ndarray
+    group_vecs: np.ndarray
     product_energies: np.ndarray
     interaction_matrix: np.ndarray
     basis_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = 1
-        for vals, vecs in self.group_eigs:
-            gram = vecs.T @ vecs
-            if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-12:
-                raise ValueError("group eigenbasis not orthonormal")
-            dim *= vals.size
-        if dim != self.product_energies.size:
+        gram = self.group_vecs.T @ self.group_vecs
+        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-12:
+            raise ValueError("group eigenbasis not orthonormal")
+        if self.group_vals.size**self.n_groups != self.product_energies.size:
             raise ValueError("group dimensions inconsistent with product basis")
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.group_eigs)
-
-
-def _group_indices(a: int, group_size: int, n_groups: int) -> list[int]:
-    dim = 2**group_size
-    return [(a >> (group_size * g)) % dim for g in range(n_groups)]
 
 
 def _group_digits(n_groups: int, group_size: int) -> list[np.ndarray]:
@@ -287,7 +278,9 @@ def product_basis(
     interaction = basis.T @ _bonds_matrix(n_sites, model, bonds)
     return ProductBasisData(
         group_size=group_size,
-        group_eigs=tuple((vals, vecs) for _ in range(n_groups)),
+        n_groups=n_groups,
+        group_vals=vals,
+        group_vecs=vecs,
         product_energies=energies,
         interaction_matrix=interaction @ basis,
         basis_matrix=basis,
@@ -319,12 +312,6 @@ def interaction_statistics(pb: ProductBasisData) -> tuple[np.ndarray, np.ndarray
     return eps, np.einsum("ab,ab->a", inter, inter) - eps * eps
 
 
-def _product_column(pb: ProductBasisData, a: int) -> np.ndarray:
-    idx = _group_indices(a, pb.group_size, pb.n_groups)
-    cols = [pb.group_eigs[g][1][:, idx[g]] for g in reversed(range(pb.n_groups))]
-    return functools.reduce(np.kron, cols)
-
-
 def w_a_distribution(
     sys: DenseThermalSystem, pb: ProductBasisData, a: int
 ) -> list[tuple[float, float]]:
@@ -333,7 +320,7 @@ def w_a_distribution(
     Probabilities of eigenvalues closer than 1e-9 are merged so the result
     does not depend on the arbitrary rotation inside degenerate subspaces.
     """
-    amps = sys.eigenvectors.T @ _product_column(pb, a)
+    amps = sys.eigenvectors.T @ pb.basis_matrix[:, a]
     probs = amps**2
     out: list[tuple[float, float]] = []
     bin_start = None
@@ -439,7 +426,7 @@ def rho_product_offdiag_max(
     # window per group: thermal excess energy split over the groups
     e_ground = float(np.min(sys.eigenvalues))
     e_thermal = float(weights @ sys.eigenvalues)
-    vals = pb.group_eigs[0][0]
+    vals = pb.group_vals
     window = energy_window(
         e_bar_total=e_thermal - e_ground,
         e0_total=e_ground,
@@ -535,8 +522,23 @@ def harmonic_mode_check(n: int, model: HarmonicModel) -> float:
 # order of the printed rows
 
 
+class _Report:
+    """A measured float that is nan or inf means the dense arithmetic
+    overflowed (huge couplings), not that the check passed or failed, so
+    building such a report raises OverflowError naming the field."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OverflowError(
+                    f"{type(self).__name__}.{f.name} is {value!r}; the dense"
+                    " arithmetic overflowed"
+                )
+
+
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Report):
     """Open chain: worst gap between the sorted dense and formula spectra."""
 
     sites: int
@@ -545,7 +547,7 @@ class SpectrumReport:
 
 
 @dataclass(frozen=True)
-class GroundEnergyReport:
+class GroundEnergyReport(_Report):
     """Periodic chain: dense ground energy per site against the k-integral."""
 
     sites: int
@@ -556,7 +558,7 @@ class GroundEnergyReport:
 
 
 @dataclass(frozen=True)
-class MomentsReport:
+class MomentsReport(_Report):
     """Worst deviations of the product-state moment identities.
 
     The w_a mean must equal E_a + eps_a and its variance Delta_a^2. At L = 0
@@ -573,7 +575,7 @@ class MomentsReport:
 
 
 @dataclass(frozen=True)
-class SkewnessRow:
+class SkewnessRow(_Report):
     """Largest |skewness| of w_a over product states with nonzero width."""
 
     n_groups: int
@@ -582,7 +584,7 @@ class SkewnessRow:
 
 
 @dataclass(frozen=True)
-class RhoDiagReport:
+class RhoDiagReport(_Report):
     """Worst |ln rho_aa| error of the Gaussian-weight formula (rho_diag)."""
 
     sites: int
@@ -683,7 +685,7 @@ def rho_diag_check(
     e0 = float(np.min(sys.eigenvalues))
     e1 = float(np.max(sys.eigenvalues))
     eps, dsq = interaction_statistics(pb)
-    worst = 0.0
+    deviations = []
     for a in np.flatnonzero(dsq >= _ZERO_WIDTH):
         exact = float(dense[a])
         if exact == 0.0:
@@ -699,5 +701,7 @@ def rho_diag_check(
             e1=e1,
         )
         predicted = rho_diag(stats, sys.beta, log_z)
-        worst = max(worst, abs(predicted - math.log(exact)))
+        deviations.append(abs(predicted - math.log(exact)))
+    # np.max, unlike max(), carries a nan deviation into the report
+    worst = float(np.max(deviations, initial=0.0))
     return RhoDiagReport(n_sites, n_groups, worst, worst / (n_groups - 1))

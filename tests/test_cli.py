@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from localtemp.cli import main
@@ -363,3 +364,151 @@ def test_oracle_rho_diagonal_underflow_exit_two():
     assert out == ""
     assert "numerical failure" in err
     assert "<a|rho|a> underflows to 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("materials", "--name", "nope", "--temp-kelvin", "3"),
+        ("materials", "--name", "iron"),
+        ("materials", "--name", "iron", "--temp-kelvin", "-1"),
+    ],
+)
+def test_failed_command_leaves_out_file_alone(tmp_path, argv):
+    out = tmp_path / "kept.txt"
+    out.write_text("earlier result\n")
+    code, stdout, _ = run_cli(*argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert out.read_text() == "earlier result\n"
+
+
+def test_negative_values_in_scientific_notation_are_values():
+    exponent = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "-1e-1", "--L", "0")
+    plain = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "-0.1", "--L", "0")
+    assert exponent == plain
+    assert exponent[0] == 0
+
+    code, out, err = run_cli(
+        "sweep", "harmonic", "--tmin", "-1e-3", "--tmax", "1", "--points", "2", "--log"
+    )
+    assert (code, out) == (1, "")
+    assert "logarithmic grid needs --tmin > 0" in err
+
+    code, out, err = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "0.5", "--L", "-inf")
+    assert (code, out) == (1, "")
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1 / (t B) underflows in the constant-condition bound
+        ("--t-over-b=5e-324", "--K=0.5", "--L=0.5", "--B=1e-5"),
+        # t (1 - |K|) underflows in the isotropic weak-coupling bound
+        ("--t-over-b=5e-324", "--K=0.5", "--L=0"),
+        # the energy gap underflows with the field
+        ("--t-over-b=1", "--K=0", "--L=2", "--B=5e-324"),
+    ],
+)
+def test_ising_bound_underflow_exit_two(argv):
+    code, out, err = run_cli("nmin", "ising", *argv)
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+    assert "underflows to 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("gaussian", "--sites", "2", "--K", "1e200", "--L", "1e200"),
+         "SkewnessRow.max_abs_skewness is nan"),
+        (("moments", "--sites", "2", "--K", "1e200", "--L", "1e200"),
+         "MomentsReport.max_var_identity_dev is nan"),
+        (("rho", "--sites", "2", "--K", "1e200", "--L", "1e200"),
+         "RhoDiagReport.max_abs_log_deviation is nan"),
+        (("rho", "--sites", "4", "--K", "1e100", "--L", "1e100"),
+         "RhoDiagReport.max_abs_log_deviation is inf"),
+    ],
+)
+def test_oracle_non_finite_report_exit_two(argv, field):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli("oracle", *argv, "--groups", "2")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+    assert field in err
+
+
+_NOTE = (
+    "note: commonly quoted length estimates for some materials (hot iron, carbon"
+    " near room temperature) run about two orders of magnitude above these"
+    " formula-derived values; see the README for discussion.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (
+            ("nmin", "harmonic", "--t-over-theta", "0.1"),
+            "harmonic chain at t_over_theta = 0.1\n"
+            "  n_cond_const = 1541\n"
+            "  n_linearity  = 329\n"
+            "  n_min        = 1541  (binding: ConditionConst)\n"
+            "  c1_estimate  = 3.244646e-03  (intensive: yes)\n",
+        ),
+        (
+            ("nmin", "harmonic", "--t-over-theta", "0.1", "--name", "iron"),
+            "harmonic chain at t_over_theta = 0.1\n"
+            "  n_cond_const = 1541\n"
+            "  n_linearity  = 329\n"
+            "  n_min        = 1541  (binding: ConditionConst)\n"
+            "  c1_estimate  = 3.244646e-03  (intensive: yes)\n"
+            "  l_min        = 3.8525000000000004e-07 m\n",
+        ),
+        (
+            ("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "0.5"),
+            "ising chain at t_over_b = 1.0\n"
+            "  n_cond_const = 5\n"
+            "  n_linearity  = 7\n"
+            "  n_min        = 7  (binding: Linearity)\n"
+            "  c1_estimate  = 8.928571e-03  (intensive: yes)\n",
+        ),
+        (
+            ("materials",),
+            "iron: Theta = 470.0 K, a0 = 2.5 A\n"
+            "carbon: Theta = 2230.0 K, a0 = 1.5 A\n"
+            "silicon: Theta = 645.0 K, a0 = 2.4 A\n",
+        ),
+        (
+            ("materials", "--name", "silicon", "--temp-kelvin", "1"),
+            "silicon: Theta = 645.0 K, a0 = 2.4 A\n"
+            "  T = 1.0 K  (T/Theta = 0.0015503875968992248)\n"
+            "  n_min = 407823297  (binding: ConditionConst)\n"
+            "  l_min = 0.09787759128 m\n" + _NOTE,
+        ),
+        (
+            ("oracle", "spectrum", "--sites", "4", "--boundary", "periodic", "--K", "0.3"),
+            "sites  4\nboundary  periodic\nground_per_site_dense  -1.0\n"
+            "ground_per_site_integral  -1.0\ndeviation  0.0\n",
+        ),
+        (
+            ("oracle", "moments", "--sites", "2", "--groups", "2", "--K", "0.5"),
+            "sites  2\ngroups  2\nmax_abs_eps  0.0\nmax_mean_identity_dev  0.0\n"
+            "max_var_identity_dev  5.551115123125783e-17\nmax_delta_sq_formula_dev  0.0\n",
+        ),
+        (
+            ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "0.3"),
+            "2  4  2.8284271247461956\n",
+        ),
+        (
+            ("oracle", "rho", "--sites", "2", "--groups", "2", "--K", "0.5"),
+            "sites  2\ngroups  2\nmax_abs_log_deviation  0.004649438430865072\n"
+            "per_junction  0.004649438430865072\n",
+        ),
+    ],
+)
+def test_human_format_text(argv, text):
+    assert run_cli(*argv) == (0, text, "")
