@@ -12,7 +12,7 @@ from .canonical import (
     GroupStatistics,
 )
 from .harmonic import HarmonicModel
-from .ising import CouplingCase, GroupOccupations, IsingModel, UnsupportedCouplingError
+from .ising import CouplingCase, IsingModel, UnsupportedCouplingError
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "CouplingCase",
     "CriterionReport",
     "EnergyWindow",
-    "GroupOccupations",
     "GroupStatistics",
     "HarmonicModel",
     "IsingModel",

@@ -208,6 +208,9 @@ def cmd_nmin(args) -> int:
 
 
 def _sweep_grid(args) -> np.ndarray:
+    for name in ("tmin", "tmax"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite")
     if not args.tmin < args.tmax:
         raise ValueError("--tmin must be below --tmax")
     if args.points < 2:
@@ -392,7 +395,8 @@ def cmd_oracle(args) -> int:
             args.beta_b > 0 and math.isfinite(args.beta_b)
         ):
             raise ValueError("--beta-b must be positive and finite")
-    report = _oracle_report(args)
+    with np.errstate(all="ignore"):  # the _Report check names an overflow
+        report = _oracle_report(args)
     if isinstance(report, tuple):  # gaussian: one row per group count
         rows = [asdict(row) for row in report]
     else:

@@ -73,8 +73,12 @@ def mean_energy_reduced(
     """Thermal excitation energy per site over k_B Theta, Debye form."""
     if not t_over_theta > 0:
         raise ValueError("t_over_theta must be positive")
+    try:
+        scale = t_over_theta**2
+    except OverflowError:
+        raise OverflowError(f"e_bar overflows at t_over_theta={t_over_theta!r}")
     upper = min(1.0 / t_over_theta, _BOSE_CUTOFF)
-    return t_over_theta**2 * integrate(bose_integrand, 0.0, upper, spec)
+    return scale * integrate(bose_integrand, 0.0, upper, spec)
 
 
 def ground_energy_reduced() -> float:

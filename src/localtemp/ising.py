@@ -11,8 +11,10 @@ After the fermionization the periodic chain has quasiparticle energies
 
 while an open group of n spins carries modes at k = pi l / (n + 1) with the
 signed energies 2B (1 - K cos k). A product state assigns each mode a bit
-n_k; the group energy is 2B sum_k (1 - K cos k)(n_k - 1/2) and the junction
-interaction to the next group has width
+n_k, 1 meaning occupied: entry l - 1 along the last axis of a bit array is
+mode l, and the functions below broadcast over leading axes. The group
+energy is 2B sum_k (1 - K cos k)(n_k - 1/2) and the junction interaction to
+the next group has width
 
   Delta^2 = B^2 (K^2 + L^2) / 2 - 2 B^2 (K^2 - L^2) S_mu S_{mu+1},
   S = (2/(n+1)) sum_k sin^2(k) (n_k - 1/2),
@@ -49,10 +51,10 @@ from .specfun import QuadratureError, QuadratureSpec, integrate, min_integer_abo
 __all__ = [
     "CouplingCase",
     "IsingModel",
-    "GroupOccupations",
     "UnsupportedCouplingError",
     "dispersion_periodic",
     "group_k_values",
+    "occupation_patterns",
     "mean_energy_per_site",
     "ground_energy_per_site",
     "group_energy",
@@ -148,24 +150,6 @@ class IsingModel:
             l_param=l_param,
             coupling_case=_classify(k_param, l_param),
         )
-
-
-@dataclass(frozen=True)
-class GroupOccupations:
-    """Fermionic occupation bits for the n group modes k = pi l / (n+1)."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("occupation bits must be 0 or 1")
-        if not self.bits:
-            raise ValueError("need at least one mode")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
 
 
 def dispersion_periodic(k: float, model: IsingModel) -> float:
@@ -318,34 +302,36 @@ def ground_energy_per_site(model: IsingModel) -> float:
 # group statistics
 
 
-def group_energy(occ: GroupOccupations, model: IsingModel) -> float:
-    """Energy 2B sum_k (1 - K cos k)(n_k - 1/2) of one open group."""
-    k = group_k_values(occ.n)
-    bits = np.asarray(occ.bits, dtype=float)
-    return float(
-        np.sum(2.0 * model.b_field * (1.0 - model.k_param * np.cos(k)) * (bits - 0.5))
-    )
+def occupation_patterns(n: int) -> np.ndarray:
+    """All 2^n occupation bit arrays of an n-site group; row p holds the bits
+    of p, lowest first."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
 
 
-def _s_sum(occ: GroupOccupations) -> float:
+def group_energy(bits, model: IsingModel):
+    """Energy 2B sum_k (1 - K cos k)(n_k - 1/2) of open groups."""
+    k = group_k_values(np.shape(bits)[-1])
+    coeff = 2.0 * model.b_field * (1.0 - model.k_param * np.cos(k))
+    return np.sum(coeff * (np.asarray(bits, dtype=float) - 0.5), axis=-1)
+
+
+def _s_sum(bits):
     """S = (2/(n+1)) sum_k sin^2(k)(n_k - 1/2); lies in [-1/2, 1/2] exactly."""
-    k = group_k_values(occ.n)
-    bits = np.asarray(occ.bits, dtype=float)
-    return float(2.0 / (occ.n + 1) * np.sum(np.sin(k) ** 2 * (bits - 0.5)))
+    k = group_k_values(np.shape(bits)[-1])
+    weight = np.sin(k) ** 2 * (np.asarray(bits, dtype=float) - 0.5)
+    return 2.0 / (k.size + 1) * np.sum(weight, axis=-1)
 
 
-def delta_sq(
-    occ_mu: GroupOccupations, occ_next: GroupOccupations, model: IsingModel
-) -> float:
-    """Junction interaction width between two neighbouring groups."""
-    if occ_mu.n != occ_next.n:
+def delta_sq(bits_mu, bits_next, model: IsingModel):
+    """Junction interaction width between neighbouring groups."""
+    if np.shape(bits_mu)[-1] != np.shape(bits_next)[-1]:
         raise ValueError("groups must have equal size")
     b_sq = model.b_field**2
     k_sq = model.k_param**2
     l_sq = model.l_param**2
     return 0.5 * b_sq * (k_sq + l_sq) - 2.0 * b_sq * (k_sq - l_sq) * _s_sum(
-        occ_mu
-    ) * _s_sum(occ_next)
+        bits_mu
+    ) * _s_sum(bits_next)
 
 
 def _extreme_coefficient(k_param: float) -> float:

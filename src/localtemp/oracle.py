@@ -25,6 +25,10 @@ and the eigenpairs merged into ascending eigenvalue order; a matrix with an
 element between the blocks is rejected. Group Hamiltonians are diagonalized
 whole, so the product basis is the one a full eigh of the group picks.
 
+The formulas label a group state by occupation bits instead: entry l is the
+fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
+pairs those labels with the dense eigenstates by sorting both by energy.
+
 Caveats baked into the checks: for periodic chains only ground-energy
 comparisons at O(1/n) tolerance are meaningful (the two parity blocks see
 different fermion boundary conditions, which no formula here tracks), and
@@ -44,11 +48,11 @@ import numpy as np
 from .canonical import AccuracyParams, GroupStatistics, energy_window, rho_diag
 from .harmonic import HarmonicModel
 from .ising import (
-    GroupOccupations,
     IsingModel,
     delta_sq,
     ground_energy_per_site,
     group_energy,
+    occupation_patterns,
 )
 
 __all__ = [
@@ -146,7 +150,7 @@ def _parity_blocks(hamiltonian: np.ndarray):
     for j in range(idx.size.bit_length() - 1):
         parity ^= (idx >> j) & 1
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    if np.any(hamiltonian[np.ix_(even, odd)]):
+    if np.any(hamiltonian[np.ix_(even, odd)]) or np.any(hamiltonian[np.ix_(odd, even)]):
         raise ValueError("hamiltonian mixes the fermion-parity sectors")
     for rows in (even, odd):
         if rows.size:
@@ -172,6 +176,10 @@ def _parity_eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DenseThermalSystem:
     """Exactly diagonalized chain plus inverse temperature.
 
+    Construction checks symmetry and the eigenpair residual per fermion-parity
+    block: no element of H and no eigenvector may straddle two blocks, and a
+    non-finite (overflowed) residual raises OverflowError.
+
     Treat instances as immutable after construction; all queries only read.
     """
 
@@ -187,14 +195,23 @@ class DenseThermalSystem:
             raise ValueError("hamiltonian shape inconsistent with n_sites")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError("beta must be finite and nonnegative")
-        scale = max(1.0, float(np.max(np.abs(self.hamiltonian))))
-        if np.max(np.abs(self.hamiltonian - self.hamiltonian.T)) > 1e-12 * scale:
-            raise ValueError("hamiltonian must be symmetric")
+        blocks = list(_parity_blocks(self.hamiltonian))
+        scale = max(1.0, *(float(np.max(np.abs(block))) for _, block in blocks))
+        blocks_touched = np.zeros(dim, dtype=int)
+        norms = []
+        for rows, block in blocks:
+            if np.max(np.abs(block - block.T)) > 1e-12 * scale:
+                raise ValueError("hamiltonian must be symmetric")
+            cols = np.any(self.eigenvectors[rows], axis=0)
+            blocks_touched += cols
+            v = self.eigenvectors[np.ix_(rows, np.flatnonzero(cols))]
+            norms.append(np.linalg.norm(block @ v - v * self.eigenvalues[cols], axis=0))
+        if np.any(blocks_touched > 1):
+            raise ValueError("eigenvector mixes the fermion-parity sectors")
+        worst = float(np.max(np.concatenate(norms), initial=0.0))
+        if not math.isfinite(worst):
+            raise OverflowError(f"eigendecomposition residual is {worst!r}")
         norm = max(1.0, float(np.max(np.abs(self.eigenvalues))))
-        residual = self.hamiltonian @ self.eigenvectors - self.eigenvectors * (
-            self.eigenvalues[None, :]
-        )
-        worst = float(np.max(np.linalg.norm(residual, axis=0)))
         if worst > 1e-9 * norm:
             raise ValueError(f"eigendecomposition residual too large: {worst:g}")
 
@@ -480,25 +497,22 @@ def adjacent_junction_covariance(
     return worst
 
 
-def occupations_by_energy(model: IsingModel, n: int) -> list[GroupOccupations]:
-    """Occupation vectors ordered by their formula energy, ascending.
+def occupations_by_energy(model: IsingModel, n: int) -> np.ndarray:
+    """The rows of occupation_patterns(n) ordered by formula energy, ascending.
 
-    Aligns the dense eigenvalue order (from eigh) with occupation bitstrings
+    Aligns the dense eigenvalue order (from eigh) with occupation bit arrays
     so per-state formulas can be compared index by index. Only meaningful
     where the formula is the exact group spectrum (L = 0) and requires the
     2^n energies to be nondegenerate.
     """
-    states = []
-    for pattern in range(2**n):
-        occ = GroupOccupations(tuple((pattern >> l) & 1 for l in range(n)))
-        states.append((group_energy(occ, model), occ))
-    states.sort(key=lambda s: s[0])
-    for (e_lo, _), (e_hi, _) in zip(states, states[1:]):
-        if e_hi - e_lo < 1e-9:
-            raise ValueError(
-                "degenerate group spectrum; cannot match occupations by energy"
-            )
-    return [occ for _, occ in states]
+    patterns = occupation_patterns(n)
+    energies = group_energy(patterns, model)
+    order = np.argsort(energies, kind="stable")
+    if np.any(np.diff(energies[order]) < 1e-9):
+        raise ValueError(
+            "degenerate group spectrum; cannot match occupations by energy"
+        )
+    return patterns[order]
 
 
 def harmonic_mode_check(n: int, model: HarmonicModel) -> float:
@@ -604,14 +618,7 @@ def spectrum_check(
     )
     label = boundary.name.lower()
     if boundary is Boundary.OPEN:
-        formula = np.sort(
-            [
-                group_energy(
-                    GroupOccupations(tuple((a >> l) & 1 for l in range(n_sites))), model
-                )
-                for a in range(2**n_sites)
-            ]
-        )
+        formula = np.sort(group_energy(occupation_patterns(n_sites), model))
         return SpectrumReport(n_sites, label, float(np.max(np.abs(dense - formula))))
     dense_ground = float(dense[0]) / n_sites
     integral = ground_energy_per_site(model)
@@ -630,11 +637,9 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
     mean, var, _ = product_moments(sys, pb)
     formula_dev = None
     if occs is not None:
-        widths = np.array([[delta_sq(o1, o2, model) for o2 in occs] for o1 in occs])
+        widths = delta_sq(occs[:, None], occs[None, :], model)
         digits = _group_digits(n_groups, group_size)
-        formula = np.zeros(dsq.size)
-        for left, right in zip(digits, digits[1:]):
-            formula += widths[left, right]
+        formula = sum(widths[left, right] for left, right in zip(digits, digits[1:]))
         formula_dev = float(np.max(np.abs(dsq - formula)))
     return MomentsReport(
         sites=n_sites,

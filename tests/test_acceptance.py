@@ -16,11 +16,11 @@ from localtemp.canonical import AccuracyParams, GroupStatistics, rho_diag
 from localtemp.harmonic import HarmonicModel, asymptotic_nmin, min_length
 from localtemp.harmonic import nmin as harmonic_nmin
 from localtemp.ising import (
-    GroupOccupations,
     IsingModel,
     delta_sq,
     group_energy,
     nmin_linearity,
+    occupation_patterns,
 )
 from localtemp.ising import nmin as ising_nmin
 from localtemp.oracle import (
@@ -138,14 +138,7 @@ def test_criterion_08_oracle_exact_at_zero_anisotropy():
         model = IsingModel.from_kl(1.0, k_param, 0.0)
         for n in (2, 3, 4):
             dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(n, model)))
-            formula = np.sort(
-                [
-                    group_energy(
-                        GroupOccupations(tuple((a >> l) & 1 for l in range(n))), model
-                    )
-                    for a in range(2**n)
-                ]
-            )
+            formula = np.sort(group_energy(occupation_patterns(n), model))
             assert float(np.max(np.abs(dense - formula))) <= 1e-10
 
     # interaction means and widths on an 8-site chain split into pairs
@@ -197,12 +190,7 @@ def test_criterion_10_clt_skewness_trend():
 def test_criterion_11_anisotropy_spectrum_deviation():
     model = IsingModel.from_kl(1.0, 0.0, 1.0)
     dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(2, model)))
-    formula = np.sort(
-        [
-            group_energy(GroupOccupations(tuple((a >> l) & 1 for l in range(2))), model)
-            for a in range(4)
-        ]
-    )
+    formula = np.sort(group_energy(occupation_patterns(2), model))
     deviation = float(np.max(np.abs(dense - formula)))
     assert abs(deviation - (math.sqrt(5.0) - 2.0)) <= 1e-10
 

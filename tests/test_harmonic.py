@@ -180,6 +180,14 @@ def test_mean_energy_reduced_memo_keyed_on_spec():
     assert mean_energy_reduced(0.1) == default
 
 
+def test_mean_energy_reduced_overflow_names_e_bar():
+    # t^2 overflows above t ~ 1.3e154; finite results keep their floats
+    # (test_mean_energy_reduced_bitwise)
+    with pytest.raises(OverflowError, match=r"e_bar overflows at t_over_theta=1e\+200"):
+        mean_energy_reduced(1e200)
+    assert math.isfinite(mean_energy_reduced(1e150))
+
+
 def test_cond_const_bound_overflows_when_e_bar_underflows():
     # t^2 underflows below t ~ 1e-162, leaving e_bar = 0
     with pytest.raises(OverflowError):

@@ -5,13 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from localtemp.canonical import AccuracyParams, Binding
 from localtemp.ising import (
     CouplingCase,
-    GroupOccupations,
     IsingModel,
     UnsupportedCouplingError,
     cond_const_bound,
@@ -29,6 +26,7 @@ from localtemp.ising import (
     nmin_cond_const,
     nmin_isotropic_weak,
     nmin_linearity,
+    occupation_patterns,
 )
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
@@ -62,15 +60,6 @@ def test_model_coupling_consistency():
         )
     with pytest.raises(ValueError):
         IsingModel.from_kl(0.0, 0.1, 0.1)
-
-
-def test_group_occupations_validation():
-    occ = GroupOccupations((0, 1, 1))
-    assert occ.n == 3
-    with pytest.raises(ValueError):
-        GroupOccupations((0, 2))
-    with pytest.raises(ValueError):
-        GroupOccupations(())
 
 
 def test_dispersion_periodic_band_edges():
@@ -158,64 +147,52 @@ def test_group_energy_and_s_range():
     lo, hi = e_mu_extremes(m, 4)
     assert lo == -hi
     # single site: k = pi/2, energy +-B exactly
-    assert math.isclose(group_energy(GroupOccupations((1,)), m), 1.0, rel_tol=1e-12)
-    assert math.isclose(group_energy(GroupOccupations((0,)), m), -1.0, rel_tol=1e-12)
+    assert math.isclose(group_energy([1], m), 1.0, rel_tol=1e-12)
+    assert math.isclose(group_energy([0], m), -1.0, rel_tol=1e-12)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12))
-@settings(max_examples=150)
-def test_group_energy_within_extremes(bits):
+def test_group_energy_within_extremes():
     m = _model(0.8, 0.0)
-    occ = GroupOccupations(tuple(bits))
-    e = group_energy(occ, m)
-    lo, hi = e_mu_extremes(m, occ.n)
-    assert lo - 1e-12 <= e <= hi + 1e-12
+    for n in range(1, 13):
+        e = group_energy(occupation_patterns(n), m)
+        lo, hi = e_mu_extremes(m, n)
+        assert np.all((lo - 1e-12 <= e) & (e <= hi + 1e-12))
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=10))
-@settings(max_examples=100)
-def test_group_energy_complement_antisymmetry(bits):
+def test_group_energy_complement_antisymmetry():
     m = _model(1.7, 0.0)
-    occ = GroupOccupations(tuple(bits))
-    flipped = GroupOccupations(tuple(1 - b for b in bits))
-    assert math.isclose(
-        group_energy(occ, m), -group_energy(flipped, m), rel_tol=1e-12, abs_tol=1e-12
-    )
+    for n in range(1, 13):
+        e = group_energy(occupation_patterns(n), m)
+        # row 2^n - 1 - p holds the complement of row p
+        for a, b in zip(e, -e[::-1]):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=8),
-    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=8),
-)
-@settings(max_examples=150)
-def test_delta_sq_within_extremes(bits_a, bits_b):
-    n = min(len(bits_a), len(bits_b))
+def test_delta_sq_within_extremes():
     m = _model(0.6, 0.9)
-    a = GroupOccupations(tuple(bits_a[:n]))
-    b = GroupOccupations(tuple(bits_b[:n]))
     lo, hi = delta_sq_extremes(m)
-    val = delta_sq(a, b, m)
-    assert lo - 1e-12 <= val <= hi + 1e-12
+    for n in range(1, 9):
+        bits = occupation_patterns(n)
+        val = delta_sq(bits[:, None], bits[None, :], m)
+        assert np.all((lo - 1e-12 <= val) & (val <= hi + 1e-12))
 
 
 def test_delta_sq_const_width_case():
     # K = L: the occupation dependence cancels entirely
     m = _model(0.5, 0.5)
-    a = GroupOccupations((1, 0, 1))
-    b = GroupOccupations((0, 0, 0))
-    c = GroupOccupations((1, 1, 1))
+    a, b, c = [1, 0, 1], [0, 0, 0], [1, 1, 1]
     assert math.isclose(delta_sq(a, b, m), delta_sq(a, c, m), rel_tol=1e-12)
     assert math.isclose(delta_sq(a, b, m), 0.25, rel_tol=1e-12)  # B^2 K^2
     with pytest.raises(ValueError):
-        delta_sq(a, GroupOccupations((1, 0)), m)
+        delta_sq(a, [1, 0], m)
 
 
 def test_delta_sq_saturates_extremes():
     # all-up against all-up hits one end, all-up against all-down the other
     m = _model(0.8, 0.0)
     n = 201  # S -> +-1/2 at large n
-    up = GroupOccupations((1,) * n)
-    down = GroupOccupations((0,) * n)
+    up = np.ones(n, dtype=int)
+    down = np.zeros(n, dtype=int)
     lo, hi = delta_sq_extremes(m)
     assert abs(delta_sq(up, down, m) - hi) / hi < 0.02
     assert delta_sq(up, up, m) < lo + 0.02 * hi

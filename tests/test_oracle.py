@@ -13,7 +13,7 @@ import pytest
 
 from localtemp.canonical import AccuracyParams, GroupStatistics, rho_diag
 from localtemp.harmonic import HarmonicModel
-from localtemp.ising import GroupOccupations, IsingModel, delta_sq, group_energy
+from localtemp.ising import IsingModel, delta_sq, group_energy, occupation_patterns
 from localtemp.oracle import (
     Boundary,
     DenseThermalSystem,
@@ -61,14 +61,7 @@ def test_spectra_match_formula_without_anisotropy():
         model = _model(k_param, 0.0)
         for n in (2, 3, 4):
             dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(n, model)))
-            formula = np.sort(
-                [
-                    group_energy(
-                        GroupOccupations(tuple((a >> l) & 1 for l in range(n))), model
-                    )
-                    for a in range(2**n)
-                ]
-            )
+            formula = np.sort(group_energy(occupation_patterns(n), model))
             assert float(np.max(np.abs(dense - formula))) <= 1e-10
 
 
@@ -79,12 +72,7 @@ def test_spectrum_deviation_with_anisotropy():
     dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(2, model)))
     expected = np.sort([-math.sqrt(5.0), 0.0, 0.0, math.sqrt(5.0)])
     assert np.allclose(dense, expected, atol=1e-12)
-    formula = np.sort(
-        [
-            group_energy(GroupOccupations(tuple((a >> l) & 1 for l in range(2))), model)
-            for a in range(4)
-        ]
-    )
+    formula = np.sort(group_energy(occupation_patterns(2), model))
     maxdev = float(np.max(np.abs(dense - formula)))
     assert abs(maxdev - (math.sqrt(5.0) - 2.0)) <= 1e-10
 
@@ -295,10 +283,10 @@ def test_dense_system_rejects_nonsymmetric():
 def test_occupations_by_energy_ordering():
     model = _model(0.3, 0.0)
     occs = occupations_by_energy(model, 3)
-    energies = [group_energy(o, model) for o in occs]
-    assert energies == sorted(energies)
-    assert occs[0].bits == (0, 0, 0)
-    assert occs[-1].bits == (1, 1, 1)
+    energies = group_energy(occs, model)
+    assert energies.tolist() == sorted(energies)
+    assert occs[0].tolist() == [0, 0, 0]
+    assert occs[-1].tolist() == [1, 1, 1]
     # uncoupled chain is fully degenerate
     with pytest.raises(ValueError):
         occupations_by_energy(_model(0.0, 0.0), 2)
@@ -429,6 +417,30 @@ def test_dense_system_rejects_non_finite_beta():
     for beta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="beta"):
             DenseThermalSystem.solve(h, beta)
+
+
+def test_dense_system_checks_each_parity_block():
+    # a field-free site: any rotation of its two zero levels is an
+    # eigenbasis, but only a parity-pure one is accepted
+    h = np.zeros((2, 2))
+    DenseThermalSystem(1, h, np.zeros(2), np.eye(2), 1.0)
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="eigenvector mixes"):
+        DenseThermalSystem(1, h, np.zeros(2), rotation, 1.0)
+    # an element between the blocks is rejected even with the exact eigh
+    mixing = np.array([[0.0, 1.0], [1.0, 0.0]])
+    vals, vecs = np.linalg.eigh(mixing)
+    with pytest.raises(ValueError, match="hamiltonian mixes"):
+        DenseThermalSystem(1, mixing, vals, vecs, 1.0)
+    # each block must be symmetric
+    skew = np.zeros((4, 4))
+    skew[0, 3] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        DenseThermalSystem(2, skew, np.zeros(4), np.eye(4), 1.0)
+    # a wrong eigenvalue still fails the per-block residual
+    field = np.diag([-1.0, 1.0])
+    with pytest.raises(ValueError, match="residual too large"):
+        DenseThermalSystem(1, field, np.array([-1.0, 2.0]), np.eye(2), 1.0)
 
 
 def test_thermal_state_log_z_at_large_beta():
