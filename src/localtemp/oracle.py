@@ -14,9 +14,10 @@ bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
 value 0, with sigma^z = diag(1, -1), making the single-site Hamiltonian
 -B sigma^z = diag(-B, +B). A bond (i, j) flips bits i and j: sigma^x sigma^x
 gives that element 1, and sigma^y sigma^y gives it -1 when the two bits agree
-and +1 when they differ, so every matrix stays real. The product basis matrix
-is the Kronecker power of the group eigenvector matrix with group 0 on the
-low index bits.
+and +1 when they differ, so every matrix stays real. The product basis is
+the Kronecker power of the group eigenvector matrix with group 0 on the low
+index bits. It is never formed: junction bonds are rotated into it one group
+at a time, and overlaps apply its Kronecker factors one axis at a time.
 
 Parity blocks: every bond flips two bits, so the fermion parity prod sigma^z
 (the parity of a basis index's bit count) commutes with H for every K, L and
@@ -40,7 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -100,32 +101,6 @@ def _check_sites(n_sites: int) -> None:
         raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
 
 
-def _bonds_matrix(
-    n_sites: int, model: IsingModel, bonds: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Dense sum of -(Jx/2) sx_i sx_j - (Jy/2) sy_i sy_j over the given bonds."""
-    idx = np.arange(2**n_sites)
-    h = np.zeros((idx.size, idx.size))
-    xx, yy = -0.5 * model.jx, 0.5 * model.jy
-    for i, j in bonds:
-        equal = ((idx >> i) ^ (idx >> j)) & 1 == 0
-        h[idx ^ (1 << i | 1 << j), idx] += np.where(equal, xx + yy, xx - yy)
-    return h
-
-
-def _junction_bonds(
-    n_sites: int, group_size: int, boundary: Boundary
-) -> list[tuple[int, int]]:
-    """Bonds between neighbouring groups, junction v after group v."""
-    n_junctions = n_sites // group_size - 1
-    if boundary is Boundary.PERIODIC and n_sites > 1:
-        n_junctions += 1
-    return [
-        ((v + 1) * group_size - 1, (v + 1) * group_size % n_sites)
-        for v in range(n_junctions)
-    ]
-
-
 def build_hamiltonian(
     n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
 ) -> np.ndarray:
@@ -134,8 +109,12 @@ def build_hamiltonian(
     bonds = [(i, i + 1) for i in range(n_sites - 1)]
     if boundary is Boundary.PERIODIC and n_sites > 1:
         bonds.append((n_sites - 1, 0))
-    h = _bonds_matrix(n_sites, model, bonds)
     idx = np.arange(2**n_sites)
+    h = np.zeros((idx.size, idx.size))
+    xx, yy = -0.5 * model.jx, 0.5 * model.jy
+    for i, j in bonds:
+        equal = ((idx >> i) ^ (idx >> j)) & 1 == 0
+        h[idx ^ (1 << i | 1 << j), idx] += np.where(equal, xx + yy, xx - yy)
     diag = np.zeros(idx.size)
     for j in range(n_sites):
         diag -= np.where((idx >> j) & 1, -model.b_field, model.b_field)
@@ -143,8 +122,8 @@ def build_hamiltonian(
     return h
 
 
-def _parity_blocks(hamiltonian: np.ndarray):
-    """Yield (indices, block) for the even and the odd bit-count sector."""
+def _parity_blocks(hamiltonian: np.ndarray) -> list:
+    """(indices, block) for the even and the odd bit-count sector."""
     idx = np.arange(hamiltonian.shape[0])
     parity = np.zeros_like(idx)
     for j in range(idx.size.bit_length() - 1):
@@ -152,24 +131,7 @@ def _parity_blocks(hamiltonian: np.ndarray):
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     if np.any(hamiltonian[np.ix_(even, odd)]) or np.any(hamiltonian[np.ix_(odd, even)]):
         raise ValueError("hamiltonian mixes the fermion-parity sectors")
-    for rows in (even, odd):
-        if rows.size:
-            yield rows, hamiltonian[np.ix_(rows, rows)]
-
-
-def _parity_eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of each parity block, merged into ascending eigenvalue order."""
-    blocks = [(rows, *np.linalg.eigh(b)) for rows, b in _parity_blocks(hamiltonian)]
-    vals = np.concatenate([w for _, w, _ in blocks])
-    order = np.argsort(vals, kind="stable")
-    column = np.empty(vals.size, dtype=int)
-    column[order] = np.arange(vals.size)
-    vecs = np.zeros((vals.size, vals.size))
-    start = 0
-    for rows, w, v in blocks:
-        vecs[np.ix_(rows, column[start : start + w.size])] = v
-        start += w.size
-    return vals[order], vecs
+    return [(r, hamiltonian[np.ix_(r, r)]) for r in (even, odd) if r.size]
 
 
 @dataclass(eq=False)
@@ -178,7 +140,8 @@ class DenseThermalSystem:
 
     Construction checks symmetry and the eigenpair residual per fermion-parity
     block: no element of H and no eigenvector may straddle two blocks, and a
-    non-finite (overflowed) residual raises OverflowError.
+    non-finite (overflowed) residual raises OverflowError. blocks is
+    _parity_blocks(hamiltonian) when the caller already split it.
 
     Treat instances as immutable after construction; all queries only read.
     """
@@ -188,14 +151,16 @@ class DenseThermalSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     beta: float
+    blocks: InitVar[list | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, blocks) -> None:
         dim = 2**self.n_sites
         if self.hamiltonian.shape != (dim, dim):
             raise ValueError("hamiltonian shape inconsistent with n_sites")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError("beta must be finite and nonnegative")
-        blocks = list(_parity_blocks(self.hamiltonian))
+        if blocks is None:
+            blocks = _parity_blocks(self.hamiltonian)
         scale = max(1.0, *(float(np.max(np.abs(block))) for _, block in blocks))
         blocks_touched = np.zeros(dim, dtype=int)
         norms = []
@@ -217,21 +182,26 @@ class DenseThermalSystem:
 
     @classmethod
     def solve(cls, hamiltonian: np.ndarray, beta: float) -> "DenseThermalSystem":
-        """Diagonalize block by parity; rejects a matrix that mixes parities."""
+        """Diagonalize block by parity, eigenpairs merged into ascending
+        eigenvalue order; rejects a matrix that mixes parities."""
         dim = hamiltonian.shape[0]
         n_sites = int(round(math.log2(dim)))
         if 2**n_sites != dim:
             raise ValueError("hamiltonian dimension must be a power of two")
         if n_sites > _MAX_SITES:
             raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
-        vals, vecs = _parity_eigh(hamiltonian)
-        return cls(
-            n_sites=n_sites,
-            hamiltonian=hamiltonian,
-            eigenvalues=vals,
-            eigenvectors=vecs,
-            beta=beta,
-        )
+        blocks = _parity_blocks(hamiltonian)
+        solved = [(rows, *np.linalg.eigh(b)) for rows, b in blocks]
+        vals = np.concatenate([w for _, w, _ in solved])
+        order = np.argsort(vals, kind="stable")
+        column = np.empty(vals.size, dtype=int)
+        column[order] = np.arange(vals.size)
+        vecs = np.zeros((dim, dim))
+        start = 0
+        for rows, w, v in solved:
+            vecs[np.ix_(rows, column[start : start + w.size])] = v
+            start += w.size
+        return cls(n_sites, hamiltonian, vals[order], vecs, beta, blocks)
 
 
 @dataclass(eq=False)
@@ -239,10 +209,10 @@ class ProductBasisData:
     """Spectra of the decoupled groups and the interaction they leave over.
 
     The n_groups groups are congruent, so they share one spectrum:
-    group_vals and the eigenvector columns group_vecs. product_energies[a]
-    is E_a = sum of group eigenvalues selected by a; basis_matrix holds the
-    product states as columns, and interaction_matrix is I = H - H_0
-    rotated into that basis.
+    group_vals and the eigenvector columns group_vecs. Product state a is
+    the Kronecker product of the columns that the base-2^group_size digits
+    of a select (group 0 lowest); E_a = product_energies[a] sums their
+    eigenvalues, and interaction_matrix is I = H - H_0 in the product basis.
     """
 
     group_size: int
@@ -251,7 +221,6 @@ class ProductBasisData:
     group_vecs: np.ndarray
     product_energies: np.ndarray
     interaction_matrix: np.ndarray
-    basis_matrix: np.ndarray
 
     def __post_init__(self) -> None:
         gram = self.group_vecs.T @ self.group_vecs
@@ -267,6 +236,55 @@ def _group_digits(n_groups: int, group_size: int) -> list[np.ndarray]:
     return [(indices >> (group_size * g)) % 2**group_size for g in range(n_groups)]
 
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_A = np.array([[0.0, -1.0], [1.0, 0.0]])  # -i sigma^y, so sy sy = -A A
+
+
+def _junctions(n_sites: int, vecs: np.ndarray, model: IsingModel, boundary: Boundary):
+    """The bonds between groups in the group eigenbasis.
+
+    Each junction is (upper group, lower group, [(P, Q), ...]): the bond
+    -(Jx/2) sx sx + (Jy/2) A A equals the sum of P on the upper group times
+    Q on the lower one, the coupling folded into P. Junction v joins the
+    last site of group v to the first of group v + 1; a ring adds the bond
+    from the last site of the top group to site 0.
+    """
+    d = vecs.shape[0]
+    group_size = d.bit_length() - 1
+
+    def rotated(op: np.ndarray, bit: int) -> np.ndarray:
+        on_site = np.kron(np.eye(d >> (bit + 1)), np.kron(op, np.eye(1 << bit)))
+        return vecs.T @ on_site @ vecs
+
+    terms = [
+        (c, rotated(op, 0), rotated(op, group_size - 1))
+        for c, op in ((-0.5 * model.jx, _SX), (0.5 * model.jy, _A))
+    ]
+    junctions = [
+        (v + 1, v, [(c * first, last) for c, first, last in terms])
+        for v in range(n_sites // group_size - 1)
+    ]
+    if boundary is Boundary.PERIODIC and n_sites > 1:
+        wrap = [(c * last, first) for c, first, last in terms]
+        junctions.append((n_sites // group_size - 1, 0, wrap))
+    return junctions
+
+
+def _add_junction(inter: np.ndarray, n_groups: int, upper: int, lower: int, pairs):
+    """inter += sum_k 1 (x) P_k (x) 1 (x) Q_k (x) 1, P_k on group upper and
+    Q_k on group lower, added block by block through a diagonal view."""
+    d = pairs[0][0].shape[0]
+    if upper == lower:  # one group on a ring: its own wrap-around bond
+        for p, q in pairs:
+            inter += p @ q
+        return
+    hi, mid, lo = d ** (n_groups - 1 - upper), d ** (upper - lower - 1), d**lower
+    view = inter.reshape(hi, d, mid, d, lo, hi, d, mid, d, lo)
+    blocks = np.einsum("hpmqlhrmsl->hmlpqrs", view)  # writable view into inter
+    for p, q in pairs:
+        blocks += np.multiply.outer(p, q).transpose(0, 2, 1, 3)
+
+
 def product_basis(
     n_sites: int,
     group_size: int,
@@ -276,7 +294,8 @@ def product_basis(
     """Partition the chain into equal groups and set up the product basis.
 
     H - H_0 is exactly the bonds between groups, so the interaction is those
-    junction bonds rotated into the product basis.
+    junction bonds, each rotated into the group eigenbasis one group at a
+    time and added into the product basis block by block.
     """
     _check_sites(n_sites)
     if n_sites % group_size != 0:
@@ -284,24 +303,42 @@ def product_basis(
     n_groups = n_sites // group_size
     vals, vecs = np.linalg.eigh(build_hamiltonian(group_size, model, Boundary.OPEN))
 
-    # group 0 lives on the low bits, i.e. the last Kronecker factor
-    basis = functools.reduce(np.kron, [vecs] * n_groups)
-
     energies = np.zeros(2**n_sites)
     for digits in _group_digits(n_groups, group_size):
         energies += vals[digits]
 
-    bonds = _junction_bonds(n_sites, group_size, boundary)
-    interaction = basis.T @ _bonds_matrix(n_sites, model, bonds)
+    interaction = np.zeros((energies.size, energies.size))
+    for upper, lower, pairs in _junctions(n_sites, vecs, model, boundary):
+        _add_junction(interaction, n_groups, upper, lower, pairs)
     return ProductBasisData(
         group_size=group_size,
         n_groups=n_groups,
         group_vals=vals,
         group_vecs=vecs,
         product_energies=energies,
-        interaction_matrix=interaction @ basis,
-        basis_matrix=basis,
+        interaction_matrix=interaction,
     )
+
+
+def _basis_transpose_apply(pb: ProductBasisData, x: np.ndarray) -> np.ndarray:
+    """(V (x) ... (x) V)^T x for the product basis V (x) ... (x) V.
+
+    The groups fold into at most two Kronecker factors. The upper one acts on
+    the leading axis of x in one product, the lower one on each upper block in
+    place through one block buffer: dim * cols * (d_hi + d_lo) operations
+    instead of dim^2 * cols, and no array of x's size besides the result.
+    """
+    vt = pb.group_vecs.T
+    n_lower = pb.n_groups // 2
+    upper = functools.reduce(np.kron, [vt] * (pb.n_groups - n_lower))
+    out = upper @ x.reshape(upper.shape[0], -1)
+    if n_lower:
+        lower = functools.reduce(np.kron, [vt] * n_lower)
+        blocks = out.reshape(upper.shape[0], lower.shape[0], -1)
+        buf = np.empty(blocks.shape[1:])
+        for block in blocks:
+            block[...] = np.matmul(lower, block, out=buf)
+    return out.reshape(x.shape)
 
 
 def thermal_state(sys: DenseThermalSystem) -> tuple[float, np.ndarray]:
@@ -337,7 +374,12 @@ def w_a_distribution(
     Probabilities of eigenvalues closer than 1e-9 are merged so the result
     does not depend on the arbitrary rotation inside degenerate subspaces.
     """
-    amps = sys.eigenvectors.T @ pb.basis_matrix[:, a]
+    if not 0 <= a < pb.product_energies.size:
+        raise IndexError("product state index out of range")
+    d, shifts = pb.group_vals.size, range(pb.n_groups - 1, -1, -1)
+    columns = [pb.group_vecs[:, (a >> (pb.group_size * g)) % d] for g in shifts]
+    state = functools.reduce(np.kron, columns)
+    amps = sys.eigenvectors.T @ state
     probs = amps**2
     out: list[tuple[float, float]] = []
     bin_start = None
@@ -374,7 +416,7 @@ def distribution_moments(
 
 def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
     """|<a|phi>|^2: product states a by eigenstates phi."""
-    probs = pb.basis_matrix.T @ sys.eigenvectors
+    probs = _basis_transpose_apply(pb, sys.eigenvectors)
     probs *= probs
     return probs
 
@@ -433,7 +475,7 @@ def rho_product_offdiag_max(
 ) -> OffDiagReport:
     """Measure how far rho is from diagonal in the product basis."""
     _, weights = thermal_state(sys)
-    overlap = pb.basis_matrix.T @ sys.eigenvectors
+    overlap = _basis_transpose_apply(pb, sys.eigenvectors)
     rho = (overlap * weights) @ overlap.T
     diag = np.diag(rho).copy()
     off = np.abs(rho - np.diag(diag))
@@ -484,11 +526,12 @@ def adjacent_junction_covariance(
     measured instead of assumed.
     """
     pb = product_basis(n_sites, group_size, model, boundary)
-    bonds = _junction_bonds(n_sites, group_size, boundary)
-    if len(bonds) < 2:
+    junctions = _junctions(n_sites, pb.group_vecs, model, boundary)
+    if len(junctions) < 2:
         raise ValueError("need at least two junctions")
-    basis = pb.basis_matrix
-    ops = [basis.T @ _bonds_matrix(n_sites, model, [bond]) @ basis for bond in bonds]
+    ops = [np.zeros(pb.interaction_matrix.shape) for _ in junctions]
+    for op, junction in zip(ops, junctions):
+        _add_junction(op, pb.n_groups, *junction)
     worst = 0.0
     for left, right in zip(ops, ops[1:]):
         cross = np.einsum("ab,ba->a", left, right)

@@ -6,7 +6,9 @@ recorded from an independent implementation.
 """
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from localtemp.harmonic import HarmonicModel
 from localtemp.ising import IsingModel, delta_sq, group_energy, occupation_patterns
 from localtemp.oracle import (
     Boundary,
+    _basis_transpose_apply,
     DenseThermalSystem,
     OffDiagReport,
     adjacent_junction_covariance,
@@ -27,8 +30,10 @@ from localtemp.oracle import (
     product_basis,
     product_moments,
     product_statistics,
+    rho_diag_check,
     rho_product_diag,
     rho_product_offdiag_max,
+    skewness_by_groups,
     thermal_state,
     w_a_distribution,
 )
@@ -272,6 +277,16 @@ def test_product_basis_validation():
         product_statistics(pb, 16)
 
 
+def test_w_a_distribution_rejects_out_of_range_state():
+    # a negative index must not wrap round to the last product state
+    model = _model(0.3, 0.0)
+    sys = _system(4, model)
+    pb = product_basis(4, 2, model)
+    for a in (-1, 2**4):
+        with pytest.raises(IndexError, match="product state index out of range"):
+            w_a_distribution(sys, pb, a)
+
+
 def test_dense_system_rejects_nonsymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -334,6 +349,11 @@ def _reference_hamiltonian(n, model, boundary=Boundary.OPEN):
     return h
 
 
+def _kron_power(pb):
+    # the explicit product basis, group 0 on the low index bits
+    return functools.reduce(np.kron, [pb.group_vecs] * pb.n_groups)
+
+
 _COUPLINGS = ((0.3, 0.0), (1.2, 2.0), (0.0, 0.5), (-0.7, 0.7))
 
 
@@ -352,9 +372,13 @@ def test_build_hamiltonian_matches_kronecker_reference(boundary, k_param, l_para
 @pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
 def test_interaction_is_full_minus_decoupled_hamiltonian(boundary, k_param, l_param):
     # junction bonds alone must equal H - H_0 with H_0 the Kronecker sum of
-    # the open group Hamiltonians
+    # the open group Hamiltonians, and the group-by-group rotation must
+    # match the explicit Kronecker power. Group sizes 1-4; on a ring (2, 1)
+    # and (4, 2) have two groups, whose two junctions join the same pair
     model = _model(k_param, l_param)
-    for n_sites, group_size in ((4, 2), (6, 3), (6, 2), (3, 3)):
+    rng = np.random.default_rng(7)
+    partitions = ((4, 2), (6, 3), (6, 2), (3, 3), (2, 1), (4, 1), (8, 4), (8, 2))
+    for n_sites, group_size in partitions:
         n_groups = n_sites // group_size
         h_group = _reference_hamiltonian(group_size, model)
         h0 = sum(
@@ -365,10 +389,78 @@ def test_interaction_is_full_minus_decoupled_hamiltonian(boundary, k_param, l_pa
             for g in range(n_groups)
         )
         pb = product_basis(n_sites, group_size, model, boundary)
-        basis = pb.basis_matrix
+        basis = _kron_power(pb)
         h = _reference_hamiltonian(n_sites, model, boundary)
         reference = basis.T @ (h - h0) @ basis
         assert np.max(np.abs(pb.interaction_matrix - reference)) <= 1e-13
+        x = rng.standard_normal((2**n_sites, 5))
+        assert np.max(np.abs(_basis_transpose_apply(pb, x) - basis.T @ x)) <= 1e-13
+
+
+def _reference_junctions(n_sites, group_size, model, boundary):
+    # one dense operator per junction bond, junction v after group v
+    n_groups = n_sites // group_size
+    ends = [(v + 1) * group_size for v in range(n_groups - 1)]
+    bonds = [(end - 1, end) for end in ends]
+    if boundary is Boundary.PERIODIC and n_sites > 1:
+        bonds.append((n_sites - 1, 0))
+    return [
+        -0.5 * model.jx * (_site_op(_SX, i, n_sites) @ _site_op(_SX, j, n_sites))
+        + 0.5 * model.jy * (_site_op(_IY, i, n_sites) @ _site_op(_IY, j, n_sites))
+        for i, j in bonds
+    ]
+
+
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_w_a_distribution_matches_kronecker_reference(k_param, l_param):
+    model = _model(k_param, l_param)
+    sys = _system(6, model)
+    pb = product_basis(6, 2, model)
+    probs = (_kron_power(pb).T @ sys.eigenvectors) ** 2
+    for a in range(2**6):
+        for energy, prob in w_a_distribution(sys, pb, a):
+            in_bin = np.abs(sys.eigenvalues - energy) <= 1e-8
+            assert abs(prob - float(np.sum(probs[a, in_bin]))) <= 1e-13
+
+
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_offdiag_report_matches_kronecker_reference(k_param, l_param):
+    model = _model(k_param, l_param)
+    sys = _system(6, model, beta_b=0.7)
+    pb = product_basis(6, 2, model)
+    _, weights = thermal_state(sys)
+    overlap = _kron_power(pb).T @ sys.eigenvectors
+    rho = (overlap * weights) @ overlap.T
+    diag = np.diag(rho)
+    off = np.abs(rho - np.diag(diag))
+    report = rho_product_offdiag_max(sys, pb)
+    assert abs(report.max_offdiag - float(np.max(off))) <= 1e-13
+    coherence = float(np.max(off / np.sqrt(np.outer(diag, diag))))
+    assert math.isclose(report.max_coherence, coherence, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_sites, group_size, boundary",
+    [(6, 2, Boundary.OPEN), (6, 1, Boundary.OPEN), (6, 2, Boundary.PERIODIC),
+     (4, 2, Boundary.PERIODIC)],
+)
+def test_junction_covariance_matches_kronecker_reference(n_sites, group_size, boundary):
+    # the two-group ring is the one case with a nonzero covariance
+    for k_param, l_param in _COUPLINGS:
+        model = _model(k_param, l_param)
+        basis = _kron_power(product_basis(n_sites, group_size, model, boundary))
+        ops = [
+            basis.T @ op @ basis
+            for op in _reference_junctions(n_sites, group_size, model, boundary)
+        ]
+        worst = 0.0
+        for left, right in zip(ops, ops[1:]):
+            cov = np.einsum("ab,ba->a", left, right) - np.diag(left) * np.diag(right)
+            worst = max(worst, float(np.max(np.abs(cov))))
+        got = adjacent_junction_covariance(n_sites, group_size, model, boundary)
+        assert abs(got - worst) <= 1e-13
+        if n_sites == 4 and l_param == 0.0:
+            assert worst > 1e-2
 
 
 def test_product_moments_match_per_state_distribution():
@@ -457,3 +549,25 @@ def test_thermal_state_log_z_at_large_beta():
     log_z, _ = thermal_state(sys)
     direct = math.log(math.fsum(math.exp(-sys.beta * e) for e in sys.eigenvalues))
     assert math.isclose(log_z, direct, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("n_groups", [2, 5])
+def test_peak_memory_in_dense_arrays(n_groups):
+    # tracemalloc sees numpy's allocations. Peaks are counted in dim x dim
+    # float64 arrays at 10 sites; the 0.1 margin covers the length-dim
+    # vectors. A formed 2^n x 2^n product basis adds one array to each
+    model = _model(0.3, 0.0)
+    unit = 8 * 4**10
+    calls = (
+        (product_basis, (10, 10 // n_groups, model), 2),
+        (rho_diag_check, (10, n_groups, model, 1.0), 4),
+        (skewness_by_groups, (10, n_groups, model, 1.0), 5),
+    )
+    for fn, args, limit in calls:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit <= limit + 0.1, fn.__name__
