@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid parameters or files, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -499,10 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() of a process and shared by the
+    rest: parsing reads the tree and never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"localtemp: error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 Everything here is exact, built from the chain's structure: the full 2^n
 Hamiltonian is filled by bit arithmetic on basis indices, diagonalized one
-fermion-parity block at a time, and used to measure the quantities the
+symmetry sector at a time, and used to measure the quantities the
 analytic modules predict (product-state interaction moments, the energy
 distribution w_a, diagonal and off-diagonal elements of the thermal state in
 the product basis). No Gaussian or thermodynamic-limit approximation enters,
@@ -19,12 +19,20 @@ the Kronecker power of the group eigenvector matrix with group 0 on the low
 index bits. It is never formed: junction bonds are rotated into it one group
 at a time, and overlaps apply its Kronecker factors one axis at a time.
 
-Parity blocks: every bond flips two bits, so the fermion parity prod sigma^z
-(the parity of a basis index's bit count) commutes with H for every K, L and
-boundary. Chains are diagonalized in the even and the odd block separately
-and the eigenpairs merged into ascending eigenvalue order; a matrix with an
-element between the blocks is rejected. Group Hamiltonians are diagonalized
-whole, so the product basis is the one a full eigh of the group picks.
+Sectors: every bond flips two bits, so the fermion parity prod sigma^z (the
+parity of a basis index's bit count) commutes with H for every K, L and
+boundary; a matrix with an element between the parity blocks is rejected.
+The couplings are uniform, so the site reflection R: j -> n - 1 - j commutes
+with H too, open or periodic, and keeps the bit count. Each parity block
+splits into a + and a - sector of R, with basis (|i> +- |R i>)/sqrt2 for a
+mirror pair and |i> alone for a palindrome (R i = i, + sector only); a block
+that does not commute with R is rejected. The four sector blocks are gathered
+from H by index arithmetic, diagonalized one by one, and their eigenvectors
+scattered back into site order, merged into ascending eigenvalue order. The
+eigenpair check still runs per parity block of the real H against the full
+eigenvectors, so a wrong sector basis fails it. Group Hamiltonians are
+diagonalized whole, so the product basis is the one a full eigh of the group
+picks.
 
 The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
@@ -90,6 +98,9 @@ _MAX_SITES = 12
 # product states whose interaction width lies below this carry no w_a shape
 _ZERO_WIDTH = 1e-12
 
+# product_moments centres this many overlap elements at a time (256 KB)
+_MOMENT_ROWS_ELEMENTS = 2**15
+
 
 class Boundary(enum.Enum):
     OPEN = "Open"
@@ -129,19 +140,62 @@ def _parity_blocks(hamiltonian: np.ndarray) -> list:
     for j in range(idx.size.bit_length() - 1):
         parity ^= (idx >> j) & 1
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    if np.any(hamiltonian[np.ix_(even, odd)]) or np.any(hamiltonian[np.ix_(odd, even)]):
-        raise ValueError("hamiltonian mixes the fermion-parity sectors")
-    return [(r, hamiltonian[np.ix_(r, r)]) for r in (even, odd) if r.size]
+    blocks = []
+    for r, other in ((even, odd), (odd, even)):
+        rows = hamiltonian.take(r, axis=0)
+        if np.any(rows.take(other, axis=1)):
+            raise ValueError("hamiltonian mixes the fermion-parity sectors")
+        if r.size:
+            blocks.append((r, rows.take(r, axis=1)))
+    return blocks
+
+
+def _sectors(n_sites: int, blocks: list) -> list:
+    """Split each parity block by the site reflection R: j -> n - 1 - j.
+
+    Returns (block, rows, mirrors, sign, coef) per nonempty sector. Its basis
+    vector k is coef_k (|rows_k> + sign |mirrors_k>), with mirrors_k =
+    R(rows_k): coef 1/sqrt2 for a mirror pair, and 1/2 for a palindrome
+    (rows_k = mirrors_k, sign +1, which gives |rows_k> itself). block is H in
+    that basis, gathered from the parity block. Rejects a block that does not
+    commute with R.
+    """
+    idx = np.arange(2**n_sites)
+    mirror = np.zeros_like(idx)
+    for j in range(n_sites):
+        mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
+    sectors = []
+    for rows, block in blocks:
+        local = np.searchsorted(rows, mirror[rows])  # R keeps the bit count
+        scale = max(1.0, float(np.max(np.abs(block))))
+        asym = block.take(local, axis=0).take(local, axis=1)
+        asym -= block
+        if np.max(np.abs(asym, out=asym)) > 1e-12 * scale:
+            raise ValueError("hamiltonian breaks the site-reflection symmetry")
+        k = np.arange(rows.size)
+        for sign, r in ((1.0, k[k <= local]), (-1.0, k[k < local])):
+            if not r.size:
+                continue
+            lone = (r == local[r]).astype(float)  # palindromes
+            coef = np.where(lone, 0.5, math.sqrt(0.5))
+            # [H, R] = 0 gives <k|H|l> = 2 coef_k coef_l (H[r_k, r_l] + sign
+            # H[r_k, R r_l]); 2 coef_k coef_l is 1, 1/sqrt2 or exactly 1/2
+            weight = np.exp2(-0.5 * np.add.outer(lone, lone))
+            sub = block[r]
+            sector = (sub[:, r] + sign * sub[:, local[r]]) * weight
+            sectors.append((sector, rows[r], rows[local[r]], sign, coef))
+    return sectors
 
 
 @dataclass(eq=False)
 class DenseThermalSystem:
     """Exactly diagonalized chain plus inverse temperature.
 
-    Construction checks symmetry and the eigenpair residual per fermion-parity
-    block: no element of H and no eigenvector may straddle two blocks, and a
-    non-finite (overflowed) residual raises OverflowError. blocks is
-    _parity_blocks(hamiltonian) when the caller already split it.
+    Construction checks that every eigenvector has unit norm, then symmetry
+    and the eigenpair residual per fermion-parity block: no element of H and
+    no eigenvector may straddle two blocks, and a non-finite (overflowed)
+    residual raises OverflowError. blocks is _parity_blocks(hamiltonian) when
+    the caller already split it.
 
     Treat instances as immutable after construction; all queries only read.
     """
@@ -159,6 +213,11 @@ class DenseThermalSystem:
             raise ValueError("hamiltonian shape inconsistent with n_sites")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError("beta must be finite and nonnegative")
+        # the residual cannot see scale: 2 * V or 0 would pass it
+        vecs = self.eigenvectors
+        lengths = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+        if not np.max(np.abs(lengths - 1.0), initial=0.0) <= 1e-10:
+            raise ValueError("eigenvectors must have unit norm")
         if blocks is None:
             blocks = _parity_blocks(self.hamiltonian)
         scale = max(1.0, *(float(np.max(np.abs(block))) for _, block in blocks))
@@ -182,8 +241,10 @@ class DenseThermalSystem:
 
     @classmethod
     def solve(cls, hamiltonian: np.ndarray, beta: float) -> "DenseThermalSystem":
-        """Diagonalize block by parity, eigenpairs merged into ascending
-        eigenvalue order; rejects a matrix that mixes parities."""
+        """Diagonalize sector by sector (parity x site reflection), eigenpairs
+        merged into ascending eigenvalue order; eigenvalues closer than
+        8 eps max|E| are set to the lowest of them. Rejects a matrix that
+        mixes parities or breaks the reflection symmetry."""
         dim = hamiltonian.shape[0]
         n_sites = int(round(math.log2(dim)))
         if 2**n_sites != dim:
@@ -191,17 +252,28 @@ class DenseThermalSystem:
         if n_sites > _MAX_SITES:
             raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
         blocks = _parity_blocks(hamiltonian)
-        solved = [(rows, *np.linalg.eigh(b)) for rows, b in blocks]
-        vals = np.concatenate([w for _, w, _ in solved])
+        sectors = _sectors(n_sites, blocks)
+        solved = [np.linalg.eigh(sector[0]) for sector in sectors]
+        vals = np.concatenate([w for w, _ in solved])
         order = np.argsort(vals, kind="stable")
         column = np.empty(vals.size, dtype=int)
         column[order] = np.arange(vals.size)
         vecs = np.zeros((dim, dim))
         start = 0
-        for rows, w, v in solved:
-            vecs[np.ix_(rows, column[start : start + w.size])] = v
+        for (_, rows, mirrors, sign, coef), (w, v) in zip(sectors, solved):
+            cols = column[start : start + w.size]
+            v *= coef[:, None]
+            vecs[rows[:, None], cols] = v
+            vecs[mirrors[:, None], cols] += sign * v  # palindrome: 1/2 + 1/2
             start += w.size
-        return cls(n_sites, hamiltonian, vals[order], vecs, beta, blocks)
+        # sectors round differently, so a level shared by two of them can
+        # come out split by a few ulps of max|E|; at large beta max|E| that
+        # split alone would decide which state holds the Boltzmann weight
+        vals = vals[order]
+        tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > tol)
+        vals = np.repeat(vals[starts], np.diff(starts, append=vals.size))
+        return cls(n_sites, hamiltonian, vals, vecs, beta, blocks)
 
 
 @dataclass(eq=False)
@@ -431,13 +503,21 @@ def product_moments(
     distribution_moments(w_a_distribution(sys, pb, a)) up to roundoff.
     Skewness is 0 where the variance is not positive.
     """
+    energies = sys.eigenvalues
     probs = _overlap_sq(sys, pb)
-    mean = probs @ sys.eigenvalues
-    dev = sys.eigenvalues[None, :] - mean[:, None]
-    probs *= dev
-    probs *= dev
-    var = probs.sum(axis=1)
-    m3 = np.einsum("ab,ab->a", probs, dev)
+    mean = probs @ energies
+    var, m3 = np.empty_like(mean), np.empty_like(mean)
+    # a few rows at a time, so the deviations never fill a second dim^2 array
+    step = max(1, _MOMENT_ROWS_ELEMENTS // energies.size)
+    buf = np.empty((min(step, mean.size), energies.size))
+    for start in range(0, mean.size, step):
+        rows = slice(start, start + step)
+        p = probs[rows]
+        dev = np.subtract(energies, mean[rows, None], out=buf[: p.shape[0]])
+        p *= dev
+        p *= dev
+        var[rows] = p.sum(axis=1)
+        m3[rows] = np.einsum("ab,ab->a", p, dev)
     skew = np.zeros_like(var)
     wide = var > 0.0
     skew[wide] = m3[wide] / var[wide] ** 1.5
@@ -656,9 +736,8 @@ def spectrum_check(
     """Dense spectrum against the mode formula (open) or the ground-energy
     integral (periodic, where only that is meaningful)."""
     h = build_hamiltonian(n_sites, model, boundary)
-    dense = np.sort(
-        np.concatenate([np.linalg.eigvalsh(b) for _, b in _parity_blocks(h)])
-    )
+    sectors = _sectors(n_sites, _parity_blocks(h))
+    dense = np.sort(np.concatenate([np.linalg.eigvalsh(s[0]) for s in sectors]))
     label = boundary.name.lower()
     if boundary is Boundary.OPEN:
         formula = np.sort(group_energy(occupation_patterns(n_sites), model))

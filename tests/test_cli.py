@@ -33,6 +33,26 @@ def test_console_entry_subprocess():
     assert "Linearity" in proc.stdout
 
 
+def test_main_after_usage_errors_matches_fresh_process():
+    # main() builds the parser once per process; a parse that fails part way
+    # through a subcommand must leave nothing behind for the next call
+    for bad in (
+        ["oracle", "spectrum", "--boundary", "periodic", "--sites", "four"],
+        ["oracle", "rho", "--sites", "4", "--groups", "2", "--bogus"],
+        ["sweep", "ising", "--tmin", "1"],
+        ["figure", "fig9"],
+    ):
+        code, out, err = run_cli(*bad)
+        assert (code, out) == (1, "")
+        assert err.startswith("localtemp: error:")
+    argv = ["oracle", "spectrum", "--sites", "4", "--K", "0.5", "--format", "json"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "localtemp.cli", *argv], capture_output=True, text=True
+    )
+    assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert '"open"' in fresh.stdout
+
+
 def test_nmin_harmonic_json():
     code, out, _ = run_cli(
         "nmin", "harmonic", "--t-over-theta", "0.1", "--format", "json"
@@ -540,12 +560,12 @@ _NOTE = (
         ),
         (
             ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "0.3"),
-            "2  4  2.828427124746195\n",
+            "2  4  2.828427124746199\n",
         ),
         (
             ("oracle", "rho", "--sites", "2", "--groups", "2", "--K", "0.5"),
-            "sites  2\ngroups  2\nmax_abs_log_deviation  0.004649438430865072\n"
-            "per_junction  0.004649438430865072\n",
+            "sites  2\ngroups  2\nmax_abs_log_deviation  0.0046494384308646275\n"
+            "per_junction  0.0046494384308646275\n",
         ),
     ],
 )

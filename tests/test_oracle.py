@@ -34,6 +34,7 @@ from localtemp.oracle import (
     rho_product_diag,
     rho_product_offdiag_max,
     skewness_by_groups,
+    spectrum_check,
     thermal_state,
     w_a_distribution,
 )
@@ -485,16 +486,52 @@ def test_product_moments_match_per_state_distribution():
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
-@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS + ((0.0, 0.0), (0.6, 0.6)))
 def test_parity_blocked_solve_matches_full_spectrum(boundary, k_param, l_param):
+    # K = L = 0 and K = +-L put equal eigenvalues in different sectors; the
+    # thermal projector is unique even where the eigenvectors are not
     model = _model(k_param, l_param)
-    for n in (1, 2, 5, 7):
+    for n in range(1, 10):
         h = build_hamiltonian(n, model, boundary)
         sys = DenseThermalSystem.solve(h, 1.0)
+        vals, vecs = np.linalg.eigh(h)
         assert np.all(np.diff(sys.eigenvalues) >= 0.0)
-        assert np.max(np.abs(sys.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12
-        vecs = sys.eigenvectors
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(2**n))) <= 1e-12
+        assert np.max(np.abs(sys.eigenvalues - vals)) <= 1e-12
+        got = (sys.eigenvectors * np.exp(-sys.eigenvalues)) @ sys.eigenvectors.T
+        ref = (vecs * np.exp(-vals)) @ vecs.T
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        v = sys.eigenvectors
+        assert np.max(np.abs(v.T @ v - np.eye(2**n))) <= 1e-12
+
+
+def test_solve_rejects_reflection_breaking_field():
+    # a field on site 0 alone keeps the parity but breaks j -> n - 1 - j
+    h = build_hamiltonian(4, _model(0.3, 0.2))
+    idx = np.arange(16)
+    h[idx, idx] += np.where(idx & 1, 0.25, -0.25)
+    with pytest.raises(ValueError, match="reflection"):
+        DenseThermalSystem.solve(h, 1.0)
+
+
+def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
+    # a (parity, reflection) sector holds the mirror pairs of a parity block
+    # and at most all its palindromes: 240 + 32 at 10 sites, below 2^n / 4 +
+    # 2^(n/2), where a parity block holds 512
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def record(a, *args, _original=original, **kwargs):
+            shapes.append(a.shape[0])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    model = _model(0.3, 0.2)
+    DenseThermalSystem.solve(build_hamiltonian(10, model), 1.0)
+    for boundary in Boundary:
+        spectrum_check(10, model, boundary)
+    assert len(shapes) == 12
+    assert max(shapes) <= 2**10 // 4 + 2**5
 
 
 def test_solve_rejects_cross_parity_entries():
@@ -535,6 +572,15 @@ def test_dense_system_checks_each_parity_block():
         DenseThermalSystem(1, field, np.array([-1.0, 2.0]), np.eye(2), 1.0)
 
 
+def test_dense_system_rejects_non_unit_eigenvectors():
+    # the residual cannot see scale, so a scaled or zero eigenvector matrix
+    # passes it; the norm check must catch both
+    field = np.diag([-1.0, 1.0])
+    for vecs in (2.0 * np.eye(2), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="unit norm"):
+            DenseThermalSystem(1, field, np.array([-1.0, 1.0]), vecs, 1.0)
+
+
 def test_thermal_state_log_z_at_large_beta():
     # beta * |E| ~ 1e3: exp(-beta E) overflows a double, log Z must not
     sys = _system(4, _model(0.5, 0.0), beta_b=300.0)
@@ -561,7 +607,7 @@ def test_peak_memory_in_dense_arrays(n_groups):
     calls = (
         (product_basis, (10, 10 // n_groups, model), 2),
         (rho_diag_check, (10, n_groups, model, 1.0), 4),
-        (skewness_by_groups, (10, n_groups, model, 1.0), 5),
+        (skewness_by_groups, (10, n_groups, model, 1.0), 4),
     )
     for fn, args, limit in calls:
         tracemalloc.start()
