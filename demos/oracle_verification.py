@@ -10,8 +10,6 @@ Run:  python3 demos/oracle_verification.py
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from localtemp.canonical import GroupStatistics, rho_diag
@@ -20,6 +18,7 @@ from localtemp.oracle import (
     DenseThermalSystem,
     build_hamiltonian,
     distribution_moments,
+    interaction_statistics,
     occupations_by_energy,
     product_basis,
     product_statistics,
@@ -70,21 +69,17 @@ for n_groups in (2, 3, 4):
     pb_g = product_basis(2 * n_groups, 2, model)
     log_z, _ = thermal_state(sys)
     dense_diag = rho_product_diag(sys, pb_g)
-    e0 = float(np.min(sys.eigenvalues))
-    e1 = float(np.max(sys.eigenvalues))
-    worst = 0.0
-    for a in range(4**n_groups):
-        eps, dsq = product_statistics(pb_g, a)
-        if dsq < 1e-12:
-            continue
-        stats = GroupStatistics(
-            e_a=float(pb_g.product_energies[a]),
-            eps_a=eps,
-            delta_sq_a=dsq,
-            e0=e0,
-            e1=e1,
-        )
-        worst = max(worst, abs(rho_diag(stats, sys.beta, log_z) - math.log(dense_diag[a])))
+    eps, dsq = interaction_statistics(pb_g)
+    wide = dsq >= 1e-12
+    stats = GroupStatistics(
+        e_a=pb_g.product_energies[wide],
+        eps_a=eps[wide],
+        delta_sq_a=dsq[wide],
+        e0=float(np.min(sys.eigenvalues)),
+        e1=float(np.max(sys.eigenvalues)),
+    )
+    predicted = rho_diag(stats, sys.beta, log_z)
+    worst = float(np.max(np.abs(predicted - np.log(dense_diag[wide]))))
     per_junction = worst / (n_groups - 1)
     print(
         f"   {n_groups} groups: max |dlog| = {worst:.6f}"

@@ -20,6 +20,11 @@ The chain-specific modules turn both conditions into closed-form bounds on
 the group size. This module holds what they share: the Gaussian <a|rho|a>
 (checked against the exact diagonal by the oracle), the energy window, and
 the report container.
+
+rho_diag evaluates the formula for a whole array of product states at once:
+y_a, A_0, A_1 and the prefactor with numpy, and ln[erfc(A_0) - erfc(A_1)]
+per state from libm's erfc, or, once A_0 >= 2, from the scaled erfcx with
+the A_0 exponential factored out. The criteria never call it.
 """
 from __future__ import annotations
 
@@ -27,7 +32,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .specfun import erfc_exact, erfcx
+import numpy as np
+
+from .specfun import erfcx
 
 __all__ = [
     "GroupStatistics",
@@ -54,26 +61,32 @@ class Binding(enum.Enum):
 
 @dataclass(frozen=True)
 class GroupStatistics:
-    """Moments of one product state: energy, interaction mean/width, edges.
+    """Moments of product states: energy, interaction mean/width, edges.
 
-    e1 may be math.inf for models with unbounded spectra; the upper erfc term
-    then drops out.
+    e_a, eps_a and delta_sq_a are floats for one state or equal-shape arrays
+    for many; every check runs per state. e1 may be math.inf for models with
+    unbounded spectra; the upper erfc term then drops out.
     """
 
-    e_a: float
-    eps_a: float
-    delta_sq_a: float
+    e_a: float | np.ndarray
+    eps_a: float | np.ndarray
+    delta_sq_a: float | np.ndarray
     e0: float
     e1: float
 
     def __post_init__(self) -> None:
-        if self.delta_sq_a < 0:
+        for name in ("e_a", "eps_a", "delta_sq_a", "e0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(self.e1) or self.e1 == math.inf):
+            raise ValueError("e1 must be finite or +inf")
+        if np.any(self.delta_sq_a < 0):
             raise ValueError("delta_sq_a must be nonnegative")
         y = self.e_a + self.eps_a
-        slack = 1e-9 * max(1.0, abs(self.e0), abs(y))
-        if y < self.e0 - slack:
+        slack = 1e-9 * np.maximum(max(1.0, abs(self.e0)), np.abs(y))
+        if np.any(y < self.e0 - slack):
             raise ValueError("state energy lies below the spectral bottom")
-        if math.isfinite(self.e1) and y > self.e1 + slack:
+        if math.isfinite(self.e1) and np.any(y > self.e1 + slack):
             raise ValueError("state energy lies above the spectral top")
 
 
@@ -164,32 +177,36 @@ def _log_erfc_difference(a0: float, a1: float) -> float:
         if bracket <= 0.0:
             return -math.inf
         return -a0 * a0 + math.log(bracket)
-    first = erfc_exact(a0)
-    second = erfc_exact(a1) if math.isfinite(a1) else 0.0
-    diff = first - second
+    diff = math.erfc(a0) - math.erfc(a1)  # math.erfc(inf) == 0.0
     if diff <= 0.0:
         return -math.inf
     return math.log(diff)
 
 
-def rho_diag(stats: GroupStatistics, beta: float, log_z: float) -> float:
-    """ln <a|rho|a> from the Gaussian weight model; -inf on underflow."""
+def rho_diag(
+    stats: GroupStatistics, beta: float, log_z: float
+) -> float | np.ndarray:
+    """ln <a|rho|a> from the Gaussian weight model, one entry per state of
+    stats (a float for scalar stats); -inf where it underflows."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if stats.delta_sq_a <= 0:
+    dsq = np.asarray(stats.delta_sq_a, dtype=float)
+    if np.any(dsq <= 0):
         raise ValueError("rho_diag needs delta_sq_a > 0")
-    y = stats.e_a + stats.eps_a
-    dsq = stats.delta_sq_a
-    d = math.sqrt(dsq)
-    a0 = (stats.e0 - y + beta * dsq) / (math.sqrt(2.0) * d)
-    if math.isfinite(stats.e1):
-        a1 = (stats.e1 - y + beta * dsq) / (math.sqrt(2.0) * d)
-    else:
-        a1 = math.inf
-    log_diff = _log_erfc_difference(a0, a1)
-    if log_diff == -math.inf:
-        return -math.inf
-    return -math.log(2.0) - log_z - beta * y + 0.5 * beta * beta * dsq + log_diff
+    y = np.add(stats.e_a, stats.eps_a)
+    width = math.sqrt(2.0) * np.sqrt(dsq)
+    # a huge beta may overflow beta * Delta^2 and the prefactor, as floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = (stats.e0 - y + beta * dsq) / width
+        a1 = (stats.e1 - y + beta * dsq) / width  # inf for an unbounded spectrum
+        log_diff = np.array(
+            list(map(_log_erfc_difference, a0.ravel().tolist(), a1.ravel().tolist()))
+        ).reshape(np.shape(a0))
+        log_rho = -math.log(2.0) - log_z - beta * y + 0.5 * beta * beta * dsq + log_diff
+    # an overflowing prefactor must not turn an underflowed state into nan
+    return np.where(log_diff == -math.inf, -math.inf, log_rho)[()]
 
 
 def energy_window(

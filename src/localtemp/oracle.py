@@ -812,23 +812,22 @@ def rho_diag_check(
     e0 = float(np.min(sys.eigenvalues))
     e1 = float(np.max(sys.eigenvalues))
     eps, dsq = interaction_statistics(pb)
-    deviations = []
-    for a in np.flatnonzero(dsq >= _ZERO_WIDTH):
-        exact = float(dense[a])
-        if exact == 0.0:
-            raise OverflowError(
-                f"exact <a|rho|a> underflows to 0 at product state a={a}"
-                f" (beta={sys.beta!r}); its logarithm is not finite"
-            )
-        stats = GroupStatistics(
-            e_a=float(pb.product_energies[a]),
-            eps_a=float(eps[a]),
-            delta_sq_a=float(dsq[a]),
-            e0=e0,
-            e1=e1,
+    states = np.flatnonzero(dsq >= _ZERO_WIDTH)
+    exact = dense[states]
+    if not np.all(exact):
+        a = states[exact == 0.0][0]
+        raise OverflowError(
+            f"exact <a|rho|a> underflows to 0 at product state a={a}"
+            f" (beta={sys.beta!r}); its logarithm is not finite"
         )
-        predicted = rho_diag(stats, sys.beta, log_z)
-        deviations.append(abs(predicted - math.log(exact)))
+    e_a, eps, dsq = pb.product_energies[states], eps[states], dsq[states]
+    # statistics the dense arithmetic overflowed carry a nan into the report
+    finite = np.isfinite(e_a) & np.isfinite(eps) & np.isfinite(dsq)
+    predicted = np.full(states.size, math.nan)
+    stats = GroupStatistics(e_a[finite], eps[finite], dsq[finite], e0, e1)
+    predicted[finite] = rho_diag(stats, sys.beta, log_z)
+    # math.log per state, as the formula side takes its logarithms
+    deviations = np.abs(predicted - [math.log(p) for p in exact.tolist()])
     # np.max, unlike max(), carries a nan deviation into the report
     worst = float(np.max(deviations, initial=0.0))
     return RhoDiagReport(n_sites, n_groups, worst, worst / (n_groups - 1))

@@ -1,10 +1,13 @@
 """Scalar numerical kernels used throughout the package.
 
-Everything here is pure Python on top of math.exp/math.sqrt so results are
-bit-stable across platforms: the complementary error function erfc and its
-scaled variant erfcx, an adaptive Simpson integrator, the Bose occupation
-integrand x/(e^x - 1) with its removable singularity filled in, and integer
-extraction for strict inequalities of the form n > bound.
+The criteria kernels are pure Python on top of math.exp/math.expm1, so the
+n_min path is bit-stable across platforms: an adaptive Simpson integrator,
+the Bose occupation integrand x/(e^x - 1) with its removable singularity
+filled in, and integer extraction for strict inequalities of the form
+n > bound. The oracle's Gaussian weight also needs the scaled complementary
+error function erfcx; below its continued-fraction range it takes erfc from
+the platform's libm (math.erfc), as the oracle's eigensolver comes from
+LAPACK, so its last bits may differ between platforms.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "erfc_exact",
     "erfcx",
     "integrate",
     "bose_integrand",
@@ -23,11 +25,10 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Crossover between the Maclaurin series of erf and the continued fraction for
-# erfcx. The series route computes erfc as 1 - erf and loses about
-# log10(erf/erfc) digits to cancellation, which passes 1e-13 only below ~2;
-# the continued fraction holds near machine precision down to ~0.8.
-_SERIES_CF_SPLIT = 1.5
+# Below this erfcx is exp(x^2) * math.erfc(x); above it the continued
+# fraction, which holds near machine precision down to ~0.8 and does not
+# underflow where erfc does (past ~27).
+_LIBM_CF_SPLIT = 1.5
 
 
 @dataclass(frozen=True)
@@ -52,39 +53,17 @@ class QuadratureError(RuntimeError):
     """Raised when the subdivision budget is exhausted before convergence."""
 
 
-def _erf_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_n (2x^2)^n / (2n+1)!!
-    # All terms positive: no cancellation for 0 <= x < 3.
-    t = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    denom = 1.0
-    for n in range(1, 200):
-        denom += 2.0
-        term *= t / denom
-        total += term
-        if term < 1e-18 * total:
-            break
-    return (2.0 / _SQRT_PI) * x * math.exp(-x * x) * total
-
-
 def _erfcx_cf(x: float) -> float:
     # Scaled complementary error function via the Laplace continued fraction
     #   erfcx(x) = (1/sqrt(pi)) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated with the modified Lentz algorithm. Accurate for x >= ~0.8.
-    tiny = 1e-300
-    f = x if x != 0 else tiny
-    c = f
+    # evaluated with the modified Lentz algorithm. Accurate for x >= ~0.8;
+    # called for x >= _LIBM_CF_SPLIT only, where every c and d stays positive.
+    f = c = x
     d = 0.0
     for n in range(1, 300):
         a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
+        d = 1.0 / (x + a * d)
         c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-17:
@@ -94,21 +73,9 @@ def _erfcx_cf(x: float) -> float:
 
 def erfcx(x: float) -> float:
     """exp(x^2) * erfc(x), stable for large positive x."""
-    if x < _SERIES_CF_SPLIT:
-        return math.exp(x * x) * erfc_exact(x)
+    if x < _LIBM_CF_SPLIT:
+        return math.exp(x * x) * math.erfc(x)
     return _erfcx_cf(x)
-
-
-def erfc_exact(x: float) -> float:
-    """Complementary error function (2/sqrt(pi)) integral_x^inf e^{-s^2} ds."""
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return 2.0 - erfc_exact(-x)
-    if x < _SERIES_CF_SPLIT:
-        return 1.0 - _erf_series(x)
-    # erfc underflows past ~27; exp(-x*x) handles that naturally.
-    return math.exp(-x * x) * _erfcx_cf(x)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:

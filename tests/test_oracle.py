@@ -205,25 +205,34 @@ def test_rho_diag_formula_tracks_dense():
         pb = product_basis(2 * n_groups, 2, model)
         log_z, _ = thermal_state(sys)
         dense = rho_product_diag(sys, pb)
-        e0 = float(np.min(sys.eigenvalues))
-        e1 = float(np.max(sys.eigenvalues))
-        worst = 0.0
-        for a in range(4**n_groups):
-            eps, dsq = product_statistics(pb, a)
-            if dsq < 1e-12:
-                continue
-            stats = GroupStatistics(
-                e_a=float(pb.product_energies[a]),
-                eps_a=eps,
-                delta_sq_a=dsq,
-                e0=e0,
-                e1=e1,
-            )
-            predicted = rho_diag(stats, sys.beta, log_z)
-            worst = max(worst, abs(predicted - math.log(float(dense[a]))))
+        eps, dsq = interaction_statistics(pb)
+        wide = dsq >= 1e-12
+        stats = GroupStatistics(
+            e_a=pb.product_energies[wide],
+            eps_a=eps[wide],
+            delta_sq_a=dsq[wide],
+            e0=float(np.min(sys.eigenvalues)),
+            e1=float(np.max(sys.eigenvalues)),
+        )
+        predicted = rho_diag(stats, sys.beta, log_z)
+        worst = float(np.max(np.abs(predicted - np.log(dense[wide]))))
         assert math.isclose(worst, target, rel_tol=1e-3)
         per_junction.append(worst / (n_groups - 1))
     assert all(b < a for a, b in zip(per_junction, per_junction[1:]))
+
+
+def test_rho_diag_check_calls_formula_once(monkeypatch):
+    # all product states of nonzero width go through one array rho_diag call
+    calls = []
+
+    def counted(stats, beta, log_z):
+        calls.append(np.shape(stats.e_a))
+        return rho_diag(stats, beta, log_z)
+
+    monkeypatch.setattr("localtemp.oracle.rho_diag", counted)
+    report = rho_diag_check(10, 5, _model(0.3, 0.0), 1.0)
+    assert len(calls) == 1 and calls[0][0] > 1
+    assert 0.0 < report.max_abs_log_deviation < 1.0
 
 
 def test_rho_product_diag_sums_to_one():
