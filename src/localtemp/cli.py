@@ -389,13 +389,10 @@ def _oracle_report(args):
 
 
 def cmd_oracle(args) -> int:
-    if args.oracle_cmd != "spectrum":
-        if args.groups < 1 or args.sites % args.groups != 0:
-            raise ValueError("--groups must divide --sites")
-        if args.oracle_cmd in ("gaussian", "rho") and not (
-            args.beta_b > 0 and math.isfinite(args.beta_b)
-        ):
-            raise ValueError("--beta-b must be positive and finite")
+    if args.oracle_cmd in ("gaussian", "rho") and not (
+        args.beta_b > 0 and math.isfinite(args.beta_b)
+    ):
+        raise ValueError("--beta-b must be positive and finite")
     with np.errstate(all="ignore"):  # the _Report check names an overflow
         report = _oracle_report(args)
     if isinstance(report, tuple):  # gaussian: one row per group count

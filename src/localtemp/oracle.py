@@ -3,9 +3,10 @@
 Everything here is exact, built from the chain's structure: the full 2^n
 Hamiltonian is filled by bit arithmetic on basis indices, diagonalized one
 symmetry sector at a time, and used to measure the quantities the
-analytic modules predict (product-state interaction moments, the energy
-distribution w_a, diagonal and off-diagonal elements of the thermal state in
-the product basis). No Gaussian or thermodynamic-limit approximation enters,
+analytic modules predict: the interaction mean and width, the moments of the
+energy distribution w_a, and the diagonal and off-diagonal elements of the
+thermal state in the product basis. Each is one array over all product
+states. No Gaussian or thermodynamic-limit approximation enters,
 so any disagreement beyond numerical noise points at the formulas, not at
 the check.
 
@@ -50,7 +51,6 @@ import enum
 import functools
 import math
 from dataclasses import InitVar, dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -77,10 +77,7 @@ __all__ = [
     "build_hamiltonian",
     "product_basis",
     "thermal_state",
-    "product_statistics",
     "interaction_statistics",
-    "w_a_distribution",
-    "distribution_moments",
     "product_moments",
     "rho_product_diag",
     "rho_product_offdiag_max",
@@ -110,6 +107,13 @@ class Boundary(enum.Enum):
 def _check_sites(n_sites: int) -> None:
     if not 1 <= n_sites <= _MAX_SITES:
         raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
+
+
+def _group_size(n_sites: int, n_groups: int) -> int:
+    """Sites per group of a chain cut into n_groups equal groups."""
+    if n_groups < 1 or n_sites % n_groups != 0:
+        raise ValueError(f"cannot split {n_sites} sites into {n_groups} equal groups")
+    return n_sites // n_groups
 
 
 def build_hamiltonian(
@@ -422,68 +426,12 @@ def thermal_state(sys: DenseThermalSystem) -> tuple[float, np.ndarray]:
     return log_z, np.exp(exponents - log_z)
 
 
-def product_statistics(pb: ProductBasisData, a: int) -> tuple[float, float]:
-    """Exact (eps_a, delta_sq_a) of the interaction in product state a."""
-    if not 0 <= a < pb.product_energies.size:
-        raise IndexError("product state index out of range")
-    row = pb.interaction_matrix[a]
-    eps = float(row[a])
-    return eps, float(row @ row - eps * eps)
-
-
 def interaction_statistics(pb: ProductBasisData) -> tuple[np.ndarray, np.ndarray]:
-    """product_statistics for every product state: arrays (eps, delta_sq)."""
+    """Exact (eps_a, delta_sq_a) of the interaction for every product state a:
+    the diagonal of I and the squared row norm minus its square."""
     inter = pb.interaction_matrix
     eps = np.diag(inter).copy()
     return eps, np.einsum("ab,ab->a", inter, inter) - eps * eps
-
-
-def w_a_distribution(
-    sys: DenseThermalSystem, pb: ProductBasisData, a: int
-) -> list[tuple[float, float]]:
-    """Energy distribution w_a: (E_phi, |<a|phi>|^2), degeneracy-aggregated.
-
-    Probabilities of eigenvalues closer than 1e-9 are merged so the result
-    does not depend on the arbitrary rotation inside degenerate subspaces.
-    """
-    if not 0 <= a < pb.product_energies.size:
-        raise IndexError("product state index out of range")
-    d, shifts = pb.group_vals.size, range(pb.n_groups - 1, -1, -1)
-    columns = [pb.group_vecs[:, (a >> (pb.group_size * g)) % d] for g in shifts]
-    state = functools.reduce(np.kron, columns)
-    amps = sys.eigenvectors.T @ state
-    probs = amps**2
-    out: list[tuple[float, float]] = []
-    bin_start = None
-    bin_energies: list[float] = []
-    bin_prob = 0.0
-    for e, p in zip(sys.eigenvalues, probs):
-        e = float(e)
-        if bin_start is not None and e - bin_start > 1e-9:
-            out.append((sum(bin_energies) / len(bin_energies), bin_prob))
-            bin_start, bin_energies, bin_prob = None, [], 0.0
-        if bin_start is None:
-            bin_start = e
-        bin_energies.append(e)
-        bin_prob += float(p)
-    if bin_energies:
-        out.append((sum(bin_energies) / len(bin_energies), bin_prob))
-    return out
-
-
-def distribution_moments(
-    dist: Sequence[tuple[float, float]],
-) -> tuple[float, float, float]:
-    """(mean, variance, skewness) of a discrete distribution; skewness is 0
-    for zero-width distributions."""
-    e = np.asarray([d[0] for d in dist])
-    p = np.asarray([d[1] for d in dist])
-    mean = float(p @ e)
-    var = float(p @ (e - mean) ** 2)
-    if var <= 0.0:
-        return mean, var, 0.0
-    m3 = float(p @ (e - mean) ** 3)
-    return mean, var, m3 / var**1.5
 
 
 def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
@@ -498,10 +446,9 @@ def product_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, variance, skewness) of w_a for every product state a at once.
 
-    Centred sums over the unbinned spectrum; merging degenerate eigenvalues
-    does not move a moment, so each entry equals
-    distribution_moments(w_a_distribution(sys, pb, a)) up to roundoff.
-    Skewness is 0 where the variance is not positive.
+    w_a puts weight |<a|phi>|^2 on each eigenvalue E_phi; the moments are
+    centred sums over the whole spectrum, so no degenerate levels need
+    merging. Skewness is 0 where the variance is not positive.
     """
     energies = sys.eigenvalues
     probs = _overlap_sq(sys, pb)
@@ -751,7 +698,7 @@ def spectrum_check(
 
 def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsReport:
     """Moment identities of w_a for every product state of an open chain."""
-    group_size = n_sites // n_groups
+    group_size = _group_size(n_sites, n_groups)
     occs = occupations_by_energy(model, group_size) if model.l_param == 0.0 else None
     sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), 0.0)
     pb = product_basis(n_sites, group_size, model)
@@ -779,9 +726,9 @@ def skewness_by_groups(
     n_sites: int, n_groups: int, model: IsingModel, beta: float
 ) -> tuple[SkewnessRow, ...]:
     """Worst w_a skewness for 2..n_groups groups of n_sites // n_groups sites."""
+    group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
-    group_size = n_sites // n_groups
     rows = []
     for count in range(2, n_groups + 1):
         sites = group_size * count
@@ -803,10 +750,11 @@ def rho_diag_check(
     Raises OverflowError when an exact diagonal entry underflows to 0 (large
     beta), since its logarithm is then not finite.
     """
+    group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("rho check needs at least two groups")
     sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), beta)
-    pb = product_basis(n_sites, n_sites // n_groups, model)
+    pb = product_basis(n_sites, group_size, model)
     log_z, _ = thermal_state(sys)
     dense = rho_product_diag(sys, pb)
     e0 = float(np.min(sys.eigenvalues))

@@ -27,13 +27,13 @@ from localtemp.oracle import (
     Boundary,
     DenseThermalSystem,
     build_hamiltonian,
-    distribution_moments,
     harmonic_mode_check,
+    interaction_statistics,
     occupations_by_energy,
     product_basis,
-    product_statistics,
+    product_moments,
+    skewness_by_groups,
     thermal_state,
-    w_a_distribution,
 )
 from localtemp.specfun import bose_integrand, erfcx, integrate, min_integer_above
 
@@ -143,14 +143,13 @@ def test_criterion_08_oracle_exact_at_zero_anisotropy():
 
     # interaction means and widths on an 8-site chain split into pairs
     model = IsingModel.from_kl(1.0, 0.3, 0.0)
-    pb = product_basis(8, 2, model)
+    eps, dsq = interaction_statistics(product_basis(8, 2, model))
+    assert np.max(np.abs(eps)) <= 1e-10
     occs = occupations_by_energy(model, 2)
     for a in range(2**8):
-        eps, dsq = product_statistics(pb, a)
-        assert abs(eps) <= 1e-10
         states = [occs[(a >> (2 * g)) % 4] for g in range(4)]
         formula = sum(delta_sq(states[g], states[g + 1], model) for g in range(3))
-        assert abs(dsq - formula) <= 1e-10
+        assert abs(dsq[a] - formula) <= 1e-10
     assert time.perf_counter() - start < 30.0
 
 
@@ -160,29 +159,20 @@ def test_criterion_09_oracle_moment_identities():
             model = IsingModel.from_kl(1.0, k_param, l_param)
             sys = DenseThermalSystem.solve(build_hamiltonian(8, model), 1.0)
             pb = product_basis(8, 2, model)
-            for a in range(2**8):
-                eps, dsq = product_statistics(pb, a)
-                mean, var, _ = distribution_moments(w_a_distribution(sys, pb, a))
-                e_a = float(pb.product_energies[a])
-                assert abs(mean - (e_a + eps)) <= 1e-10
-                assert abs(var - dsq) <= 1e-10
+            eps, dsq = interaction_statistics(pb)
+            mean, var, _ = product_moments(sys, pb)
+            assert np.max(np.abs(mean - (pb.product_energies + eps))) <= 1e-10
+            assert np.max(np.abs(var - dsq)) <= 1e-10
 
 
 def test_criterion_10_clt_skewness_trend():
     start = time.perf_counter()
     model = IsingModel.from_kl(1.0, 0.3, 0.0)
-    maxima = []
-    for n_groups in (3, 4, 5):
-        sys = DenseThermalSystem.solve(build_hamiltonian(2 * n_groups, model), 1.0)
-        pb = product_basis(2 * n_groups, 2, model)
-        worst = 0.0
-        for a in range(4**n_groups):
-            if product_statistics(pb, a)[1] < 1e-12:
-                continue  # point distribution has no shape
-            worst = max(
-                worst, abs(distribution_moments(w_a_distribution(sys, pb, a))[2])
-            )
-        maxima.append(worst)
+    # the check skips zero-width product states: a point distribution has no shape
+    rows = skewness_by_groups(10, 5, model, 1.0)
+    maxima = [row.max_abs_skewness for row in rows if row.n_groups >= 3]
+    for worst, target in zip(maxima, (2.0, 1.632993, 1.5), strict=True):
+        assert math.isclose(worst, target, rel_tol=1e-5)
     assert maxima[0] > maxima[1] > maxima[2]
     assert time.perf_counter() - start < 120.0
 

@@ -247,6 +247,14 @@ def test_oracle_rejects_non_finite_or_nonpositive_beta(command, beta_b):
     assert "--beta-b" in err
 
 
+@pytest.mark.parametrize("command", ["moments", "gaussian", "rho"])
+def test_oracle_groups_must_divide_sites(command):
+    code, out, err = run_cli("oracle", command, "--sites", "8", "--groups", "3")
+    assert code == 1
+    assert out == ""
+    assert "cannot split 8 sites into 3 equal groups" in err
+
+
 def test_oracle_rho_needs_two_groups():
     code, out, err = run_cli("oracle", "rho", "--sites", "4", "--groups", "1")
     assert code == 1

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localtemp.canonical import AccuracyParams, GroupStatistics, rho_diag
+from localtemp.canonical import AccuracyParams, rho_diag
 from localtemp.harmonic import HarmonicModel
 from localtemp.ising import IsingModel, delta_sq, group_energy, occupation_patterns
 from localtemp.oracle import (
@@ -23,20 +23,18 @@ from localtemp.oracle import (
     OffDiagReport,
     adjacent_junction_covariance,
     build_hamiltonian,
-    distribution_moments,
     harmonic_mode_check,
     interaction_statistics,
+    moments_check,
     occupations_by_energy,
     product_basis,
     product_moments,
-    product_statistics,
     rho_diag_check,
     rho_product_diag,
     rho_product_offdiag_max,
     skewness_by_groups,
     spectrum_check,
     thermal_state,
-    w_a_distribution,
 )
 
 
@@ -84,9 +82,8 @@ def test_spectrum_deviation_with_anisotropy():
 
 
 def test_interaction_mean_vanishes():
-    pb = product_basis(6, 2, _model(0.3, 0.0))
-    eps_max = max(abs(product_statistics(pb, a)[0]) for a in range(2**6))
-    assert eps_max == 0.0
+    eps, _ = interaction_statistics(product_basis(6, 2, _model(0.3, 0.0)))
+    assert float(np.max(np.abs(eps))) == 0.0
 
 
 def test_width_decomposes_over_junctions():
@@ -94,17 +91,16 @@ def test_width_decomposes_over_junctions():
     # per-junction widths evaluated at the matched occupations
     model = _model(0.3, 0.0)
     n, n_groups = 2, 3
-    pb = product_basis(n * n_groups, n, model)
+    _, dsq = interaction_statistics(product_basis(n * n_groups, n, model))
     occs = occupations_by_energy(model, n)
     dim = 2**n
     worst = 0.0
     for a in range(dim**n_groups):
-        _, dsq = product_statistics(pb, a)
         states = [occs[(a >> (n * g)) % dim] for g in range(n_groups)]
         formula = sum(
             delta_sq(states[g], states[g + 1], model) for g in range(n_groups - 1)
         )
-        worst = max(worst, abs(dsq - formula))
+        worst = max(worst, abs(dsq[a] - formula))
     assert worst <= 1e-10
 
 
@@ -115,14 +111,15 @@ def test_width_decomposition_periodic_needs_three_groups():
     occs = occupations_by_energy(model, 2)
 
     def worst_dev(n_groups):
-        pb = product_basis(2 * n_groups, 2, model, Boundary.PERIODIC)
+        _, dsq = interaction_statistics(
+            product_basis(2 * n_groups, 2, model, Boundary.PERIODIC)
+        )
         worst = 0.0
         for a in range(4**n_groups):
-            _, dsq = product_statistics(pb, a)
             states = [occs[(a >> (2 * g)) % 4] for g in range(n_groups)]
             pairs = [(g, (g + 1) % n_groups) for g in range(n_groups)]
             formula = sum(delta_sq(states[i], states[j], model) for i, j in pairs)
-            worst = max(worst, abs(dsq - formula))
+            worst = max(worst, abs(dsq[a] - formula))
         return worst
 
     assert worst_dev(3) <= 1e-10
@@ -149,49 +146,22 @@ def test_w_a_moment_identities():
         model = _model(k_param, l_param)
         sys = _system(6, model, beta_b=1.0)
         pb = product_basis(6, 2, model)
-        for a in range(2**6):
-            eps, dsq = product_statistics(pb, a)
-            mean, var, _ = distribution_moments(w_a_distribution(sys, pb, a))
-            e_a = float(pb.product_energies[a])
-            assert abs(mean - (e_a + eps)) <= 1e-10
-            assert abs(var - dsq) <= 1e-10
-
-
-def test_w_a_distribution_is_normalized_probability():
-    model = _model(0.3, 0.0)
-    sys = _system(6, model)
-    pb = product_basis(6, 2, model)
-    dist = w_a_distribution(sys, pb, 7)
-    probs = [p for _, p in dist]
-    assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
-    assert all(p >= -1e-15 for p in probs)
-    energies = [e for e, _ in dist]
-    assert energies == sorted(energies)
-    # merged bins: strictly fewer entries than eigenvalues (spectrum has
-    # degeneracies) and separations above the merge width
-    assert len(dist) < sys.eigenvalues.size
-    assert all(b - a > 1e-9 for a, b in zip(energies, energies[1:]))
+        eps, dsq = interaction_statistics(pb)
+        mean, var, _ = product_moments(sys, pb)
+        assert np.max(np.abs(mean - (pb.product_energies + eps))) <= 1e-10
+        assert np.max(np.abs(var - dsq)) <= 1e-10
 
 
 def test_skewness_decays_with_group_count():
-    # zero-width product states carry no distribution shape; mask them
-    model = _model(0.3, 0.0)
-    expected = {3: 2.0, 4: 1.632993, 5: 1.5}
-    previous = math.inf
-    for n_groups, target in expected.items():
-        sys = _system(2 * n_groups, model)
-        pb = product_basis(2 * n_groups, 2, model)
-        worst = 0.0
-        for a in range(4**n_groups):
-            _, dsq = product_statistics(pb, a)
-            if dsq < 1e-12:
-                continue
-            worst = max(
-                worst, abs(distribution_moments(w_a_distribution(sys, pb, a))[2])
-            )
+    # zero-width product states carry no distribution shape and are masked
+    rows = skewness_by_groups(10, 5, _model(0.3, 0.0), 1.0)
+    assert [(row.n_groups, row.sites) for row in rows] == [
+        (2, 4), (3, 6), (4, 8), (5, 10)
+    ]
+    maxima = [row.max_abs_skewness for row in rows[1:]]
+    for worst, target in zip(maxima, (2.0, 1.632993, 1.5)):
         assert math.isclose(worst, target, rel_tol=1e-5)
-        assert worst < previous
-        previous = worst
+    assert maxima[0] > maxima[1] > maxima[2]
 
 
 def test_rho_diag_formula_tracks_dense():
@@ -201,24 +171,28 @@ def test_rho_diag_formula_tracks_dense():
     expected = [0.005127, 0.010221, 0.015316, 0.020410]
     per_junction = []
     for n_groups, target in zip(range(2, 6), expected):
-        sys = _system(2 * n_groups, model)
-        pb = product_basis(2 * n_groups, 2, model)
-        log_z, _ = thermal_state(sys)
-        dense = rho_product_diag(sys, pb)
-        eps, dsq = interaction_statistics(pb)
-        wide = dsq >= 1e-12
-        stats = GroupStatistics(
-            e_a=pb.product_energies[wide],
-            eps_a=eps[wide],
-            delta_sq_a=dsq[wide],
-            e0=float(np.min(sys.eigenvalues)),
-            e1=float(np.max(sys.eigenvalues)),
-        )
-        predicted = rho_diag(stats, sys.beta, log_z)
-        worst = float(np.max(np.abs(predicted - np.log(dense[wide]))))
-        assert math.isclose(worst, target, rel_tol=1e-3)
-        per_junction.append(worst / (n_groups - 1))
+        report = rho_diag_check(2 * n_groups, n_groups, model, 1.0)
+        assert (report.sites, report.groups) == (2 * n_groups, n_groups)
+        assert math.isclose(report.max_abs_log_deviation, target, rel_tol=1e-3)
+        assert report.per_junction == report.max_abs_log_deviation / (n_groups - 1)
+        per_junction.append(report.per_junction)
     assert all(b < a for a, b in zip(per_junction, per_junction[1:]))
+
+
+_CHECKS = {
+    "moments": moments_check,
+    "gaussian": functools.partial(skewness_by_groups, beta=1.0),
+    "rho": functools.partial(rho_diag_check, beta=1.0),
+}
+
+
+@pytest.mark.parametrize("n_groups", [0, 3, 9])
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_checks_reject_groups_that_do_not_divide_the_chain(check, n_groups):
+    # 8 // 3 would measure 4 groups of 2 and report 3; 0 and 9 divide by zero
+    for l_param in (0.0, 0.2):
+        with pytest.raises(ValueError, match=f"cannot split 8 sites into {n_groups} "):
+            _CHECKS[check](8, n_groups, _model(0.3, l_param))
 
 
 def test_rho_diag_check_calls_formula_once(monkeypatch):
@@ -282,19 +256,6 @@ def test_group_norm_bound():
 def test_product_basis_validation():
     with pytest.raises(ValueError):
         product_basis(6, 4, _model(0.3, 0.0))
-    pb = product_basis(4, 2, _model(0.3, 0.0))
-    with pytest.raises(IndexError):
-        product_statistics(pb, 16)
-
-
-def test_w_a_distribution_rejects_out_of_range_state():
-    # a negative index must not wrap round to the last product state
-    model = _model(0.3, 0.0)
-    sys = _system(4, model)
-    pb = product_basis(4, 2, model)
-    for a in (-1, 2**4):
-        with pytest.raises(IndexError, match="product state index out of range"):
-            w_a_distribution(sys, pb, a)
 
 
 def test_dense_system_rejects_nonsymmetric():
@@ -364,6 +325,23 @@ def _kron_power(pb):
     return functools.reduce(np.kron, [pb.group_vecs] * pb.n_groups)
 
 
+def _reference_interaction(n_sites, group_size, model, boundary=Boundary.OPEN):
+    # the explicit product basis and H - H_0 in it, with H_0 the Kronecker
+    # sum of the open group Hamiltonians
+    n_groups = n_sites // group_size
+    h_group = _reference_hamiltonian(group_size, model)
+    h0 = sum(
+        np.kron(
+            np.eye(2 ** (group_size * (n_groups - 1 - g))),
+            np.kron(h_group, np.eye(2 ** (group_size * g))),
+        )
+        for g in range(n_groups)
+    )
+    basis = _kron_power(product_basis(n_sites, group_size, model, boundary))
+    h = _reference_hamiltonian(n_sites, model, boundary)
+    return basis, basis.T @ (h - h0) @ basis
+
+
 _COUPLINGS = ((0.3, 0.0), (1.2, 2.0), (0.0, 0.5), (-0.7, 0.7))
 
 
@@ -389,19 +367,8 @@ def test_interaction_is_full_minus_decoupled_hamiltonian(boundary, k_param, l_pa
     rng = np.random.default_rng(7)
     partitions = ((4, 2), (6, 3), (6, 2), (3, 3), (2, 1), (4, 1), (8, 4), (8, 2))
     for n_sites, group_size in partitions:
-        n_groups = n_sites // group_size
-        h_group = _reference_hamiltonian(group_size, model)
-        h0 = sum(
-            np.kron(
-                np.eye(2 ** (group_size * (n_groups - 1 - g))),
-                np.kron(h_group, np.eye(2 ** (group_size * g))),
-            )
-            for g in range(n_groups)
-        )
         pb = product_basis(n_sites, group_size, model, boundary)
-        basis = _kron_power(pb)
-        h = _reference_hamiltonian(n_sites, model, boundary)
-        reference = basis.T @ (h - h0) @ basis
+        basis, reference = _reference_interaction(n_sites, group_size, model, boundary)
         assert np.max(np.abs(pb.interaction_matrix - reference)) <= 1e-13
         x = rng.standard_normal((2**n_sites, 5))
         assert np.max(np.abs(_basis_transpose_apply(pb, x) - basis.T @ x)) <= 1e-13
@@ -419,18 +386,6 @@ def _reference_junctions(n_sites, group_size, model, boundary):
         + 0.5 * model.jy * (_site_op(_IY, i, n_sites) @ _site_op(_IY, j, n_sites))
         for i, j in bonds
     ]
-
-
-@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
-def test_w_a_distribution_matches_kronecker_reference(k_param, l_param):
-    model = _model(k_param, l_param)
-    sys = _system(6, model)
-    pb = product_basis(6, 2, model)
-    probs = (_kron_power(pb).T @ sys.eigenvectors) ** 2
-    for a in range(2**6):
-        for energy, prob in w_a_distribution(sys, pb, a):
-            in_bin = np.abs(sys.eigenvalues - energy) <= 1e-8
-            assert abs(prob - float(np.sum(probs[a, in_bin]))) <= 1e-13
 
 
 @pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
@@ -474,24 +429,28 @@ def test_junction_covariance_matches_kronecker_reference(n_sites, group_size, bo
 
 
 def test_product_moments_match_per_state_distribution():
-    # skewness is compared only where the width is above roundoff, as the
-    # oracle commands do: a point distribution's skewness is noise / noise
+    # every product state's w_a, mean and width from the explicit Kronecker
+    # basis; skewness is compared only where the width is above roundoff, as
+    # the oracle commands do: a point distribution's skewness is noise / noise
     for k_param, l_param in _COUPLINGS:
         model = _model(k_param, l_param)
         sys = _system(6, model, beta_b=1.0)
         pb = product_basis(6, 2, model)
+        basis, inter = _reference_interaction(6, 2, model)
+        probs = (basis.T @ sys.eigenvectors) ** 2
+        ref_mean = probs @ sys.eigenvalues
+        dev = sys.eigenvalues - ref_mean[:, None]
+        ref_var = np.sum(probs * dev**2, axis=1)
         mean, var, skew = product_moments(sys, pb)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-10
+        assert np.max(np.abs(var - ref_var)) <= 1e-10
+        wide = ref_var >= 1e-12
+        ref_skew = np.sum(probs * dev**3, axis=1)[wide] / ref_var[wide] ** 1.5
+        assert np.max(np.abs(skew[wide] - ref_skew)) <= 1e-10
+        ref_eps = np.diag(inter)
         eps, dsq = interaction_statistics(pb)
-        for a in range(2**6):
-            dist = w_a_distribution(sys, pb, a)
-            ref_mean, ref_var, ref_skew = distribution_moments(dist)
-            assert abs(mean[a] - ref_mean) <= 1e-10
-            assert abs(var[a] - ref_var) <= 1e-10
-            if ref_var >= 1e-12:
-                assert abs(skew[a] - ref_skew) <= 1e-10
-            ref_eps, ref_dsq = product_statistics(pb, a)
-            assert abs(eps[a] - ref_eps) <= 1e-14
-            assert abs(dsq[a] - ref_dsq) <= 1e-14
+        assert np.max(np.abs(eps - ref_eps)) <= 1e-14
+        assert np.max(np.abs(dsq - (np.sum(inter**2, axis=1) - ref_eps**2))) <= 1e-14
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
