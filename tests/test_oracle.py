@@ -19,6 +19,7 @@ from localtemp.ising import IsingModel, delta_sq, group_energy, occupation_patte
 from localtemp.oracle import (
     Boundary,
     _basis_transpose_apply,
+    _overlap_sq,
     DenseThermalSystem,
     OffDiagReport,
     adjacent_junction_covariance,
@@ -426,6 +427,18 @@ def test_junction_covariance_matches_kronecker_reference(n_sites, group_size, bo
         assert abs(got - worst) <= 1e-13
         if n_sites == 4 and l_param == 0.0:
             assert worst > 1e-2
+
+
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_w_a_distribution_matches_kronecker_reference(k_param, l_param):
+    # the weights |<a|phi>|^2 that every w_a moment and rho_aa are summed from
+    model = _model(k_param, l_param)
+    sys = _system(6, model)
+    pb = product_basis(6, 2, model)
+    probs = (_kron_power(pb).T @ sys.eigenvectors) ** 2
+    got = _overlap_sq(sys, pb)
+    assert np.max(np.abs(got - probs)) <= 1e-13
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_product_moments_match_per_state_distribution():
