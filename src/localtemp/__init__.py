@@ -8,7 +8,6 @@ from .canonical import (
     AccuracyParams,
     Binding,
     CriterionReport,
-    EnergyWindow,
     GroupStatistics,
 )
 from .harmonic import HarmonicModel
@@ -21,7 +20,6 @@ __all__ = [
     "Binding",
     "CouplingCase",
     "CriterionReport",
-    "EnergyWindow",
     "GroupStatistics",
     "HarmonicModel",
     "IsingModel",

@@ -18,8 +18,8 @@ negative enough that the Boltzmann branch dominates and (ii) the leftover
 exponent is affine in the group energy with slope below the tolerance delta.
 The chain-specific modules turn both conditions into closed-form bounds on
 the group size. This module holds what they share: the Gaussian <a|rho|a>
-(checked against the exact diagonal by the oracle), the energy window, and
-the report container.
+(checked against the exact diagonal by the oracle) and the report
+container.
 
 rho_diag evaluates the formula for a whole array of product states at once:
 y_a, A_0, A_1 and the prefactor with numpy, and ln[erfc(A_0) - erfc(A_1)]
@@ -38,19 +38,12 @@ from .specfun import erfcx
 
 __all__ = [
     "GroupStatistics",
-    "EnergyWindow",
     "AccuracyParams",
     "CriterionReport",
     "Binding",
-    "InconsistentWindowError",
     "rho_diag",
-    "energy_window",
     "build_report",
 ]
-
-
-class InconsistentWindowError(ValueError):
-    """Energy window came out empty (lower endpoint above upper endpoint)."""
 
 
 class Binding(enum.Enum):
@@ -88,20 +81,6 @@ class GroupStatistics:
             raise ValueError("state energy lies below the spectral bottom")
         if math.isfinite(self.e1) and np.any(y > self.e1 + slack):
             raise ValueError("state energy lies above the spectral top")
-
-
-@dataclass(frozen=True)
-class EnergyWindow:
-    """Per-group energy window [e_min, e_max]."""
-
-    e_min: float
-    e_max: float
-
-    def __post_init__(self) -> None:
-        if self.e_min > self.e_max:
-            raise InconsistentWindowError(
-                f"empty window: e_min={self.e_min!r} > e_max={self.e_max!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -207,25 +186,3 @@ def rho_diag(
         log_rho = -math.log(2.0) - log_z - beta * y + 0.5 * beta * beta * dsq + log_diff
     # an overflowing prefactor must not turn an underflowed state into nan
     return np.where(log_diff == -math.inf, -math.inf, log_rho)[()]
-
-
-def energy_window(
-    e_bar_total: float,
-    e0_total: float,
-    n_groups: int,
-    acc: AccuracyParams,
-    e_mu_min: float,
-    e_mu_max: float,
-) -> EnergyWindow:
-    """Per-group window: thermal mean scaled by 1/alpha and alpha, clamped
-    to the attainable group energies [e_mu_min, e_mu_max].
-
-    e_bar_total is the thermal excitation energy of the whole chain (above the
-    ground energy e0_total). Raises InconsistentWindowError when the clamps
-    cross.
-    """
-    if n_groups < 1:
-        raise ValueError("n_groups must be >= 1")
-    lo = max(e_mu_min, e_bar_total / (acc.alpha * n_groups) + e0_total / n_groups)
-    hi = min(e_mu_max, acc.alpha * e_bar_total / n_groups + e0_total / n_groups)
-    return EnergyWindow(e_min=lo, e_max=hi)

@@ -73,6 +73,8 @@ def mean_energy_reduced(
     """Thermal excitation energy per site over k_B Theta, Debye form."""
     if not t_over_theta > 0:
         raise ValueError("t_over_theta must be positive")
+    if t_over_theta == math.inf:
+        raise ValueError("t_over_theta must be finite, got inf")
     try:
         scale = t_over_theta**2
     except OverflowError:

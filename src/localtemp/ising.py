@@ -322,13 +322,26 @@ def _s_sum(bits):
     return 2.0 / (k.size + 1) * np.sum(weight, axis=-1)
 
 
+def _squared_couplings(model: IsingModel) -> tuple[float, float, float]:
+    """(B^2, K^2, L^2) of the junction width; a square that overflows raises
+    an OverflowError naming its coupling."""
+    squares = []
+    couplings = (("B", model.b_field), ("K", model.k_param), ("L", model.l_param))
+    for name, value in couplings:
+        try:
+            squares.append(value**2)
+        except OverflowError:
+            raise OverflowError(
+                f"junction width overflows: {name}^2 at {name}={value!r}"
+            ) from None
+    return tuple(squares)
+
+
 def delta_sq(bits_mu, bits_next, model: IsingModel):
     """Junction interaction width between neighbouring groups."""
     if np.shape(bits_mu)[-1] != np.shape(bits_next)[-1]:
         raise ValueError("groups must have equal size")
-    b_sq = model.b_field**2
-    k_sq = model.k_param**2
-    l_sq = model.l_param**2
+    b_sq, k_sq, l_sq = _squared_couplings(model)
     return 0.5 * b_sq * (k_sq + l_sq) - 2.0 * b_sq * (k_sq - l_sq) * _s_sum(
         bits_mu
     ) * _s_sum(bits_next)
@@ -353,9 +366,7 @@ def e_mu_extremes(model: IsingModel, n: int) -> tuple[float, float]:
 
 def delta_sq_extremes(model: IsingModel) -> tuple[float, float]:
     """Range of the junction width over all occupation pairs."""
-    k_sq = model.k_param**2
-    l_sq = model.l_param**2
-    b_sq = model.b_field**2
+    b_sq, k_sq, l_sq = _squared_couplings(model)
     return (b_sq * min(k_sq, l_sq), b_sq * max(k_sq, l_sq))
 
 

@@ -4,11 +4,10 @@ Everything here is exact, built from the chain's structure: the full 2^n
 Hamiltonian is filled by bit arithmetic on basis indices, diagonalized one
 symmetry sector at a time, and used to measure the quantities the
 analytic modules predict: the interaction mean and width, the moments of the
-energy distribution w_a, and the diagonal and off-diagonal elements of the
-thermal state in the product basis. Each is one array over all product
-states. No Gaussian or thermodynamic-limit approximation enters,
-so any disagreement beyond numerical noise points at the formulas, not at
-the check.
+energy distribution w_a, and the diagonal of the thermal state in the
+product basis. Each is one array over all product states. No Gaussian or
+thermodynamic-limit approximation enters, so any disagreement beyond
+numerical noise points at the formulas, not at the check.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
@@ -39,11 +38,10 @@ The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
 pairs those labels with the dense eigenstates by sorting both by energy.
 
-Caveats baked into the checks: for periodic chains only ground-energy
+Caveat baked into the checks: for periodic chains only ground-energy
 comparisons at O(1/n) tolerance are meaningful (the two parity blocks see
-different fermion boundary conditions, which no formula here tracks), and
-with exactly two groups on a ring both junctions couple the same pair, so the
-per-junction width sum does not apply there.
+different fermion boundary conditions, which no formula here tracks), so
+product bases are built on open chains only.
 """
 from __future__ import annotations
 
@@ -54,7 +52,7 @@ from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
-from .canonical import AccuracyParams, GroupStatistics, energy_window, rho_diag
+from .canonical import GroupStatistics, rho_diag
 from .harmonic import HarmonicModel
 from .ising import (
     IsingModel,
@@ -68,7 +66,6 @@ __all__ = [
     "Boundary",
     "DenseThermalSystem",
     "ProductBasisData",
-    "OffDiagReport",
     "SpectrumReport",
     "GroundEnergyReport",
     "MomentsReport",
@@ -80,8 +77,6 @@ __all__ = [
     "interaction_statistics",
     "product_moments",
     "rho_product_diag",
-    "rho_product_offdiag_max",
-    "adjacent_junction_covariance",
     "occupations_by_energy",
     "harmonic_mode_check",
     "spectrum_check",
@@ -316,14 +311,13 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _A = np.array([[0.0, -1.0], [1.0, 0.0]])  # -i sigma^y, so sy sy = -A A
 
 
-def _junctions(n_sites: int, vecs: np.ndarray, model: IsingModel, boundary: Boundary):
-    """The bonds between groups in the group eigenbasis.
+def _junction_pairs(vecs: np.ndarray, model: IsingModel) -> list:
+    """The bond between neighbouring groups in the group eigenbasis.
 
-    Each junction is (upper group, lower group, [(P, Q), ...]): the bond
-    -(Jx/2) sx sx + (Jy/2) A A equals the sum of P on the upper group times
-    Q on the lower one, the coupling folded into P. Junction v joins the
-    last site of group v to the first of group v + 1; a ring adds the bond
-    from the last site of the top group to site 0.
+    The bond -(Jx/2) sx sx + (Jy/2) A A from the last site of group v to the
+    first of group v + 1 equals sum_k P_k on group v + 1 times Q_k on group
+    v, with the coupling folded into P_k; returns [(P_k, Q_k), ...]. The
+    groups are congruent, so every junction has the same pairs.
     """
     d = vecs.shape[0]
     group_size = d.bit_length() - 1
@@ -332,42 +326,25 @@ def _junctions(n_sites: int, vecs: np.ndarray, model: IsingModel, boundary: Boun
         on_site = np.kron(np.eye(d >> (bit + 1)), np.kron(op, np.eye(1 << bit)))
         return vecs.T @ on_site @ vecs
 
-    terms = [
-        (c, rotated(op, 0), rotated(op, group_size - 1))
+    return [
+        (c * rotated(op, 0), rotated(op, group_size - 1))
         for c, op in ((-0.5 * model.jx, _SX), (0.5 * model.jy, _A))
     ]
-    junctions = [
-        (v + 1, v, [(c * first, last) for c, first, last in terms])
-        for v in range(n_sites // group_size - 1)
-    ]
-    if boundary is Boundary.PERIODIC and n_sites > 1:
-        wrap = [(c * last, first) for c, first, last in terms]
-        junctions.append((n_sites // group_size - 1, 0, wrap))
-    return junctions
 
 
-def _add_junction(inter: np.ndarray, n_groups: int, upper: int, lower: int, pairs):
-    """inter += sum_k 1 (x) P_k (x) 1 (x) Q_k (x) 1, P_k on group upper and
+def _add_junction(inter: np.ndarray, n_groups: int, lower: int, pairs) -> None:
+    """inter += sum_k 1 (x) P_k (x) Q_k (x) 1, P_k on group lower + 1 and
     Q_k on group lower, added block by block through a diagonal view."""
     d = pairs[0][0].shape[0]
-    if upper == lower:  # one group on a ring: its own wrap-around bond
-        for p, q in pairs:
-            inter += p @ q
-        return
-    hi, mid, lo = d ** (n_groups - 1 - upper), d ** (upper - lower - 1), d**lower
-    view = inter.reshape(hi, d, mid, d, lo, hi, d, mid, d, lo)
-    blocks = np.einsum("hpmqlhrmsl->hmlpqrs", view)  # writable view into inter
+    hi, lo = d ** (n_groups - 2 - lower), d**lower
+    view = inter.reshape(hi, d, d, lo, hi, d, d, lo)
+    blocks = np.einsum("hpqlhrsl->hlpqrs", view)  # writable view into inter
     for p, q in pairs:
         blocks += np.multiply.outer(p, q).transpose(0, 2, 1, 3)
 
 
-def product_basis(
-    n_sites: int,
-    group_size: int,
-    model: IsingModel,
-    boundary: Boundary = Boundary.OPEN,
-) -> ProductBasisData:
-    """Partition the chain into equal groups and set up the product basis.
+def product_basis(n_sites: int, group_size: int, model: IsingModel) -> ProductBasisData:
+    """Partition the open chain into equal groups and set up the product basis.
 
     H - H_0 is exactly the bonds between groups, so the interaction is those
     junction bonds, each rotated into the group eigenbasis one group at a
@@ -377,15 +354,16 @@ def product_basis(
     if n_sites % group_size != 0:
         raise ValueError("group_size must divide n_sites")
     n_groups = n_sites // group_size
-    vals, vecs = np.linalg.eigh(build_hamiltonian(group_size, model, Boundary.OPEN))
+    vals, vecs = np.linalg.eigh(build_hamiltonian(group_size, model))
 
     energies = np.zeros(2**n_sites)
     for digits in _group_digits(n_groups, group_size):
         energies += vals[digits]
 
     interaction = np.zeros((energies.size, energies.size))
-    for upper, lower, pairs in _junctions(n_sites, vecs, model, boundary):
-        _add_junction(interaction, n_groups, upper, lower, pairs)
+    pairs = _junction_pairs(vecs, model)
+    for lower in range(n_groups - 1):
+        _add_junction(interaction, n_groups, lower, pairs)
     return ProductBasisData(
         group_size=group_size,
         n_groups=n_groups,
@@ -475,96 +453,6 @@ def rho_product_diag(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarra
     """Exact diagonal <a|rho|a> of the thermal state in the product basis."""
     _, weights = thermal_state(sys)
     return _overlap_sq(sys, pb) @ weights
-
-
-@dataclass(frozen=True)
-class OffDiagReport:
-    """Measured off-diagonal magnitudes of rho in the product basis.
-
-    max_offdiag and max_coherence (the largest |rho_ab| / sqrt(rho_aa rho_bb))
-    run over all pairs a != b. The windowed numbers restrict both states to
-    those whose every group energy lies in the alpha-window: min_diag_window
-    is the smallest diagonal entry there and ratio_min_diag the windowed
-    off-diagonal maximum over it. No pass/fail threshold is attached;
-    callers decide what "small" means.
-    """
-
-    max_offdiag: float
-    min_diag_window: float
-    ratio_min_diag: float
-    max_coherence: float
-
-
-def rho_product_offdiag_max(
-    sys: DenseThermalSystem,
-    pb: ProductBasisData,
-    acc: AccuracyParams = AccuracyParams(),
-) -> OffDiagReport:
-    """Measure how far rho is from diagonal in the product basis."""
-    _, weights = thermal_state(sys)
-    overlap = _basis_transpose_apply(pb, sys.eigenvectors)
-    rho = (overlap * weights) @ overlap.T
-    diag = np.diag(rho).copy()
-    off = np.abs(rho - np.diag(diag))
-    max_offdiag = float(np.max(off))
-    max_coherence = float(np.max(off / np.sqrt(np.outer(diag, diag))))
-
-    # window per group: thermal excess energy split over the groups
-    e_ground = float(np.min(sys.eigenvalues))
-    e_thermal = float(weights @ sys.eigenvalues)
-    vals = pb.group_vals
-    window = energy_window(
-        e_bar_total=e_thermal - e_ground,
-        e0_total=e_ground,
-        n_groups=pb.n_groups,
-        acc=acc,
-        e_mu_min=float(vals[0]),
-        e_mu_max=float(vals[-1]),
-    )
-    inside = np.ones(pb.product_energies.size, dtype=bool)
-    for digits in _group_digits(pb.n_groups, pb.group_size):
-        ge = vals[digits]
-        inside &= (ge >= window.e_min) & (ge <= window.e_max)
-    if not np.any(inside):
-        return OffDiagReport(max_offdiag, math.nan, math.nan, max_coherence)
-
-    sub = rho[np.ix_(inside, inside)]
-    sub_diag = np.diag(sub).copy()
-    sub_off = np.abs(sub - np.diag(sub_diag))
-    min_diag = float(np.min(sub_diag))
-    return OffDiagReport(
-        max_offdiag=max_offdiag,
-        min_diag_window=min_diag,
-        ratio_min_diag=float(np.max(sub_off) / min_diag),
-        max_coherence=max_coherence,
-    )
-
-
-def adjacent_junction_covariance(
-    n_sites: int,
-    group_size: int,
-    model: IsingModel,
-    boundary: Boundary = Boundary.OPEN,
-) -> float:
-    """Largest |<I_v I_{v+1}>_a - <I_v>_a <I_{v+1}>_a| over product states.
-
-    The analytic width sum Delta_a^2 = sum_mu Delta_mu^2 assumes this
-    covariance between neighbouring junction operators vanishes; here it is
-    measured instead of assumed.
-    """
-    pb = product_basis(n_sites, group_size, model, boundary)
-    junctions = _junctions(n_sites, pb.group_vecs, model, boundary)
-    if len(junctions) < 2:
-        raise ValueError("need at least two junctions")
-    ops = [np.zeros(pb.interaction_matrix.shape) for _ in junctions]
-    for op, junction in zip(ops, junctions):
-        _add_junction(op, pb.n_groups, *junction)
-    worst = 0.0
-    for left, right in zip(ops, ops[1:]):
-        cross = np.einsum("ab,ba->a", left, right)
-        cov = cross - np.diag(left) * np.diag(right)
-        worst = max(worst, float(np.max(np.abs(cov))))
-    return worst
 
 
 def occupations_by_energy(model: IsingModel, n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Group statistics, density-matrix diagonal, the energy window, and the report."""
+"""Group statistics, density-matrix diagonal, and the report."""
 from __future__ import annotations
 
 import math
@@ -6,18 +6,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from localtemp.canonical import (
     AccuracyParams,
     Binding,
     CriterionReport,
-    EnergyWindow,
     GroupStatistics,
-    InconsistentWindowError,
     build_report,
-    energy_window,
     rho_diag,
 )
 
@@ -171,48 +166,6 @@ def test_rho_diag_scalar_is_one_entry_of_the_array():
     single = rho_diag(_stats(e_a=-2.0, dsq=3.0), 0.8, 0.5)
     assert isinstance(single, float)
     assert single == got[1]
-
-
-def test_energy_window_harmonic_golden():
-    # reduced per-site values at T equal to the Debye-like scale
-    win = energy_window(
-        0.7775046341122482, 0.25, 1, AccuracyParams(), -math.inf, math.inf
-    )
-    assert math.isclose(win.e_min, 0.3277504634112248, rel_tol=1e-12)
-    assert math.isclose(win.e_max, 8.025046341122483, rel_tol=1e-12)
-
-
-def test_energy_window_clamps_and_collapses():
-    acc = AccuracyParams(alpha=1e12, delta=0.5)
-    win = energy_window(1.0, -5.0, 1, acc, -3.0, 3.0)
-    assert win.e_min == -3.0 and win.e_max == 3.0
-    flat = energy_window(0.0, 2.0, 2, AccuracyParams(), -math.inf, math.inf)
-    assert flat.e_min == flat.e_max == 1.0
-
-
-def test_energy_window_inconsistent():
-    with pytest.raises(InconsistentWindowError):
-        energy_window(1.0, 0.0, 1, AccuracyParams(), -math.inf, 0.05)
-    with pytest.raises(InconsistentWindowError):
-        EnergyWindow(e_min=1.0, e_max=0.0)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=1.1, max_value=50.0),
-    st.floats(min_value=1.0, max_value=40.0),
-)
-@settings(max_examples=100)
-def test_energy_window_monotone_in_alpha(e_bar, e0, alpha, widen):
-    lo = energy_window(
-        e_bar, e0, 2, AccuracyParams(alpha=alpha, delta=0.5), -math.inf, math.inf
-    )
-    hi = energy_window(
-        e_bar, e0, 2, AccuracyParams(alpha=alpha + widen, delta=0.5), -math.inf, math.inf
-    )
-    assert hi.e_min <= lo.e_min + 1e-12
-    assert hi.e_max >= lo.e_max - 1e-12
 
 
 def test_build_report_binding_rules():

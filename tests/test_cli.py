@@ -508,6 +508,37 @@ def test_harmonic_e_bar_overflow_names_quantity():
     assert "numerical failure: e_bar overflows at t_over_theta=5e+307" in err
 
 
+@pytest.mark.parametrize(
+    "argv,square",
+    [
+        (("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "1e200"),
+         "L^2 at L=1e+200"),
+        (("nmin", "ising", "--t-over-b", "1", "--K", "1e155", "--L", "1e155"),
+         "K^2 at K=1e+155"),
+        (("oracle", "moments", "--sites", "4", "--groups", "2", "--K", "1e160"),
+         "K^2 at K=1e+160"),
+    ],
+)
+def test_junction_width_overflow_names_coupling(argv, square):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert f"numerical failure: junction width overflows: {square}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nmin", "harmonic", "--t-over-theta", "inf"),
+        ("materials", "--name", "iron", "--temp-kelvin", "inf"),
+    ],
+)
+def test_harmonic_infinite_temperature_is_named(argv):
+    # t^2 is inf without raising, and inf * 0 used to give a nan bound
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert "t_over_theta must be finite, got inf" in err
+
+
 _NOTE = (
     "note: commonly quoted length estimates for some materials (hot iron, carbon"
     " near room temperature) run about two orders of magnitude above these"
