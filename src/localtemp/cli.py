@@ -223,6 +223,23 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.tmin, args.tmax, args.points)
 
 
+def _mean_energies(grid: np.ndarray, model: IsingModel | None = None) -> list:
+    """e_bar of the harmonic chain (model None) or of an Ising model at every
+    grid point, from one quadrature pass; None at every point for a model
+    whose criteria do not read it. A grid with a point where the pass fails
+    gets None throughout too: each point then computes its own e_bar, so the
+    first failing point in grid order names the error."""
+    if model is not None and not ising.uses_mean_energy(model):
+        return [None] * grid.size
+    try:
+        if model is None:
+            return harmonic.mean_energy_reduced(grid).tolist()
+        beta_b = [1.0 / t for t in grid.tolist()]
+        return ising.mean_energy_per_site(beta_b, model).tolist()
+    except (ValueError, ArithmeticError, QuadratureError):
+        return [None] * grid.size
+
+
 def cmd_sweep(args) -> int:
     acc = _acc_from_args(args)
     grid = _sweep_grid(args)
@@ -233,9 +250,11 @@ def cmd_sweep(args) -> int:
     model = _ising_from_args(args) if args.chain == "ising" else None
 
     rows = []
-    for t in grid:
-        t = float(t)
-        report = harmonic.nmin(t, acc) if model is None else ising.nmin(t, acc, model)
+    for t, e_bar in zip(grid.tolist(), _mean_energies(grid, model)):
+        if model is None:
+            report = harmonic.nmin(t, acc, e_bar)
+        else:
+            report = ising.nmin(t, acc, model, e_bar)
         rows.append(
             {
                 "t_ratio": t,
@@ -266,43 +285,53 @@ def cmd_sweep(args) -> int:
 
 
 def _figure_curves(figure_id: str, acc: AccuracyParams):
-    """Grid plus named raw-bound callables for one figure id."""
+    """Grid plus named raw-bound callables of (grid index, t) for one figure
+    id; the e_bar a bound reads comes from one pass over the grid."""
     if figure_id == "fig3":
         grid = np.geomspace(1e-4, 1e2, 200)
+        e = _mean_energies(grid)
         curves = [
-            ("cond_const", lambda t: harmonic.cond_const_bound(t, acc)),
-            ("linearity", lambda t: harmonic.linearity_bound(t, acc)),
+            ("cond_const", lambda i, t: harmonic.cond_const_bound(t, acc, e[i])),
+            ("linearity", lambda i, t: harmonic.linearity_bound(t, acc, e[i])),
         ]
         return "t_over_theta", grid, curves
     if figure_id == "fig4":
         grid = np.geomspace(1e-2, 1e2, 200)
         weak = IsingModel.from_kl(1.0, 0.1, 0.1)
         strong = IsingModel.from_kl(1.0, 10.0, 10.0)
+        e_weak, e_strong = _mean_energies(grid, weak), _mean_energies(grid, strong)
         curves = [
-            ("cond_const_kl_0.1", lambda t: ising.cond_const_bound(t, acc, weak)),
-            ("cond_const_kl_10", lambda t: ising.cond_const_bound(t, acc, strong)),
+            ("cond_const_kl_0.1",
+             lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
+            ("cond_const_kl_10",
+             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
         ]
         return "t_over_b", grid, curves
     if figure_id == "fig5":
         grid = np.geomspace(1e-3, 1e3, 200)
         weak = IsingModel.from_kl(1.0, 0.0, 0.1)
         strong = IsingModel.from_kl(1.0, 0.0, 10.0)
+        e_weak, e_strong = _mean_energies(grid, weak), _mean_energies(grid, strong)
         curves = [
-            ("cond_const_l_0.1", lambda t: ising.cond_const_bound(t, acc, weak)),
-            ("linearity_l_0.1", lambda t: ising.linearity_bound(t, acc, weak)),
-            ("cond_const_l_10", lambda t: ising.cond_const_bound(t, acc, strong)),
-            ("linearity_l_10", lambda t: ising.linearity_bound(t, acc, strong)),
+            ("cond_const_l_0.1",
+             lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
+            ("linearity_l_0.1", lambda i, t: ising.linearity_bound(t, acc, weak)),
+            ("cond_const_l_10",
+             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
+            ("linearity_l_10", lambda i, t: ising.linearity_bound(t, acc, strong)),
         ]
         return "t_over_b", grid, curves
     if figure_id == "fig6":
         grid = np.geomspace(1e-3, 1e3, 200)
         weak = IsingModel.from_kl(1.0, 0.1, 0.0)
         strong = IsingModel.from_kl(1.0, 10.0, 0.0)
+        e_strong = _mean_energies(grid, strong)
         curves = [
-            ("isotropic_weak_k_0.1", lambda t: ising.isotropic_weak_bound(t, weak)),
-            ("linearity_k_0.1", lambda t: ising.linearity_bound(t, acc, weak)),
-            ("cond_const_k_10", lambda t: ising.cond_const_bound(t, acc, strong)),
-            ("linearity_k_10", lambda t: ising.linearity_bound(t, acc, strong)),
+            ("isotropic_weak_k_0.1", lambda i, t: ising.isotropic_weak_bound(t, weak)),
+            ("linearity_k_0.1", lambda i, t: ising.linearity_bound(t, acc, weak)),
+            ("cond_const_k_10",
+             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
+            ("linearity_k_10", lambda i, t: ising.linearity_bound(t, acc, strong)),
         ]
         return "t_over_b", grid, curves
     raise ValueError(f"unknown figure id {figure_id!r}")
@@ -312,9 +341,8 @@ def cmd_figure(args) -> int:
     acc = AccuracyParams(alpha=10.0, delta=0.01)
     t_label, grid, curves = _figure_curves(args.id, acc)
     rows = []
-    for t in grid:
-        t = float(t)
-        rows.append({t_label: t, **{name: fn(t) for name, fn in curves}})
+    for i, t in enumerate(grid.tolist()):
+        rows.append({t_label: t, **{name: fn(i, t) for name, fn in curves}})
     comments = [f"localtemp figure {args.id}", "alpha=10.0 delta=0.01"]
     return _emit(args, rows, comments)
 

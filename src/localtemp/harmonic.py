@@ -22,15 +22,20 @@ The linearity bound grows toward the plateau 2 alpha / delta at high T; the
 constant condition takes over below t ~ 0.09, diverging like
 (3 alpha / (2 pi^2)) / t^3.
 
-mean_energy_reduced keeps its last few results (keyed on t and the
-quadrature spec), so the e_bar >= 1/4 guard and both bounds at one
-temperature share a single quadrature.
+mean_energy_reduced takes one temperature or a whole grid. A grid goes
+through one quadrature pass per _GRID_BATCH distinct upper limits (every
+t <= 1/700 shares [0, 700]); sweeps hand the values to the criteria through
+their e_bar argument. A single temperature keeps its last few results (keyed
+on t and the quadrature spec), so the e_bar >= 1/4 guard and both bounds at
+one temperature share a single quadrature.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
 from .specfun import QuadratureSpec, bose_integrand, integrate, min_integer_above
@@ -51,6 +56,9 @@ __all__ = [
 # x/(e^x - 1) < 1e-300 beyond here; the dropped tail is far below quadrature
 # tolerance.
 _BOSE_CUTOFF = 700.0
+# Integrals one quadrature pass of a grid refines together; bounds the
+# pass's panel arrays on long sweeps.
+_GRID_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -66,21 +74,41 @@ class HarmonicModel:
             raise ValueError("theta, a0 and omega0 must be positive")
 
 
+def mean_energy_reduced(t_over_theta, spec: QuadratureSpec = QuadratureSpec()):
+    """Thermal excitation energy per site over k_B Theta, Debye form.
+
+    t_over_theta is a float, or an array giving an array. An invalid or
+    overflowing temperature raises for the first such entry.
+    """
+    if np.ndim(t_over_theta) == 0:
+        return _mean_energy_memo(t_over_theta, spec)
+    return _mean_energy(np.asarray(t_over_theta, dtype=float), spec)
+
+
 @functools.lru_cache(maxsize=4)
-def mean_energy_reduced(
-    t_over_theta: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Thermal excitation energy per site over k_B Theta, Debye form."""
-    if not t_over_theta > 0:
-        raise ValueError("t_over_theta must be positive")
-    if t_over_theta == math.inf:
-        raise ValueError("t_over_theta must be finite, got inf")
-    try:
-        scale = t_over_theta**2
-    except OverflowError:
-        raise OverflowError(f"e_bar overflows at t_over_theta={t_over_theta!r}")
-    upper = min(1.0 / t_over_theta, _BOSE_CUTOFF)
-    return scale * integrate(bose_integrand, 0.0, upper, spec)
+def _mean_energy_memo(t_over_theta: float, spec: QuadratureSpec) -> float:
+    return float(_mean_energy(np.array([t_over_theta], dtype=float), spec)[0])
+
+
+def _mean_energy(t_over_theta: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """mean_energy_reduced of an array, one integral per distinct upper limit."""
+    scale, upper = [], []
+    for t in t_over_theta.tolist():
+        if not t > 0:
+            raise ValueError("t_over_theta must be positive")
+        if t == math.inf:
+            raise ValueError("t_over_theta must be finite, got inf")
+        try:
+            scale.append(t**2)
+        except OverflowError:
+            raise OverflowError(f"e_bar overflows at t_over_theta={t!r}")
+        upper.append(min(1.0 / t, _BOSE_CUTOFF))
+    upper, which = np.unique(upper, return_inverse=True)
+    integral = np.concatenate([
+        integrate(bose_integrand, 0.0, upper[i:i + _GRID_BATCH], spec)
+        for i in range(0, upper.size, _GRID_BATCH)
+    ])
+    return np.array(scale) * integral[which]
 
 
 def ground_energy_reduced() -> float:
@@ -88,13 +116,18 @@ def ground_energy_reduced() -> float:
     return 0.25
 
 
-def cond_const_bound(t_over_theta: float, acc: AccuracyParams) -> float:
+def cond_const_bound(
+    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
+) -> float:
     """Raw real bound of the constant condition, evaluated at any t.
 
     Only meaningful where e_bar < 1/4; nmin_cond_const applies that guard,
-    sweeps for plots use the raw curve.
+    sweeps for plots use the raw curve. e_bar, when given, is
+    mean_energy_reduced(t_over_theta) computed by the caller; the same
+    holds for the functions below.
     """
-    e_bar = mean_energy_reduced(t_over_theta)
+    if e_bar is None:
+        e_bar = mean_energy_reduced(t_over_theta)
     if e_bar == 0.0:
         # t^2 underflowed: the bound ~ 1/(t e_bar) exceeds every float
         raise OverflowError(
@@ -105,36 +138,46 @@ def cond_const_bound(t_over_theta: float, acc: AccuracyParams) -> float:
     return (1.0 / t_over_theta) * (acc.alpha / (4.0 * e_bar)) * (1.0 + ratio) ** 2
 
 
-def linearity_bound(t_over_theta: float, acc: AccuracyParams) -> float:
+def linearity_bound(
+    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
+) -> float:
     """Raw real bound of the linearity condition."""
-    e_bar = mean_energy_reduced(t_over_theta)
+    if e_bar is None:
+        e_bar = mean_energy_reduced(t_over_theta)
     return (2.0 * acc.alpha / acc.delta) * e_bar / t_over_theta
 
 
-def nmin_cond_const(t_over_theta: float, acc: AccuracyParams) -> int:
+def nmin_cond_const(
+    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
+) -> int:
     """Smallest n satisfying the constant condition; 1 once e_bar >= 1/4.
 
     Above that point the thermal energy exceeds the zero-point energy and the
     condition no longer constrains the group size.
     """
-    if mean_energy_reduced(t_over_theta) >= ground_energy_reduced():
+    guard = mean_energy_reduced(t_over_theta) if e_bar is None else e_bar
+    if guard >= ground_energy_reduced():
         return 1
-    return min_integer_above(cond_const_bound(t_over_theta, acc))
+    return min_integer_above(cond_const_bound(t_over_theta, acc, e_bar))
 
 
-def nmin_linearity(t_over_theta: float, acc: AccuracyParams) -> int:
+def nmin_linearity(
+    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
+) -> int:
     """Smallest n keeping the exponent's slope below delta across the window."""
-    return min_integer_above(linearity_bound(t_over_theta, acc))
+    return min_integer_above(linearity_bound(t_over_theta, acc, e_bar))
 
 
-def nmin(t_over_theta: float, acc: AccuracyParams) -> CriterionReport:
+def nmin(
+    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
+) -> CriterionReport:
     """Both criteria at one temperature, combined into a report.
 
     c1_estimate is the residual slope at the returned group size,
     (Theta/T) / (2 n_min).
     """
-    n_cond = nmin_cond_const(t_over_theta, acc)
-    n_lin = nmin_linearity(t_over_theta, acc)
+    n_cond = nmin_cond_const(t_over_theta, acc, e_bar)
+    n_lin = nmin_linearity(t_over_theta, acc, e_bar)
     n_min = max(n_cond, n_lin)
     c1 = 1.0 / (2.0 * n_min * t_over_theta)
     return build_report(n_cond, n_lin, c1, acc)

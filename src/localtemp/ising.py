@@ -32,9 +32,11 @@ periodic integrands) and by a geometric cell ladder anchored at the gapless
 point otherwise; at low T the Fermi weight is supported on a width ~ T/|w'|
 that uniform grids miss entirely.
 
-Two caches keep repeated work out of temperature sweeps: the gapped k-grid
-and its dispersion are built once per model (read-only arrays), and the
-ground energy is computed once per model.
+Temperature sweeps pass a whole grid to mean_energy_per_site: the cell
+ladders of _GRID_BATCH points go through one quadrature pass, while the
+gapped trapezoid runs point by point. Two caches keep repeated work out of
+sweeps: the gapped k-grid and its dispersion are built once per model
+(read-only arrays), and the ground energy is computed once per model.
 """
 from __future__ import annotations
 
@@ -46,7 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
-from .specfun import QuadratureError, QuadratureSpec, integrate, min_integer_above
+from .specfun import (
+    QuadratureError,
+    QuadratureSpec,
+    integrate,
+    min_integer_above,
+    sequential_sums,
+)
 
 __all__ = [
     "CouplingCase",
@@ -57,6 +65,7 @@ __all__ = [
     "occupation_patterns",
     "mean_energy_per_site",
     "ground_energy_per_site",
+    "uses_mean_energy",
     "group_energy",
     "delta_sq",
     "e_mu_extremes",
@@ -74,6 +83,9 @@ _CASE_TOL = 1e-12
 _TRAPEZOID_PANELS = 4096
 # beta * omega beyond this underflows the Fermi factor to < 1e-304
 _EXP_CLIP = 700.0
+# Grid points whose ladder cells (~25-70 each) one quadrature pass refines
+# together; bounds the pass's panel arrays on long sweeps.
+_GRID_BATCH = 16
 
 
 class UnsupportedCouplingError(ValueError):
@@ -152,11 +164,16 @@ class IsingModel:
         )
 
 
-def dispersion_periodic(k: float, model: IsingModel) -> float:
-    """Quasiparticle energy of the periodic chain at wavenumber k."""
-    c = 1.0 - model.k_param * math.cos(k)
-    s = model.l_param * math.sin(k)
-    return 2.0 * model.b_field * math.hypot(c, s)
+def dispersion_periodic(k, model: IsingModel):
+    """Quasiparticle energy of the periodic chain at wavenumber k (a float
+    or an array)."""
+    c = 1.0 - model.k_param * np.cos(k)
+    if model.l_param == 0.0:
+        # hypot(c, 0) is |c| exactly; this skips sin and hypot, the dearest
+        # steps of the gapless integrand
+        return 2.0 * model.b_field * np.abs(c)
+    s = model.l_param * np.sin(k)
+    return 2.0 * model.b_field * np.hypot(c, s)
 
 
 def group_k_values(n: int) -> np.ndarray:
@@ -203,80 +220,109 @@ def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     return k, w
 
 
-def _ladder_integral(f, k0: float, k_end: float, delta: float) -> float:
-    """Integrate f over [k0, k_end] with cells growing geometrically from k0.
+def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
+    """Cells (a, b, p) of the ladders from k0 toward k_end, one ladder per
+    entry p of delta: cell widths delta[p], 2 delta[p], 4 delta[p], ... with
+    the last one cut at k_end. The cells come ladder by ladder, innermost
+    first."""
+    length = abs(k_end - k0)
+    if length == 0.0:
+        return delta[:0], delta[:0], np.zeros(0, dtype=np.intp)
+    width = np.minimum(delta, length)
+    # enough doublings for the narrowest ladder (with a spare one); the
+    # cumulative sum adds the widths one after another, as a loop would
+    cells = int(np.ceil(np.log2(length) - np.log2(width.min()))) + 2
+    with np.errstate(over="ignore"):  # a ladder done early may overflow
+        steps = np.ldexp(width[:, None], np.arange(-1, cells))
+    steps[:, 0] = 0.0
+    edges = np.cumsum(steps, axis=1)
+    real = edges[:, :-1] < length
+    edges = np.minimum(edges, length)
+    sign = 1.0 if k_end > k0 else -1.0
+    a, b = k0 + sign * edges[:, :-1][real], k0 + sign * edges[:, 1:][real]
+    return np.minimum(a, b), np.maximum(a, b), np.nonzero(real)[0]
 
-    delta is the width of the innermost cell (the scale on which f varies
-    next to k0); each further cell doubles. Every cell goes through the
-    adaptive rule with a tolerance split evenly after a midpoint pre-pass.
+
+def _ladder_integral(f, k0: float, ends, delta) -> np.ndarray:
+    """Integrals of f from k0 to each k of ends (columns), with cells growing
+    geometrically from k0, for every width of delta (rows).
+
+    delta[p] is the width of the innermost cell of the ladders of point p
+    (the scale on which f varies next to k0); each further cell doubles. f
+    takes a pair (k, p). All cells go through one adaptive pass, each ladder
+    with a tolerance split evenly over its cells after a midpoint pre-pass.
     A delta that is not positive and finite raises QuadratureError: a zero
     width (the node slope overflowed) never reaches k_end, and an infinite
     one means the thermal scale at the node was lost.
     """
-    if not 0.0 < delta < math.inf:
-        raise QuadratureError(
-            f"ladder cell width {delta!r} is not positive and finite"
-        )
-    length = abs(k_end - k0)
-    if length == 0.0:
-        return 0.0
-    sign = 1.0 if k_end > k0 else -1.0
-    offsets = [0.0]
-    width = min(delta, length)
-    while offsets[-1] < length:
-        offsets.append(min(offsets[-1] + width, length))
-        width *= 2.0
-    cells = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        a, b = k0 + sign * lo, k0 + sign * hi
-        cells.append((min(a, b), max(a, b)))
-    rough = sum(abs(f(0.5 * (a + b))) * (b - a) for a, b in cells)
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    bad = ~((0.0 < delta) & (delta < math.inf))
+    if bad.any():
+        raise QuadratureError(f"ladder cell width {float(delta[bad][0])!r}"
+                              " is not positive and finite")
+    # ladder p * len(ends) + s runs from k0 toward ends[s] for point p
+    cells = [_ladder_cells(k0, k_end, delta) for k_end in ends]
+    a, b, ladder = (np.concatenate(part) for part in zip(*cells))
+    ladder = ladder * len(ends) + np.repeat(range(len(ends)), [c[2].size for c in cells])
+    order = np.argsort(ladder, kind="stable")
+    a, b, ladder = a[order], b[order], ladder[order]
+    point = ladder // len(ends)
+    n = delta.size * len(ends)
+    rough = sequential_sums(np.abs(f((0.5 * (a + b), point))) * (b - a), ladder, n)
     # relative target: at low T the integral itself is ~ T^2 and a fixed
-    # absolute tolerance would swamp it
-    tol = max(1e-14, 1e-10 * rough) / len(cells)
-    spec = QuadratureSpec(abs_tol=tol, max_subdivisions=4096)
-    return sum(integrate(f, a, b, spec) for a, b in cells)
+    # absolute tolerance would swamp it; max(1e-14, .) as Python's max
+    target = 1e-10 * rough[ladder]
+    tol = np.where(target > 1e-14, target, 1e-14) / np.bincount(ladder)[ladder]
+    cell = integrate(lambda kc: f((kc[0], point[kc[1]])), a, b, tol=tol, indexed=True)
+    return sequential_sums(cell, ladder, n).reshape(delta.size, len(ends))
 
 
-def mean_energy_per_site(beta_b: float, model: IsingModel) -> float:
-    """Thermal energy per site above the ground state, (1/2pi) int omega f(omega).
-
-    beta_b is B/T. Gapped spectra use a 4096-panel trapezoid sum over
-    [0, pi]; a gapless spectrum concentrates the integrand on a thermal
-    width around the node, resolved by the cell ladder.
-    """
-    if not beta_b > 0:
-        raise ValueError("beta_b must be positive")
-    beta = beta_b / model.b_field
-
-    node = _gap_node(model)
-    if node is None:
-        k, w = _trapezoid_grid(model)
-        x = np.minimum(beta * w, _EXP_CLIP)
-        return float(np.trapezoid(w / (np.exp(x) + 1.0), k) / math.pi)
-
+def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
+    """Gapless mean_energy_per_site at the inverse temperatures beta."""
     k0, kind, scale = node
     if kind == "linear":
         delta = 1.0 / (beta * scale)
     else:
-        delta = 1.0 / math.sqrt(beta * scale / 2.0)
+        delta = 1.0 / np.sqrt(beta * scale / 2.0)
 
-    # dispersion_periodic written out with locals: the ladder calls this
-    # about a thousand times per point, and the expressions (hence every bit
-    # of the result) are the same
-    cos, sin, hypot, exp = math.cos, math.sin, math.hypot, math.exp
-    k_param, l_param, two_b = model.k_param, model.l_param, 2.0 * model.b_field
+    def integrand(k_point):
+        # each abscissa comes with the grid point whose beta it needs
+        k, point = k_point
+        w = dispersion_periodic(k, model)
+        return w / (np.exp(np.minimum(beta[point] * w, _EXP_CLIP)) + 1.0)
 
-    def integrand(k: float) -> float:
-        w = two_b * hypot(1.0 - k_param * cos(k), l_param * sin(k))
-        x = beta * w
-        if x > _EXP_CLIP:
-            x = _EXP_CLIP
-        return w / (exp(x) + 1.0)
+    ladders = _ladder_integral(integrand, k0, (0.0, math.pi), delta)
+    return (ladders[:, 0] + ladders[:, 1]) / math.pi
 
-    total = _ladder_integral(integrand, k0, 0.0, delta)
-    total += _ladder_integral(integrand, k0, math.pi, delta)
-    return total / math.pi
+
+def mean_energy_per_site(beta_b, model: IsingModel):
+    """Thermal energy per site above the ground state, (1/2pi) int omega f(omega).
+
+    beta_b is B/T: a float, or an array giving an array. Gapped spectra use
+    a 4096-panel trapezoid sum over [0, pi]; a gapless spectrum concentrates
+    the integrand on a thermal width around the node, resolved by the cell
+    ladders.
+    """
+    scalar = np.ndim(beta_b) == 0
+    beta_b = np.atleast_1d(np.asarray(beta_b, dtype=float))
+    if not (beta_b > 0).all():
+        raise ValueError("beta_b must be positive")
+    # inf and nan stay silent, as in float arithmetic; the criteria name them
+    with np.errstate(all="ignore"):
+        beta = beta_b / model.b_field
+        node = _gap_node(model)
+        if node is None:
+            k, w = _trapezoid_grid(model)
+            energy = np.array([
+                np.trapezoid(w / (np.exp(np.minimum(b * w, _EXP_CLIP)) + 1.0), k)
+                for b in beta
+            ]) / math.pi
+        else:
+            energy = np.concatenate([
+                _ladder_energy(beta[i:i + _GRID_BATCH], node, model)
+                for i in range(0, beta.size, _GRID_BATCH)
+            ])
+    return float(energy[0]) if scalar else energy
 
 
 @functools.lru_cache(maxsize=128)
@@ -289,13 +335,20 @@ def ground_energy_per_site(model: IsingModel) -> float:
     # split at the node: omega has a kink (or flat touch) there
     k0 = node[0]
     spec = QuadratureSpec(abs_tol=1e-12, max_subdivisions=4096)
-    f = lambda k: dispersion_periodic(k, model)
-    total = 0.0
-    if k0 > 0.0:
-        total += integrate(f, 0.0, k0, spec)
-    if k0 < math.pi:
-        total += integrate(f, k0, math.pi, spec)
-    return -total / (2.0 * math.pi)
+    below, above = integrate(
+        lambda k: dispersion_periodic(k, model), [0.0, k0], [k0, math.pi], spec
+    )
+    return float(-(below + above) / (2.0 * math.pi))
+
+
+def uses_mean_energy(model: IsingModel) -> bool:
+    """Whether nmin reads the thermal energy e_bar of this model: the
+    constant condition does; the all-states bound of isotropic coupling below
+    |K| = 1 and the unsupported general case do not."""
+    case = model.coupling_case
+    if case is CouplingCase.GENERAL:
+        return False
+    return not (case is CouplingCase.ISOTROPIC and abs(model.k_param) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +446,22 @@ def _underflow_is_overflow(bound):
 
 
 @_underflow_is_overflow
-def cond_const_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
+def cond_const_bound(
+    t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
+) -> float:
     """Raw constant-condition bound beta [Delta^2]_max / (e_min - e_0).
 
     e_min is the lower edge of the thermal window per site: the attainable
     group minimum or e_bar/alpha above the ground energy, whichever is
-    higher. The denominator is positive at every t > 0.
+    higher. The denominator is positive at every t > 0. e_bar, when given,
+    is mean_energy_per_site(1 / t_over_b, model) computed by the caller.
     """
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
     beta = 1.0 / (t_over_b * model.b_field)
     e0 = ground_energy_per_site(model)
-    e_bar = mean_energy_per_site(1.0 / t_over_b, model)
+    if e_bar is None:
+        e_bar = mean_energy_per_site(1.0 / t_over_b, model)
     # e_min - e_0 computed without the cancellation e_min ~ e_0 at low T
     gap = max(e_mu_extremes(model, 1)[0] - e0, e_bar / acc.alpha)
     return beta * delta_sq_extremes(model)[1] / gap
@@ -436,9 +493,11 @@ def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
     return 2.0 * model.k_param**2 / (t_over_b * (1.0 - a))
 
 
-def nmin_cond_const(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> int:
+def nmin_cond_const(
+    t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
+) -> int:
     """Smallest group size satisfying the constant condition."""
-    return min_integer_above(cond_const_bound(t_over_b, acc, model))
+    return min_integer_above(cond_const_bound(t_over_b, acc, model, e_bar))
 
 
 def nmin_linearity(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> int:
@@ -450,23 +509,24 @@ def nmin_isotropic_weak(t_over_b: float, model: IsingModel) -> int:
     return min_integer_above(isotropic_weak_bound(t_over_b, model))
 
 
-def nmin(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> CriterionReport:
+def nmin(
+    t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
+) -> CriterionReport:
     """Dispatch the criteria by coupling case and combine into a report.
 
     ConstWidth relies on the constant condition alone (the linearity bound
     is computed anyway; its numerator vanishes so it yields 1). Isotropic
     coupling below |K| = 1 swaps in the sharper all-states bound. General
-    couplings are rejected.
+    couplings are rejected. e_bar is passed on to the constant condition.
     """
-    case = model.coupling_case
-    if case is CouplingCase.GENERAL:
+    if model.coupling_case is CouplingCase.GENERAL:
         raise UnsupportedCouplingError(
             "no criterion covers K and L both nonzero with K != +-L"
         )
-    if case is CouplingCase.ISOTROPIC and abs(model.k_param) < 1.0:
-        n_cond = nmin_isotropic_weak(t_over_b, model)
+    if uses_mean_energy(model):
+        n_cond = nmin_cond_const(t_over_b, acc, model, e_bar)
     else:
-        n_cond = nmin_cond_const(t_over_b, acc, model)
+        n_cond = nmin_isotropic_weak(t_over_b, model)
     n_lin = nmin_linearity(t_over_b, acc, model)
     n_min = max(n_cond, n_lin)
     c1 = acc.delta * linearity_bound(t_over_b, acc, model) / n_min

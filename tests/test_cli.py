@@ -509,6 +509,30 @@ def test_harmonic_e_bar_overflow_names_quantity():
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("harmonic", "--tmin", "1e150", "--tmax", "1e200", "--points", "5", "--log"),
+         "e_bar overflows at t_over_theta=3.1622776601683794e+162"),
+        (("harmonic", "--tmin", "1e-200", "--tmax", "1e-150", "--points", "5", "--log"),
+         "e_bar underflows to 0 at t_over_theta=1e-200;"
+         " the constant-condition bound is not finite"),
+        (("ising", "--tmin", "1e-300", "--tmax", "1e-290", "--points", "3", "--log",
+          "--K", "2"),
+         "bound is not finite; no integer exceeds it"),
+    ],
+)
+def test_sweep_failure_names_first_failing_point(argv, message):
+    # the grid's e_bar comes from one quadrature pass, yet the error is the
+    # one the first failing point in grid order raises, and no numpy warning
+    # (turned into an error here) reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("sweep", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"localtemp: numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv,square",
     [
         (("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "1e200"),

@@ -192,3 +192,23 @@ def test_cond_const_bound_overflows_when_e_bar_underflows():
     # t^2 underflows below t ~ 1e-162, leaving e_bar = 0
     with pytest.raises(OverflowError):
         cond_const_bound(1e-200, ACC)
+
+
+def test_tightest_golden_cond_const_integer():
+    # the second point of the harmonic-log sweep: the bound ends in
+    # ...211.0105, about 40 ulps from the integer boundary, and the exact
+    # (mpmath) bound ends in ...211.18, so the integer is the true one
+    import mpmath
+
+    t = 0.00010718913192051276
+    assert nmin_cond_const(t, ACC) == 1234068477212
+    grid_e_bar = mean_energy_reduced(np.array([1e-4, t]))[1]
+    assert min_integer_above(cond_const_bound(t, ACC, grid_e_bar)) == 1234068477212
+    with mpmath.workdps(40):
+        x = 1 / mpmath.mpf(t)
+        q = mpmath.exp(-x)
+        e_bar = mpmath.mpf(t) ** 2 * (
+            mpmath.pi**2 / 6 + x * mpmath.log(1 - q) - mpmath.polylog(2, q)
+        )
+        bound = (1 / mpmath.mpf(t)) * (10 / (4 * e_bar)) * (1 + 4 * e_bar / 10) ** 2
+        assert int(mpmath.floor(bound)) + 1 == 1234068477212

@@ -315,7 +315,16 @@ def test_ladder_rejects_degenerate_cell_width(delta):
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         with pytest.raises(QuadratureError):
-            _ladder_integral(math.cos, 0.0, math.pi, delta)
+            _ladder_integral(lambda kp: np.cos(kp[0]), 0.0, (math.pi,), delta)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_tightest_golden_ising_integer():
+    # the second point of the K = 2 sweep: its bound ends in ...019.0286
+    t = 0.0010718913192051276
+    model = _model(2.0, 0.0)
+    assert nmin_cond_const(t, ACC, model) == 214881706020
+    grid_e_bar = mean_energy_per_site(np.array([1e3, 1.0 / t]), model)[1]
+    assert nmin_cond_const(t, ACC, model, grid_e_bar) == 214881706020

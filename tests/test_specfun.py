@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localtemp.specfun import (
     QuadratureError,
@@ -12,6 +15,7 @@ from localtemp.specfun import (
     erfcx,
     integrate,
     min_integer_above,
+    sequential_sums,
 )
 
 # erfc by mpmath at 30 digits, rounded to double; erfcx(x) e^{-x^2} must
@@ -76,6 +80,7 @@ def test_integrate_additivity():
 
 def test_integrate_degenerate_and_reversed_limits():
     assert integrate(lambda x: x, 2.0, 2.0) == 0.0
+    assert integrate(bose_integrand, 0.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         integrate(lambda x: x, 3.0, 1.0)
 
@@ -83,7 +88,7 @@ def test_integrate_degenerate_and_reversed_limits():
 def test_integrate_budget_exhaustion():
     spec = QuadratureSpec(abs_tol=1e-14, max_subdivisions=4)
     with pytest.raises(QuadratureError):
-        integrate(lambda x: math.sin(50.0 * x) ** 2 / (1e-3 + x), 0.0, 10.0, spec)
+        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), 0.0, 10.0, spec)
 
 
 def test_bose_integrand_values():
@@ -106,9 +111,96 @@ def test_min_integer_above_semantics():
 
 
 def test_integrate_bitwise():
-    # frozen before Simpson's rule was written out inside the loop
-    assert integrate(math.sin, 0.0, math.pi) == 1.999999999999999
-    assert integrate(lambda x: math.exp(-x * x), 0.0, 2.0) == 0.8820813907623639
-    assert integrate(math.sin, 0.0, math.pi, QuadratureSpec(abs_tol=1e-6)) == (
+    # frozen before Simpson's rule was written out inside the loop, with
+    # math.sin and math.exp integrands; numpy's agree on these nodes
+    assert integrate(np.sin, 0.0, math.pi) == 1.999999999999999
+    assert integrate(lambda x: np.exp(-x * x), 0.0, 2.0) == 0.8820813907623639
+    assert integrate(np.sin, 0.0, math.pi, QuadratureSpec(abs_tol=1e-6)) == (
         1.9999999988423987
     )
+
+
+def _depth_first(f, a, b, tol, max_subdivisions=4096):
+    """The one-interval recursion the batched kernel replaces: a stack of
+    panels, the right half popped first, one scalar f call per abscissa."""
+    if a == b:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    stack = [(a, b, fa, fm, fb, (fa + 4.0 * fm + fb) * (b - a) / 6.0, tol)]
+    total, splits = 0.0, 0
+    while stack:
+        x0, x1, f0, f1, f2, whole, tol = stack.pop()
+        xm = 0.5 * (x0 + x1)
+        fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x1))
+        left = (f0 + 4.0 * fl + f1) * (xm - x0) / 6.0
+        right = (f1 + 4.0 * fr + f2) * (x1 - xm) / 6.0
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol:
+            total += left + right + err / 15.0
+            continue
+        splits += 1
+        if splits > max_subdivisions:
+            raise QuadratureError("budget")
+        stack.append((x0, xm, f0, fl, f1, left, 0.5 * tol))
+        stack.append((xm, x1, f1, fr, f2, right, 0.5 * tol))
+    return total
+
+
+_INTEGRANDS = {"sin": np.sin, "gauss": lambda x: np.exp(-x * x)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_INTEGRANDS)),
+    intervals=st.lists(
+        st.tuples(
+            st.floats(-5.0, 5.0),
+            st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+            st.sampled_from([1e-6, 1e-10, 1e-12]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batch_matches_one_call_per_interval(name, intervals):
+    # a batch refines all intervals level by level, yet each interval adds
+    # its panels in depth-first order: every result keeps its bits
+    f = _INTEGRANDS[name]
+    a = np.array([lo for lo, _, _ in intervals])
+    b = np.array([lo + width for lo, width, _ in intervals])
+    tol = np.array([t for _, _, t in intervals])
+    batch = integrate(f, a, b, tol=tol)
+    single = [integrate(f, lo, hi, QuadratureSpec(abs_tol=t)) for lo, hi, t in zip(a, b, tol)]
+    reference = [_depth_first(f, float(lo), float(hi), t) for lo, hi, t in zip(a, b, tol)]
+    assert batch.tolist() == single == reference
+
+
+def test_batch_names_the_interval_over_budget():
+    # the middle interval needs more than four splits, the others none
+    spec = QuadratureSpec(abs_tol=1e-6, max_subdivisions=4)
+    a, b = [0.0, 0.0, 0.0], [1e-3, 10.0, 0.0]
+    with pytest.raises(QuadratureError, match=r"within 4 subdivisions on \[0\.0, 10\.0\]"):
+        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a, b, spec)
+    assert integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a[:1], b[:1], spec)[0] > 0
+
+
+def test_indexed_integrand_sees_its_interval():
+    # f((x, i)) gets the interval index of every abscissa
+    scale = np.array([1.0, 2.0, 3.0])
+    got = integrate(lambda xi: scale[xi[1]] * xi[0], 0.0, np.ones(3), indexed=True)
+    assert np.allclose(got, scale / 2.0, rtol=1e-15)
+
+
+def test_sequential_sums_keep_the_loop_order():
+    # 1e16 + 1 rounds back to 1e16, so only the loop's order leaves 1.0
+    values = np.array([1e16, 1.0, -1e16, 1.0, 3.0])
+    owner = np.array([0, 0, 0, 0, 2])
+    want = [0.0, 0.0, 0.0]
+    for v, i in zip(values.tolist(), owner):
+        want[i] += v
+    assert want == [1.0, 0.0, 3.0]
+    assert sequential_sums(values, owner, 3).tolist() == want
+    # with ranks the values may come in any order
+    rank = np.array([0, 3, 2, 1, 0])
+    assert sequential_sums(values[::-1], owner[::-1], 3, rank).tolist() == want
