@@ -92,7 +92,7 @@ def _mean_energy_memo(t_over_theta: float, spec: QuadratureSpec) -> float:
 
 def _mean_energy(t_over_theta: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """mean_energy_reduced of an array, one integral per distinct upper limit."""
-    scale, upper = [], []
+    scale, which, limits = [], [], {}  # limits: upper limit -> its integral's index
     for t in t_over_theta.tolist():
         if not t > 0:
             raise ValueError("t_over_theta must be positive")
@@ -102,8 +102,8 @@ def _mean_energy(t_over_theta: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
             scale.append(t**2)
         except OverflowError:
             raise OverflowError(f"e_bar overflows at t_over_theta={t!r}")
-        upper.append(min(1.0 / t, _BOSE_CUTOFF))
-    upper, which = np.unique(upper, return_inverse=True)
+        which.append(limits.setdefault(min(1.0 / t, _BOSE_CUTOFF), len(limits)))
+    upper = np.array(list(limits))
     integral = np.concatenate([
         integrate(bose_integrand, 0.0, upper[i:i + _GRID_BATCH], spec)
         for i in range(0, upper.size, _GRID_BATCH)

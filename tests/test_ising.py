@@ -328,3 +328,15 @@ def test_tightest_golden_ising_integer():
     assert nmin_cond_const(t, ACC, model) == 214881706020
     grid_e_bar = mean_energy_per_site(np.array([1e3, 1.0 / t]), model)[1]
     assert nmin_cond_const(t, ACC, model, grid_e_bar) == 214881706020
+
+
+@pytest.mark.parametrize("k", [2.0, 1.0])
+def test_underflowed_beta_divides_by_zero(k):
+    # B/T = 1e-300 over B = 1e30 underflows to 0, so the node's thermal
+    # width is 1/0: a ZeroDivisionError, which the criteria report as a
+    # bound that is not finite, not a ladder with an infinite cell width
+    model = _model(k, 0.0, b=1e30)
+    with pytest.raises(ZeroDivisionError):
+        mean_energy_per_site(1e-300, model)
+    with pytest.raises(ZeroDivisionError):
+        mean_energy_per_site(np.array([1.0, 1e-300]), model)

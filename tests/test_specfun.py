@@ -176,6 +176,21 @@ def test_batch_matches_one_call_per_interval(name, intervals):
     assert batch.tolist() == single == reference
 
 
+@pytest.mark.parametrize("kink", [0.3, 1 / 3, 0.7123456789])
+def test_refinement_down_to_adjacent_floats(kink):
+    # |x - kink| is linear on each side, so only the panels around the kink
+    # split, some 55 levels deep, until their edges are adjacent floats;
+    # such a panel has err = 0 and is accepted whole, so no accepted panel
+    # has zero width and the left edges alone give the depth-first order
+    def f(x):
+        return np.abs(x - kink)
+
+    a, b = np.array([0.0, -1.0]), np.array([1.0, 2.5])
+    got = integrate(f, a, b, QuadratureSpec(abs_tol=1e-300))
+    reference = [_depth_first(lambda x: float(f(x)), lo, hi, 1e-300) for lo, hi in zip(a, b)]
+    assert got.tolist() == reference
+
+
 def test_batch_names_the_interval_over_budget():
     # the middle interval needs more than four splits, the others none
     spec = QuadratureSpec(abs_tol=1e-6, max_subdivisions=4)
@@ -201,6 +216,3 @@ def test_sequential_sums_keep_the_loop_order():
         want[i] += v
     assert want == [1.0, 0.0, 3.0]
     assert sequential_sums(values, owner, 3).tolist() == want
-    # with ranks the values may come in any order
-    rank = np.array([0, 3, 2, 1, 0])
-    assert sequential_sums(values[::-1], owner[::-1], 3, rank).tolist() == want
