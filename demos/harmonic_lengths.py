@@ -47,7 +47,7 @@ materials = [
     ("silicon", 645.0, 2.4e-10, 1.0),
 ]
 for name, theta, a0, temp in materials:
-    model = HarmonicModel(theta=theta, a0=a0, omega0=theta / 2.0)
+    model = HarmonicModel(theta=theta, a0=a0)
     t = temp / theta
     l = min_length(t, acc, model)
     print(f"  {name:8s} at {temp:6.0f} K (T/Theta = {t:9.5f}):  l_min = {l:.4g} m")

@@ -101,14 +101,13 @@ class AccuracyParams:
 class CriterionReport:
     """Outcome of both criteria at one temperature.
 
-    n_cond_const may be math.inf when no finite group size satisfies the
-    constant condition. binding names the larger bound (NONE when a single
-    subsystem already suffices); intensive records |c1_estimate| <= delta.
+    binding names the larger bound (NONE when a single subsystem already
+    suffices); intensive records |c1_estimate| <= delta.
     """
 
-    n_cond_const: int | float
+    n_cond_const: int
     n_linearity: int
-    n_min: int | float
+    n_min: int
     binding: Binding
     c1_estimate: float
     intensive: bool
@@ -119,7 +118,7 @@ class CriterionReport:
 
 
 def build_report(
-    n_cond_const: int | float,
+    n_cond_const: int,
     n_linearity: int,
     c1_estimate: float,
     acc: AccuracyParams,

@@ -22,12 +22,14 @@ The linearity bound grows toward the plateau 2 alpha / delta at high T; the
 constant condition takes over below t ~ 0.09, diverging like
 (3 alpha / (2 pi^2)) / t^3.
 
-mean_energy_reduced takes one temperature or a whole grid. A grid goes
+mean_energy_reduced takes one temperature or a whole grid. Each integral
+is an adaptive Simpson quadrature to the integrator's default absolute
+tolerance, 1e-10, within its fixed budget of 4096 splits. A grid goes
 through one quadrature pass per _GRID_BATCH distinct upper limits (every
 t <= 1/700 shares [0, 700]); sweeps hand the values to the criteria through
 their e_bar argument. A single temperature keeps its last few results (keyed
-on t and the quadrature spec), so the e_bar >= 1/4 guard and both bounds at
-one temperature share a single quadrature.
+on t), so the e_bar >= 1/4 guard and both bounds at one temperature share a
+single quadrature.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
-from .specfun import QuadratureSpec, bose_integrand, integrate, min_integer_above
+from .specfun import bose_integrand, integrate, min_integer_above
 
 __all__ = [
     "HarmonicModel",
@@ -63,34 +65,39 @@ _GRID_BATCH = 64
 
 @dataclass(frozen=True)
 class HarmonicModel:
-    """Chain parameters: Theta in kelvin, a0 in meters, omega0 in 1/time."""
+    """Chain parameters: Theta in kelvin, a0 in meters. omega0 follows from
+    Theta = 2 omega0 (hbar = k_B = 1), so it is in kelvin too."""
 
     theta: float
     a0: float
-    omega0: float
 
     def __post_init__(self) -> None:
-        if not (self.theta > 0 and self.a0 > 0 and self.omega0 > 0):
-            raise ValueError("theta, a0 and omega0 must be positive")
+        if not (self.theta > 0 and self.a0 > 0):
+            raise ValueError("theta and a0 must be positive")
+
+    @property
+    def omega0(self) -> float:
+        """Theta / 2."""
+        return self.theta / 2.0
 
 
-def mean_energy_reduced(t_over_theta, spec: QuadratureSpec = QuadratureSpec()):
+def mean_energy_reduced(t_over_theta):
     """Thermal excitation energy per site over k_B Theta, Debye form.
 
     t_over_theta is a float, or an array giving an array. An invalid or
     overflowing temperature raises for the first such entry.
     """
     if np.ndim(t_over_theta) == 0:
-        return _mean_energy_memo(t_over_theta, spec)
-    return _mean_energy(np.asarray(t_over_theta, dtype=float), spec)
+        return _mean_energy_memo(t_over_theta)
+    return _mean_energy(np.asarray(t_over_theta, dtype=float))
 
 
 @functools.lru_cache(maxsize=4)
-def _mean_energy_memo(t_over_theta: float, spec: QuadratureSpec) -> float:
-    return float(_mean_energy(np.array([t_over_theta], dtype=float), spec)[0])
+def _mean_energy_memo(t_over_theta: float) -> float:
+    return float(_mean_energy(np.array([t_over_theta], dtype=float))[0])
 
 
-def _mean_energy(t_over_theta: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+def _mean_energy(t_over_theta: np.ndarray) -> np.ndarray:
     """mean_energy_reduced of an array, one integral per distinct upper limit."""
     scale, which, limits = [], [], {}  # limits: upper limit -> its integral's index
     for t in t_over_theta.tolist():
@@ -105,7 +112,7 @@ def _mean_energy(t_over_theta: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
         which.append(limits.setdefault(min(1.0 / t, _BOSE_CUTOFF), len(limits)))
     upper = np.array(list(limits))
     integral = np.concatenate([
-        integrate(bose_integrand, 0.0, upper[i:i + _GRID_BATCH], spec)
+        integrate(bose_integrand, 0.0, upper[i:i + _GRID_BATCH])
         for i in range(0, upper.size, _GRID_BATCH)
     ])
     return np.array(scale) * integral[which]

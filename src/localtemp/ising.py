@@ -50,7 +50,6 @@ import numpy as np
 from .canonical import AccuracyParams, CriterionReport, build_report
 from .specfun import (
     QuadratureError,
-    QuadratureSpec,
     integrate,
     min_integer_above,
     sequential_sums,
@@ -213,9 +212,7 @@ def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes on [0, pi] and omega_k there, shared by every
     temperature of one model; both arrays are read-only."""
     k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
-    c = 1.0 - model.k_param * np.cos(k)
-    s = model.l_param * np.sin(k)
-    w = 2.0 * model.b_field * np.hypot(c, s)
+    w = dispersion_periodic(k, model)
     k.flags.writeable = False
     w.flags.writeable = False
     return k, w
@@ -336,9 +333,8 @@ def ground_energy_per_site(model: IsingModel) -> float:
         return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     # split at the node: omega has a kink (or flat touch) there
     k0 = node[0]
-    spec = QuadratureSpec(abs_tol=1e-12, max_subdivisions=4096)
     below, above = integrate(
-        lambda k: dispersion_periodic(k, model), [0.0, k0], [k0, math.pi], spec
+        lambda k: dispersion_periodic(k, model), [0.0, k0], [k0, math.pi], tol=1e-12
     )
     return float(-(below + above) / (2.0 * math.pi))
 

@@ -1,7 +1,8 @@
 """Numerical kernels used throughout the package.
 
 An adaptive Simpson integrator that refines many intervals together on
-numpy arrays, the Bose occupation integrand x/(e^x - 1) with its removable
+numpy arrays, each to its own absolute tolerance tol within a fixed budget
+of 4096 splits, the Bose occupation integrand x/(e^x - 1) with its removable
 singularity filled in, and integer extraction for strict inequalities of the
 form n > bound. Floats hold to a few ulps across platforms, not to the bit:
 the integrands' exp, expm1 and hypot come from numpy, whose SIMD loops can
@@ -16,12 +17,10 @@ LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "erfcx",
     "integrate",
@@ -36,24 +35,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # fraction, which holds near machine precision down to ~0.8 and does not
 # underflow where erfc does (past ~27).
 _LIBM_CF_SPLIT = 1.5
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and budget for adaptive integration.
-
-    abs_tol is an absolute error target for the whole interval;
-    max_subdivisions caps how many interval splits the refinement may perform.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 4096
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+# Splits integrate may make on one interval before it gives up.
+_MAX_SUBDIVISIONS = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -96,31 +79,31 @@ def sequential_sums(values, owner, n: int) -> np.ndarray:
     return np.cumsum(table, axis=1, out=table)[:, -1].copy()
 
 
-def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), tol=None,
-              indexed: bool = False):
+def integrate(f, a, b, tol=1e-10, indexed: bool = False):
     """Adaptive Simpson quadrature of f over [a, b], or over each interval
     [a[i], b[i]] of two arrays at once, returning an array.
 
-    A panel is accepted when the Richardson estimate |S2 - S1| <= 15 * tol
-    holds, adding S2 + (S2 - S1)/15; otherwise it splits, and each half gets
-    half its tolerance. tol is each interval's absolute target (by default
-    spec.abs_tol). The intervals are refined level by level: each level
-    calls f once, with the quarter points of every live panel of every
-    interval, as f(x), or as f((x, i)) with the interval index i of each
-    abscissa when indexed is true. Each interval adds its accepted panels
-    from right to left, in the order of a depth-first recursion, so in a
-    batch every interval gets the bits of a call of its own.
+    tol is the absolute error target of each interval: a float, or an array
+    with one value per interval. A panel is accepted when the Richardson
+    estimate |S2 - S1| <= 15 * tol holds, adding S2 + (S2 - S1)/15;
+    otherwise it splits, and each half gets half its tolerance. The
+    intervals are refined level by level: each level calls f once, with the
+    quarter points of every live panel of every interval, as f(x), or as
+    f((x, i)) with the interval index i of each abscissa when indexed is
+    true. Each interval adds its accepted panels from right to left, in the
+    order of a depth-first recursion, so in a batch every interval gets the
+    bits of a call of its own.
 
     Raises QuadratureError naming the first interval, in array order, that
-    needs more than spec.max_subdivisions splits.
+    needs more than _MAX_SUBDIVISIONS (4096) splits.
     """
     shape = np.broadcast(a, b).shape
     a, b = np.full(shape, a, dtype=float).ravel(), np.full(shape, b, dtype=float).ravel()
     if (a > b).any():
         raise ValueError("integration bounds must satisfy a <= b")
-    tol = np.full(a.size, spec.abs_tol if tol is None else tol, dtype=float)
+    tol = np.full(a.size, tol, dtype=float)
     with np.errstate(all="ignore"):  # inf and nan stay silent, as in float math
-        total = _refine(f, a, b, tol, spec.max_subdivisions, indexed)
+        total = _refine(f, a, b, tol, indexed)
     return total if shape else float(total[0])
 
 
@@ -134,7 +117,7 @@ _CHILDREN = np.array([[13, 14], [1, 1], [2, 3], [9, 10], [3, 4], [5, 6],
                       [11, 12], [6, 7], [15, 15]])
 
 
-def _refine(f, a, b, tol, max_subdivisions: int, indexed: bool) -> np.ndarray:
+def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
     """The level-by-level refinement behind integrate."""
     n = a.size
 
@@ -180,19 +163,19 @@ def _refine(f, a, b, tol, max_subdivisions: int, indexed: bool) -> np.ndarray:
         np.take(split, _CHILDREN, axis=0, out=panels[:9], mode="clip")
         panels = panels.reshape(16, -1)
         splits += split.shape[1]
-        if splits <= max_subdivisions:
+        if splits <= _MAX_SUBDIVISIONS:
             continue  # no interval can be over its budget yet
         if count is None:  # an interval has split (accepted + live - 1) times
             seen = np.concatenate([level[1] for level in accepted] + [panels[1]])
             count = np.bincount(seen.astype(np.intp), minlength=n) - 1
         else:
             count += np.bincount(split[1].astype(np.intp), minlength=n)
-        failed = min(failed, np.flatnonzero(count > max_subdivisions).min(initial=n))
+        failed = min(failed, np.flatnonzero(count > _MAX_SUBDIVISIONS).min(initial=n))
         if failed < n:  # later intervals cannot change which one is named
             panels = panels[:, panels[1] < failed]
     if failed < n:
         raise QuadratureError(
-            f"no convergence within {max_subdivisions} subdivisions "
+            f"no convergence within {_MAX_SUBDIVISIONS} subdivisions "
             f"on [{float(a[failed])!r}, {float(b[failed])!r}]"
         )
     # An interval's accepted panels do not overlap, and none has zero width (a
@@ -226,7 +209,12 @@ def bose_integrand(x):
 
 
 def min_integer_above(bound: float) -> int:
-    """Smallest integer n >= 1 with n > bound (strict)."""
+    """Smallest integer n >= 1 with n > bound (strict).
+
+    Above 2^53 a float bound has no fractional part and its spacing exceeds
+    1, so the integer's low digits are the float rounding of the bound, not
+    part of the answer.
+    """
     if math.isnan(bound):
         raise ValueError("bound is nan")
     if math.isinf(bound):

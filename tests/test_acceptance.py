@@ -64,7 +64,7 @@ def test_criterion_02_low_t_harmonic_scaling():
 
 
 def test_criterion_03_material_length_scales():
-    silicon = HarmonicModel(theta=645.0, a0=2.4e-10, omega0=322.5)
+    silicon = HarmonicModel(theta=645.0, a0=2.4e-10)
     l_si = min_length(1.0 / 645.0, ACC, silicon)
     assert 0.05 <= l_si <= 0.2
 
@@ -73,7 +73,7 @@ def test_criterion_03_material_length_scales():
     l_fe = min_integer_above(asymptotic_nmin(t_iron, ACC)) * 2.5e-10
     assert abs(l_fe - 5.0e-7) / 5.0e-7 <= 0.02
 
-    carbon = HarmonicModel(theta=2230.0, a0=1.5e-10, omega0=1115.0)
+    carbon = HarmonicModel(theta=2230.0, a0=1.5e-10)
     l_c = min_length(270.0 / 2230.0, ACC, carbon)
     assert abs(l_c - 1.3e-7) / 1.3e-7 <= 0.05
 
@@ -186,7 +186,7 @@ def test_criterion_11_anisotropy_spectrum_deviation():
 
 
 def test_criterion_12_harmonic_dispersion_identity():
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
+    model = HarmonicModel(theta=2.0, a0=1.0)
     for n in range(1, 65):
         assert harmonic_mode_check(n, model) <= 1e-10 * model.omega0**2
 

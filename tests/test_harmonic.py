@@ -24,11 +24,11 @@ ACC = AccuracyParams(alpha=10.0, delta=0.01)
 
 
 def test_model_validation():
-    HarmonicModel(theta=470.0, a0=2.5e-10, omega0=235.0)
+    assert HarmonicModel(theta=470.0, a0=2.5e-10).omega0 == 235.0
     with pytest.raises(ValueError):
-        HarmonicModel(theta=-1.0, a0=2.5e-10, omega0=235.0)
+        HarmonicModel(theta=-1.0, a0=2.5e-10)
     with pytest.raises(ValueError):
-        HarmonicModel(theta=470.0, a0=0.0, omega0=235.0)
+        HarmonicModel(theta=470.0, a0=0.0)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +135,7 @@ def test_bounds_scale_with_accuracy():
 
 
 def test_min_length_uses_lattice_constant():
-    model = HarmonicModel(theta=470.0, a0=2.5e-10, omega0=235.0)
+    model = HarmonicModel(theta=470.0, a0=2.5e-10)
     report = nmin(10.0, ACC)
     assert math.isclose(
         min_length(10.0, ACC, model), report.n_min * 2.5e-10, rel_tol=1e-12
@@ -169,15 +169,6 @@ def test_nmin_rejects_nonpositive_temperature():
 def test_mean_energy_reduced_bitwise(t, expected):
     # frozen before the memo and the faster integrator loop; exact equality
     assert mean_energy_reduced(t) == expected
-
-
-def test_mean_energy_reduced_memo_keyed_on_spec():
-    from localtemp.specfun import QuadratureSpec
-
-    default, loose = 0.01644434656799449, 0.016444346586788536
-    assert mean_energy_reduced(0.1) == default
-    assert mean_energy_reduced(0.1, QuadratureSpec(abs_tol=1e-6)) == loose
-    assert mean_energy_reduced(0.1) == default
 
 
 def test_mean_energy_reduced_overflow_names_e_bar():

@@ -89,6 +89,21 @@ def test_ground_energy_frozen(k, l, expected):
     assert math.isclose(ground_energy_per_site(_model(k, l)), expected, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "k,l,expected",
+    [
+        (1.5, 0.0, -1.1763215978147163),
+        (1.0, 0.5, -1.0881102451032911),
+        (-1.0, 1.0, -1.2732395447351632),
+    ],
+)
+def test_ground_energy_gapless_bitwise(k, l, expected):
+    # the gapless ground energy integrates to an absolute tol of 1e-12; at
+    # the integrator's default 1e-10 these read ...175, -1.08811024510328
+    # and ...628
+    assert ground_energy_per_site(_model(k, l)) == expected
+
+
 def test_ground_energy_weak_coupling_flat():
     # below the critical ratio the isotropic ground energy stays exactly -B
     for k in (0.0, 0.3, 0.999):

@@ -235,7 +235,7 @@ def test_occupations_by_energy_ordering():
 
 
 def test_harmonic_mode_check_values():
-    model = HarmonicModel(theta=2.0, a0=1.0, omega0=1.0)
+    model = HarmonicModel(theta=2.0, a0=1.0)
     for n in (1, 3, 64):
         assert harmonic_mode_check(n, model) <= 1e-10
     # n=3 closed form: eigenvalues {2 - sqrt2, 2, 2 + sqrt2} times omega0^2
@@ -247,7 +247,7 @@ def test_harmonic_mode_check_values():
 
 
 def test_harmonic_mode_check_scales_with_frequency():
-    model = HarmonicModel(theta=5.0, a0=1.0, omega0=2.5)
+    model = HarmonicModel(theta=5.0, a0=1.0)
     assert harmonic_mode_check(16, model) <= 1e-10 * 2.5**2
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from localtemp.specfun import (
     QuadratureError,
-    QuadratureSpec,
     bose_integrand,
     erfcx,
     integrate,
@@ -86,9 +85,9 @@ def test_integrate_degenerate_and_reversed_limits():
 
 
 def test_integrate_budget_exhaustion():
-    spec = QuadratureSpec(abs_tol=1e-14, max_subdivisions=4)
-    with pytest.raises(QuadratureError):
-        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), 0.0, 10.0, spec)
+    # no panel meets a 1e-300 target, so the 4096-split budget runs out
+    with pytest.raises(QuadratureError, match="within 4096 subdivisions"):
+        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), 0.0, 10.0, 1e-300)
 
 
 def test_bose_integrand_values():
@@ -115,7 +114,7 @@ def test_integrate_bitwise():
     # math.sin and math.exp integrands; numpy's agree on these nodes
     assert integrate(np.sin, 0.0, math.pi) == 1.999999999999999
     assert integrate(lambda x: np.exp(-x * x), 0.0, 2.0) == 0.8820813907623639
-    assert integrate(np.sin, 0.0, math.pi, QuadratureSpec(abs_tol=1e-6)) == (
+    assert integrate(np.sin, 0.0, math.pi, tol=1e-6) == (
         1.9999999988423987
     )
 
@@ -171,7 +170,7 @@ def test_batch_matches_one_call_per_interval(name, intervals):
     b = np.array([lo + width for lo, width, _ in intervals])
     tol = np.array([t for _, _, t in intervals])
     batch = integrate(f, a, b, tol=tol)
-    single = [integrate(f, lo, hi, QuadratureSpec(abs_tol=t)) for lo, hi, t in zip(a, b, tol)]
+    single = [integrate(f, lo, hi, tol=t) for lo, hi, t in zip(a, b, tol)]
     reference = [_depth_first(f, float(lo), float(hi), t) for lo, hi, t in zip(a, b, tol)]
     assert batch.tolist() == single == reference
 
@@ -186,18 +185,19 @@ def test_refinement_down_to_adjacent_floats(kink):
         return np.abs(x - kink)
 
     a, b = np.array([0.0, -1.0]), np.array([1.0, 2.5])
-    got = integrate(f, a, b, QuadratureSpec(abs_tol=1e-300))
+    got = integrate(f, a, b, tol=1e-300)
     reference = [_depth_first(lambda x: float(f(x)), lo, hi, 1e-300) for lo, hi in zip(a, b)]
     assert got.tolist() == reference
 
 
 def test_batch_names_the_interval_over_budget():
-    # the middle interval needs more than four splits, the others none
-    spec = QuadratureSpec(abs_tol=1e-6, max_subdivisions=4)
+    # the middle interval's 1e-300 target runs out of splits, the others
+    # converge
+    tol = [1e-6, 1e-300, 1e-6]
     a, b = [0.0, 0.0, 0.0], [1e-3, 10.0, 0.0]
-    with pytest.raises(QuadratureError, match=r"within 4 subdivisions on \[0\.0, 10\.0\]"):
-        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a, b, spec)
-    assert integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a[:1], b[:1], spec)[0] > 0
+    with pytest.raises(QuadratureError, match=r"within 4096 subdivisions on \[0\.0, 10\.0\]"):
+        integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a, b, tol)
+    assert integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a[:1], b[:1], tol[:1])[0] > 0
 
 
 def test_indexed_integrand_sees_its_interval():
