@@ -137,13 +137,12 @@ def _ising_from_args(args) -> IsingModel:
 # materials
 
 
-def _load_materials(path: str | None) -> list[MaterialRecord]:
+def _load_materials(path) -> tuple[MaterialRecord, ...]:
+    """The records of a --file, read on every call; None gives the packaged ones."""
     if path is None:
-        text = resources.files("localtemp").joinpath("data/materials.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
+        return _packaged_materials()
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("materials file must hold a JSON array")
     records = []
@@ -154,10 +153,16 @@ def _load_materials(path: str | None) -> list[MaterialRecord]:
             records.append(MaterialRecord(**entry))
         except TypeError as exc:
             raise ValueError(f"malformed material entry: {exc}") from exc
-    return records
+    return tuple(records)
 
 
-def _material_by_name(records: list[MaterialRecord], name: str) -> MaterialRecord:
+@functools.cache
+def _packaged_materials() -> tuple[MaterialRecord, ...]:
+    with resources.as_file(resources.files("localtemp") / "data" / "materials.json") as path:
+        return _load_materials(path)
+
+
+def _material_by_name(records: tuple[MaterialRecord, ...], name: str) -> MaterialRecord:
     for record in records:
         if record.name == name:
             return record

@@ -24,12 +24,12 @@ constant condition takes over below t ~ 0.09, diverging like
 
 mean_energy_reduced takes one temperature or a whole grid. Each integral
 is an adaptive Simpson quadrature to the integrator's default absolute
-tolerance, 1e-10, within its fixed budget of 4096 splits. A grid goes
-through one quadrature pass per _GRID_BATCH distinct upper limits (every
-t <= 1/700 shares [0, 700]); sweeps hand the values to the criteria through
-their e_bar argument. A single temperature keeps its last few results (keyed
-on t), so the e_bar >= 1/4 guard and both bounds at one temperature share a
-single quadrature.
+tolerance, 1e-10, within its fixed budget of 4096 splits. A grid integrates
+each distinct upper limit once (every t <= 1/700 shares [0, 700]), in
+quadrature passes of up to 64 limits (specfun.in_chunks); sweeps hand the
+values to the criteria through their e_bar argument. A single temperature
+keeps its last few results (keyed on t), so the e_bar >= 1/4 guard and both
+bounds at one temperature share a single quadrature.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
-from .specfun import bose_integrand, integrate, min_integer_above
+from .specfun import bose_integrand, in_chunks, integrate, min_integer_above
 
 __all__ = [
     "HarmonicModel",
@@ -58,9 +58,6 @@ __all__ = [
 # x/(e^x - 1) < 1e-300 beyond here; the dropped tail is far below quadrature
 # tolerance.
 _BOSE_CUTOFF = 700.0
-# Integrals one quadrature pass of a grid refines together; bounds the
-# pass's panel arrays on long sweeps.
-_GRID_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -110,11 +107,7 @@ def _mean_energy(t_over_theta: np.ndarray) -> np.ndarray:
         except OverflowError:
             raise OverflowError(f"e_bar overflows at t_over_theta={t!r}")
         which.append(limits.setdefault(min(1.0 / t, _BOSE_CUTOFF), len(limits)))
-    upper = np.array(list(limits))
-    integral = np.concatenate([
-        integrate(bose_integrand, 0.0, upper[i:i + _GRID_BATCH])
-        for i in range(0, upper.size, _GRID_BATCH)
-    ])
+    integral = in_chunks(lambda u: integrate(bose_integrand, 0.0, u), np.array(list(limits)))
     return np.array(scale) * integral[which]
 
 

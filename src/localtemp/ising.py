@@ -32,11 +32,12 @@ periodic integrands) and by a geometric cell ladder anchored at the gapless
 point otherwise; at low T the Fermi weight is supported on a width ~ T/|w'|
 that uniform grids miss entirely.
 
-Temperature sweeps pass a whole grid to mean_energy_per_site: the cell
-ladders of _GRID_BATCH points go through one quadrature pass, while the
-gapped trapezoid runs point by point. Two caches keep repeated work out of
-sweeps: the gapped k-grid and its dispersion are built once per model
-(read-only arrays), and the ground energy is computed once per model.
+Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
+it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
+up to 64 points, or one 2-D trapezoid array for up to 16. Two caches keep
+repeated work out of sweeps: the gapped k-grid and its dispersion are built
+once per model (read-only arrays), and the ground energy is computed once
+per model.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ import numpy as np
 from .canonical import AccuracyParams, CriterionReport, build_report
 from .specfun import (
     QuadratureError,
+    in_chunks,
     integrate,
     min_integer_above,
     sequential_sums,
@@ -82,9 +84,7 @@ _CASE_TOL = 1e-12
 _TRAPEZOID_PANELS = 4096
 # beta * omega beyond this underflows the Fermi factor to < 1e-304
 _EXP_CLIP = 700.0
-# Grid points whose ladder cells (~25-70 each) one quadrature pass refines
-# together; bounds the pass's panel arrays on long sweeps.
-_GRID_BATCH = 16
+_TRAPEZOID_ROWS = 16  # temperatures per 2-D trapezoid pass: 16 x 4097 floats, 0.5 MB
 
 
 class UnsupportedCouplingError(ValueError):
@@ -275,6 +275,14 @@ def _ladder_integral(f, k0: float, ends, delta) -> np.ndarray:
     return sequential_sums(cell, ladder, n).reshape(delta.size, len(ends))
 
 
+def _trapezoid_energy(beta: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gapped mean_energy_per_site at beta: a trapezoid sum per row of one buffer."""
+    y = np.multiply(beta[:, None], w)
+    np.exp(np.minimum(y, _EXP_CLIP, out=y), out=y)
+    np.divide(w, np.add(y, 1.0, out=y), out=y)
+    return np.trapezoid(y, k, axis=-1) / math.pi
+
+
 def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
     """Gapless mean_energy_per_site at the inverse temperatures beta."""
     k0, kind, scale = node
@@ -305,23 +313,15 @@ def mean_energy_per_site(beta_b, model: IsingModel):
     betas = np.asarray(beta_b, dtype=float)
     if not (betas > 0).all():
         raise ValueError("beta_b must be positive")
-    node = _gap_node(model)
-    if node is None:
-        k, w = _trapezoid_grid(model)
-        energy = [
-            np.trapezoid(w / (np.exp(np.minimum(b / model.b_field * w, _EXP_CLIP)) + 1.0), k)
-            / math.pi
-            for b in betas.ravel().tolist()
-        ]
-    else:
-        # inf and nan stay silent, as in float arithmetic; the criteria name them
-        with np.errstate(all="ignore"):
-            beta = betas.ravel() / model.b_field
-            energy = np.concatenate([
-                _ladder_energy(beta[i:i + _GRID_BATCH], node, model)
-                for i in range(0, beta.size, _GRID_BATCH)
-            ])
-    return float(energy[0]) if betas.ndim == 0 else np.asarray(energy)
+    # inf and nan stay silent, as in float arithmetic; the criteria name them
+    with np.errstate(all="ignore"):
+        beta = betas.ravel() / model.b_field
+        if (node := _gap_node(model)) is None:
+            k, w = _trapezoid_grid(model)
+            energy = in_chunks(_trapezoid_energy, beta, k, w, size=_TRAPEZOID_ROWS)
+        else:
+            energy = in_chunks(_ladder_energy, beta, node, model)
+    return float(energy[0]) if betas.ndim == 0 else energy
 
 
 @functools.lru_cache(maxsize=128)

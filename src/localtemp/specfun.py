@@ -1,18 +1,18 @@
 """Numerical kernels used throughout the package.
 
-An adaptive Simpson integrator that refines many intervals together on
-numpy arrays, each to its own absolute tolerance tol within a fixed budget
-of 4096 splits, the Bose occupation integrand x/(e^x - 1) with its removable
-singularity filled in, and integer extraction for strict inequalities of the
-form n > bound. Floats hold to a few ulps across platforms, not to the bit:
-the integrands' exp, expm1 and hypot come from numpy, whose SIMD loops can
-differ from the platform's libm in the last bit. The n_min integers are
-gated by the benchmark goldens; the tightest, harmonic n_cond_const at
-t = 1.0718913192051276e-4, has its bound about 40 ulps from the integer
-boundary. The oracle's Gaussian weight also needs the scaled complementary
-error function erfcx; below its continued-fraction range it takes erfc from
-the platform's libm (math.erfc), as the oracle's eigensolver comes from
-LAPACK.
+An adaptive Simpson integrator that refines many intervals together on numpy
+arrays, each to its own absolute tolerance tol within a fixed budget of 4096
+splits, in_chunks to feed a grid to a batched kernel in bounded passes, the
+Bose occupation integrand x/(e^x - 1) with its removable singularity filled
+in, and integer extraction for n > bound. Floats hold to a few ulps across
+platforms, not to the bit: the integrands' exp, expm1 and hypot come from
+numpy, whose SIMD loops can differ from the platform's libm in the last bit.
+The n_min integers are gated by the benchmark goldens; the tightest,
+harmonic n_cond_const at t = 1.0718913192051276e-4, has its bound about 40
+ulps from the integer boundary. The oracle's Gaussian weight also needs the
+scaled complementary error function erfcx; below its continued-fraction
+range it takes erfc from the platform's libm (math.erfc), as the oracle's
+eigensolver comes from LAPACK.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "erfcx",
     "integrate",
     "sequential_sums",
+    "in_chunks",
     "bose_integrand",
     "min_integer_above",
 ]
@@ -37,6 +38,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _LIBM_CF_SPLIT = 1.5
 # Splits integrate may make on one interval before it gives up.
 _MAX_SUBDIVISIONS = 4096
+_GRID_BATCH = 64  # in_chunks' default; bounds one pass's arrays on long sweeps
 
 
 class QuadratureError(RuntimeError):
@@ -77,6 +79,16 @@ def sequential_sums(values, owner, n: int) -> np.ndarray:
     table = np.zeros((n, counts.max(initial=0) + 1))
     table[owner, rank + 1] = values
     return np.cumsum(table, axis=1, out=table)[:, -1].copy()
+
+
+def in_chunks(kernel, values: np.ndarray, *args, size: int = _GRID_BATCH) -> np.ndarray:
+    """kernel(chunk, *args) over ceil(n / size) consecutive, near-equal
+    chunks of the n entries of values, joined into one array."""
+    n, chunks = values.size, -(-values.size // size)
+    if chunks <= 1:
+        return kernel(values, *args)
+    edges = [i * n // chunks for i in range(chunks + 1)]
+    return np.concatenate([kernel(values[lo:hi], *args) for lo, hi in zip(edges, edges[1:])])
 
 
 def integrate(f, a, b, tol=1e-10, indexed: bool = False):

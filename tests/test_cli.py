@@ -202,6 +202,18 @@ def test_materials_rejects_malformed_file(tmp_path):
     assert run_cli("materials", "--file", str(bad))[0] == 1
 
 
+def test_materials_file_is_read_on_every_query(tmp_path):
+    # the packaged records are parsed once per process; a --file is not
+    assert run_cli("materials")[0] == 0
+    db = tmp_path / "db.json"
+    db.write_text('[{"name": "x", "theta_kelvin": 100, "a0_angstrom": 1}]')
+    code, out, _ = run_cli("materials", "--file", str(db), "--format", "json")
+    assert code == 0 and json.loads(out)[0]["name"] == "x"
+    db.write_text("{not json")
+    assert run_cli("materials", "--file", str(db))[0] == 1
+    assert run_cli("materials", "--name", "iron", "--temp-kelvin", "300")[0] == 0
+
+
 def test_oracle_spectrum_driver():
     code, out, _ = run_cli(
         "oracle", "spectrum", "--sites", "4", "--K", "0.5", "--L", "0",

@@ -203,3 +203,12 @@ def test_tightest_golden_cond_const_integer():
         )
         bound = (1 / mpmath.mpf(t)) * (10 / (4 * e_bar)) * (1 + 4 * e_bar / 10) ** 2
         assert int(mpmath.floor(bound)) + 1 == 1234068477212
+
+
+@pytest.mark.parametrize("points", [37, 150])
+def test_grid_matches_one_call_per_point(points):
+    # 150 distinct upper limits take three quadrature passes; each keeps the
+    # bits of a call of its own
+    grid = np.geomspace(1e-4, 100.0, points)
+    values = mean_energy_reduced(grid).tolist()
+    assert values == [mean_energy_reduced(t) for t in grid.tolist()]

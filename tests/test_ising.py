@@ -355,3 +355,32 @@ def test_underflowed_beta_divides_by_zero(k):
         mean_energy_per_site(1e-300, model)
     with pytest.raises(ZeroDivisionError):
         mean_energy_per_site(np.array([1.0, 1e-300]), model)
+
+
+@pytest.mark.parametrize("points", [37, 150])
+@pytest.mark.parametrize(
+    "kl", [(0.0, 0.5, 1.0), (1.5, 1.5, 2.0), (2.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
+)
+def test_grid_matches_one_call_per_point(kl, points):
+    # gapped (K=0, L=0.5; K=L=1.5, B=2: chunks of 16 rows), the linear node
+    # at K=2 and the quadratic node at K=1 (chunks of up to 64 ladders):
+    # 37 and 150 points cross several chunks of unequal length, and every
+    # point keeps the bits of a call of its own
+    model = _model(*kl)
+    beta_b = (1.0 / np.geomspace(1e-3, 1e3, points)).tolist()
+    grid = mean_energy_per_site(np.array(beta_b), model).tolist()
+    assert grid == [mean_energy_per_site(b, model) for b in beta_b]
+
+
+def test_gapped_grid_beta_overflow_is_silent():
+    # B/T = 1e300 over B = 1e-10 overflows beta to inf, and beta = 1e308
+    # overflows beta * omega; both clip to the Fermi factor's exp(700)
+    # without a numpy warning, as float arithmetic would
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, huge in [(_model(0.0, 0.5, b=1e-10), 1e300), (_model(0.0, 0.5), 1e308)]:
+            grid = mean_energy_per_site(np.array([1.0, huge]), model)
+            assert grid[1] == mean_energy_per_site(huge, model)
+            assert 0.0 <= grid[1] < 1e-300

@@ -12,6 +12,7 @@ from localtemp.specfun import (
     QuadratureError,
     bose_integrand,
     erfcx,
+    in_chunks,
     integrate,
     min_integer_above,
     sequential_sums,
@@ -216,3 +217,20 @@ def test_sequential_sums_keep_the_loop_order():
         want[i] += v
     assert want == [1.0, 0.0, 3.0]
     assert sequential_sums(values, owner, 3).tolist() == want
+
+
+def test_in_chunks_takes_near_equal_chunks_in_order():
+    sizes = []
+
+    def kernel(chunk, scale):
+        sizes.append(chunk.size)
+        return chunk * scale
+
+    for n, size, want in [(150, 64, [50, 50, 50]), (37, 16, [12, 12, 13]),
+                          (64, 64, [64]), (65, 64, [32, 33]), (0, 16, [0])]:
+        sizes.clear()
+        values = np.arange(float(n))
+        assert in_chunks(kernel, values, 2.0, size=size).tolist() == (2.0 * values).tolist()
+        assert sizes == want
+    one = np.array([3.0])
+    assert in_chunks(lambda chunk: chunk, one) is one  # one chunk: no copy
