@@ -228,17 +228,16 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.tmin, args.tmax, args.points)
 
 
-def _mean_energies(grid: np.ndarray, model: IsingModel | None = None) -> list:
+def _mean_energies(grid: np.ndarray, acc: AccuracyParams, model=None) -> list:
     """e_bar of the harmonic chain (model None) or of an Ising model at every
-    grid point, from one quadrature pass; None at every point for a model
-    whose criteria do not read it. A grid with a point where the pass fails
-    gets None throughout too: each point then computes its own e_bar, so the
-    first failing point in grid order names the error."""
-    if model is not None and not ising.uses_mean_energy(model):
-        return [None] * grid.size
+    grid point, from one quadrature pass; None throughout where the criteria
+    at acc do not read it, or where the pass fails at some point: each point
+    then computes what it needs, so the first failing one names the error."""
     try:
         if model is None:
             return harmonic.mean_energy_reduced(grid).tolist()
+        if not (ising.uses_mean_energy(model) and ising.e_bar_can_bind(model, acc)):
+            return [None] * grid.size
         beta_b = [1.0 / t for t in grid.tolist()]
         return ising.mean_energy_per_site(beta_b, model).tolist()
     except (ValueError, ArithmeticError, QuadratureError):
@@ -255,7 +254,7 @@ def cmd_sweep(args) -> int:
     model = _ising_from_args(args) if args.chain == "ising" else None
 
     rows = []
-    for t, e_bar in zip(grid.tolist(), _mean_energies(grid, model)):
+    for t, e_bar in zip(grid.tolist(), _mean_energies(grid, acc, model)):
         if model is None:
             report = harmonic.nmin(t, acc, e_bar)
         else:
@@ -294,7 +293,7 @@ def _figure_curves(figure_id: str, acc: AccuracyParams):
     id; the e_bar a bound reads comes from one pass over the grid."""
     if figure_id == "fig3":
         grid = np.geomspace(1e-4, 1e2, 200)
-        e = _mean_energies(grid)
+        e = _mean_energies(grid, acc)
         curves = [
             ("cond_const", lambda i, t: harmonic.cond_const_bound(t, acc, e[i])),
             ("linearity", lambda i, t: harmonic.linearity_bound(t, acc, e[i])),
@@ -304,7 +303,7 @@ def _figure_curves(figure_id: str, acc: AccuracyParams):
         grid = np.geomspace(1e-2, 1e2, 200)
         weak = IsingModel.from_kl(1.0, 0.1, 0.1)
         strong = IsingModel.from_kl(1.0, 10.0, 10.0)
-        e_weak, e_strong = _mean_energies(grid, weak), _mean_energies(grid, strong)
+        e_weak, e_strong = (_mean_energies(grid, acc, m) for m in (weak, strong))
         curves = [
             ("cond_const_kl_0.1",
              lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
@@ -316,7 +315,7 @@ def _figure_curves(figure_id: str, acc: AccuracyParams):
         grid = np.geomspace(1e-3, 1e3, 200)
         weak = IsingModel.from_kl(1.0, 0.0, 0.1)
         strong = IsingModel.from_kl(1.0, 0.0, 10.0)
-        e_weak, e_strong = _mean_energies(grid, weak), _mean_energies(grid, strong)
+        e_weak, e_strong = (_mean_energies(grid, acc, m) for m in (weak, strong))
         curves = [
             ("cond_const_l_0.1",
              lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
@@ -330,7 +329,7 @@ def _figure_curves(figure_id: str, acc: AccuracyParams):
         grid = np.geomspace(1e-3, 1e3, 200)
         weak = IsingModel.from_kl(1.0, 0.1, 0.0)
         strong = IsingModel.from_kl(1.0, 10.0, 0.0)
-        e_strong = _mean_energies(grid, strong)
+        e_strong = _mean_energies(grid, acc, strong)
         curves = [
             ("isotropic_weak_k_0.1", lambda i, t: ising.isotropic_weak_bound(t, weak)),
             ("linearity_k_0.1", lambda i, t: ising.linearity_bound(t, acc, weak)),

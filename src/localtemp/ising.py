@@ -34,10 +34,14 @@ that uniform grids miss entirely.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
-up to 64 points, or one 2-D trapezoid array for up to 16. Two caches keep
-repeated work out of sweeps: the gapped k-grid and its dispersion are built
-once per model (read-only arrays), and the ground energy is computed once
-per model.
+up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
+and its dispersion (read-only arrays), the ground energy and the group
+energy and width ranges are computed once per model.
+
+The constant condition reads e_bar only if B hypot(1 + |K|, L)(1 + 1e-9) / alpha
+reaches the window edge e_min - e_0 at the group minimum, as each integrand value
+w / (e^{beta w} + 1) is at most w/2 <= B hypot(1 + |K|, L) and the quadrature weights
+are positive. Elsewhere (K = L = 1, or K = 0 and large L) the edge gives the bound.
 """
 from __future__ import annotations
 
@@ -49,13 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import AccuracyParams, CriterionReport, build_report
-from .specfun import (
-    QuadratureError,
-    in_chunks,
-    integrate,
-    min_integer_above,
-    sequential_sums,
-)
+from .specfun import QuadratureError, in_chunks, integrate, min_integer_above
 
 __all__ = [
     "CouplingCase",
@@ -67,6 +65,7 @@ __all__ = [
     "mean_energy_per_site",
     "ground_energy_per_site",
     "uses_mean_energy",
+    "e_bar_can_bind",
     "group_energy",
     "delta_sq",
     "e_mu_extremes",
@@ -162,18 +161,28 @@ class IsingModel:
             coupling_case=_classify(k_param, l_param),
         )
 
+    @functools.cached_property
+    def _site_energy_range(self) -> tuple[float, float]:
+        return e_mu_extremes(self, 1)  # computed once per model
+
+    @functools.cached_property
+    def _width_range(self) -> tuple[float, float]:
+        return delta_sq_extremes(self)  # an OverflowError recurs on every use
+
 
 def dispersion_periodic(k, model: IsingModel):
     """Quasiparticle energy of the periodic chain at wavenumber k (a float
-    or an array)."""
-    c = 1.0 - model.k_param * np.cos(k)
+    or an array), computed in one buffer."""
+    c = np.cos(k, out=np.empty(np.shape(k)))
+    np.subtract(1.0, np.multiply(c, model.k_param, out=c), out=c)
     if model.l_param == 0.0:
-        # hypot(c, 0) is |c| exactly; skipping sin and hypot saves 6-9% of
-        # a `sweep` benchmark round (2-vCPU Xeon VM), whose gapless ladders
-        # at L = 0 call this most
-        return 2.0 * model.b_field * np.abs(c)
-    s = model.l_param * np.sin(k)
-    return 2.0 * model.b_field * np.hypot(c, s)
+        # hypot(c, 0) is |c| exactly; skipping sin and hypot saves 6-9% of a `sweep`
+        # benchmark round (2-vCPU Xeon VM), whose gapless ladders at L = 0 call this most
+        np.abs(c, out=c)
+    else:
+        np.hypot(c, model.l_param * np.sin(k), out=c)
+    c *= 2.0 * model.b_field
+    return c if c.ndim else c[()]
 
 
 def group_k_values(n: int) -> np.ndarray:
@@ -262,25 +271,28 @@ def _ladder_integral(f, k0: float, ends, delta) -> np.ndarray:
     cells = [_ladder_cells(k0, k_end, delta) for k_end in ends]
     a, b, ladder = (np.concatenate(part) for part in zip(*cells))
     ladder = ladder * len(ends) + np.repeat(range(len(ends)), [c[2].size for c in cells])
-    order = np.argsort(ladder, kind="stable")
-    a, b, ladder = a[order], b[order], ladder[order]
     point = ladder // len(ends)
     n = delta.size * len(ends)
-    rough = sequential_sums(np.abs(f((0.5 * (a + b), point))) * (b - a), ladder, n)
+    # a weighted bincount adds in array order, each ladder innermost cell first
+    rough = np.bincount(ladder, np.abs(f((0.5 * (a + b), point))) * (b - a), n)
     # relative target: at low T the integral itself is ~ T^2 and a fixed
     # absolute tolerance would swamp it; max(1e-14, .) as Python's max
     target = 1e-10 * rough[ladder]
     tol = np.where(target > 1e-14, target, 1e-14) / np.bincount(ladder)[ladder]
     cell = integrate(lambda kc: f((kc[0], point[kc[1]])), a, b, tol=tol, indexed=True)
-    return sequential_sums(cell, ladder, n).reshape(delta.size, len(ends))
+    return np.bincount(ladder, cell, n).reshape(delta.size, len(ends))
 
 
-def _trapezoid_energy(beta: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gapped mean_energy_per_site at beta: a trapezoid sum per row of one buffer."""
-    y = np.multiply(beta[:, None], w)
+def _trapezoid_energy(beta, w, dk, y, s) -> np.ndarray:
+    """Gapped mean_energy_per_site at beta: a trapezoid sum per row, in the first
+    rows of the buffers y (per node) and s (per panel) that all chunks reuse."""
+    y, s = y[:beta.size], s[:beta.size]
+    np.multiply(beta[:, None], w, out=y)
     np.exp(np.minimum(y, _EXP_CLIP, out=y), out=y)
     np.divide(w, np.add(y, 1.0, out=y), out=y)
-    return np.trapezoid(y, k, axis=-1) / math.pi
+    # np.trapezoid's (dk (y[1:] + y[:-1]) / 2).sum(), the same operations
+    np.multiply(np.add(y[:, 1:], y[:, :-1], out=s), dk, out=s)
+    return np.add.reduce(np.divide(s, 2.0, out=s), axis=-1) / math.pi
 
 
 def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
@@ -293,10 +305,12 @@ def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
     delta = 1.0 / thermal
 
     def integrand(k_point):
-        # each abscissa comes with the grid point whose beta it needs
+        # each column of abscissae comes with the grid point whose beta it needs
         k, point = k_point
         w = dispersion_periodic(k, model)
-        return w / (np.exp(np.minimum(beta[point] * w, _EXP_CLIP)) + 1.0)
+        y = np.multiply(beta[point], w)
+        np.exp(np.minimum(y, _EXP_CLIP, out=y), out=y)
+        return np.divide(w, np.add(y, 1.0, out=y), out=y)
 
     ladders = _ladder_integral(integrand, k0, (0.0, math.pi), delta)
     return (ladders[:, 0] + ladders[:, 1]) / math.pi
@@ -318,7 +332,9 @@ def mean_energy_per_site(beta_b, model: IsingModel):
         beta = betas.ravel() / model.b_field
         if (node := _gap_node(model)) is None:
             k, w = _trapezoid_grid(model)
-            energy = in_chunks(_trapezoid_energy, beta, k, w, size=_TRAPEZOID_ROWS)
+            rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
+            y, s, dk = np.empty((rows, k.size)), np.empty((rows, k.size - 1)), np.diff(k)
+            energy = in_chunks(_trapezoid_energy, beta, w, dk, y, s, size=_TRAPEZOID_ROWS)
         else:
             energy = in_chunks(_ladder_energy, beta, node, model)
     return float(energy[0]) if betas.ndim == 0 else energy
@@ -339,6 +355,13 @@ def ground_energy_per_site(model: IsingModel) -> float:
     return float(-(below + above) / (2.0 * math.pi))
 
 
+def _window_edge(model: IsingModel, acc: AccuracyParams) -> tuple[float, bool]:
+    """The window edge e_min - e_0, and whether e_bar / alpha can reach it (nan can)."""
+    edge = model._site_energy_range[0] - ground_energy_per_site(model)
+    reach = model.b_field * math.hypot(1.0 + abs(model.k_param), model.l_param)
+    return edge, not reach * (1.0 + 1e-9) / acc.alpha < edge
+
+
 def uses_mean_energy(model: IsingModel) -> bool:
     """Whether nmin reads the thermal energy e_bar of this model: the
     constant condition does; the all-states bound of isotropic coupling below
@@ -347,6 +370,11 @@ def uses_mean_energy(model: IsingModel) -> bool:
     if case is CouplingCase.GENERAL:
         return False
     return not (case is CouplingCase.ISOTROPIC and abs(model.k_param) < 1.0)
+
+
+def e_bar_can_bind(model: IsingModel, acc: AccuracyParams) -> bool:
+    """Whether e_bar / alpha can reach the constant condition's window edge at some T."""
+    return _window_edge(model, acc)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +402,8 @@ def _s_sum(bits):
 
 
 def _squared_couplings(model: IsingModel) -> tuple[float, float, float]:
-    """(B^2, K^2, L^2) of the junction width; a square that overflows raises
-    an OverflowError naming its coupling."""
+    """(B^2, K^2, L^2) of the junction width; a square that overflows, or a B^2
+    below the normal float range, raises an OverflowError naming its coupling."""
     squares = []
     couplings = (("B", model.b_field), ("K", model.k_param), ("L", model.l_param))
     for name, value in couplings:
@@ -385,6 +413,9 @@ def _squared_couplings(model: IsingModel) -> tuple[float, float, float]:
             raise OverflowError(
                 f"junction width overflows: {name}^2 at {name}={value!r}"
             ) from None
+    if squares[0] < np.finfo(float).tiny:
+        raise OverflowError(f"junction width underflows: B^2 at B={model.b_field!r}"
+                            f" underflows to {squares[0]!r}")
     return tuple(squares)
 
 
@@ -451,18 +482,20 @@ def cond_const_bound(
 
     e_min is the lower edge of the thermal window per site: the attainable
     group minimum or e_bar/alpha above the ground energy, whichever is
-    higher. The denominator is positive at every t > 0. e_bar, when given,
-    is mean_energy_per_site(1 / t_over_b, model) computed by the caller.
+    higher. The denominator is positive at every t > 0. e_bar is the caller's
+    mean_energy_per_site(1 / t_over_b, model), or computed where it can pass the edge.
     """
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
+    if t_over_b == math.inf:
+        raise ValueError("t_over_b must be finite, got inf")
     beta = 1.0 / (t_over_b * model.b_field)
-    e0 = ground_energy_per_site(model)
-    if e_bar is None:
-        e_bar = mean_energy_per_site(1.0 / t_over_b, model)
     # e_min - e_0 computed without the cancellation e_min ~ e_0 at low T
-    gap = max(e_mu_extremes(model, 1)[0] - e0, e_bar / acc.alpha)
-    return beta * delta_sq_extremes(model)[1] / gap
+    edge, reached = _window_edge(model, acc)
+    if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
+        e_bar = mean_energy_per_site(1.0 / t_over_b, model) if reached else 0.0
+    gap = max(edge, e_bar / acc.alpha)
+    return beta * model._width_range[1] / gap
 
 
 @_underflow_is_overflow
@@ -471,8 +504,10 @@ def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> 
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
     beta = 1.0 / (t_over_b * model.b_field)
-    d_lo, d_hi = delta_sq_extremes(model)
-    e_lo, e_hi = e_mu_extremes(model, 1)
+    d_lo, d_hi = model._width_range
+    if d_hi == d_lo:  # constant width; beta / 2 delta may overflow, and inf * 0 is nan
+        return 0.0
+    e_lo, e_hi = model._site_energy_range
     return beta / (2.0 * acc.delta) * (d_hi - d_lo) / (e_hi - e_lo)
 
 

@@ -2,11 +2,13 @@
 
 An adaptive Simpson integrator that refines many intervals together on numpy
 arrays, each to its own absolute tolerance tol within a fixed budget of 4096
-splits, in_chunks to feed a grid to a batched kernel in bounded passes, the
-Bose occupation integrand x/(e^x - 1) with its removable singularity filled
-in, and integer extraction for n > bound. Floats hold to a few ulps across
-platforms, not to the bit: the integrands' exp, expm1 and hypot come from
-numpy, whose SIMD loops can differ from the platform's libm in the last bit.
+splits, and adds the accepted panels of all intervals with one weighted
+bincount in depth-first order; in_chunks to feed a grid to a batched kernel
+in bounded passes; the Bose occupation integrand x/(e^x - 1) with its
+removable singularity filled in; and integer extraction for n > bound.
+Floats hold to a few ulps across platforms, not to the bit: the integrands'
+exp, expm1 and hypot come from numpy, whose SIMD loops can differ from the
+platform's libm in the last bit.
 The n_min integers are gated by the benchmark goldens; the tightest,
 harmonic n_cond_const at t = 1.0718913192051276e-4, has its bound about 40
 ulps from the integer boundary. The oracle's Gaussian weight also needs the
@@ -24,7 +26,6 @@ __all__ = [
     "QuadratureError",
     "erfcx",
     "integrate",
-    "sequential_sums",
     "in_chunks",
     "bose_integrand",
     "min_integer_above",
@@ -70,17 +71,6 @@ def erfcx(x: float) -> float:
     return _erfcx_cf(x)
 
 
-def sequential_sums(values, owner, n: int) -> np.ndarray:
-    """n totals, each adding its values one after another from 0.0, as in
-    the loop `for v, i in zip(values, owner): total[i] += v`; owner must be
-    sorted. (np.add.reduce sums pairwise, in another order.)"""
-    counts = np.bincount(owner, minlength=n)
-    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-    table = np.zeros((n, counts.max(initial=0) + 1))
-    table[owner, rank + 1] = values
-    return np.cumsum(table, axis=1, out=table)[:, -1].copy()
-
-
 def in_chunks(kernel, values: np.ndarray, *args, size: int = _GRID_BATCH) -> np.ndarray:
     """kernel(chunk, *args) over ceil(n / size) consecutive, near-equal
     chunks of the n entries of values, joined into one array."""
@@ -99,12 +89,12 @@ def integrate(f, a, b, tol=1e-10, indexed: bool = False):
     with one value per interval. A panel is accepted when the Richardson
     estimate |S2 - S1| <= 15 * tol holds, adding S2 + (S2 - S1)/15;
     otherwise it splits, and each half gets half its tolerance. The
-    intervals are refined level by level: each level calls f once, with the
-    quarter points of every live panel of every interval, as f(x), or as
-    f((x, i)) with the interval index i of each abscissa when indexed is
-    true. Each interval adds its accepted panels from right to left, in the
-    order of a depth-first recursion, so in a batch every interval gets the
-    bits of a call of its own.
+    intervals are refined level by level: each level calls f once, on a 2-D
+    x with one row per abscissa set and one column per live panel, as f(x),
+    or as f((x, i)) when indexed is true, where i holds the interval index
+    of each column; f returns x's shape. Each interval adds its accepted
+    panels from right to left, in the order of a depth-first recursion, so
+    in a batch every interval gets the bits of a call of its own.
 
     Raises QuadratureError naming the first interval, in array order, that
     needs more than _MAX_SUBDIVISIONS (4096) splits.
@@ -133,18 +123,15 @@ def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
     """The level-by-level refinement behind integrate."""
     n = a.size
 
-    def evaluate(x, owner):
-        if not indexed:
-            return f(x)
-        owner = owner.astype(np.intp)
-        return f((x, np.concatenate([owner] * (x.size // owner.size))))
+    def evaluate(x, owner):  # x has one row per abscissa set, one column per panel
+        return f((x, owner.astype(np.intp))) if indexed else f(x)
 
     live = np.flatnonzero(a != b)
     if not live.size:  # f is never called without abscissae
         return np.zeros(n)
     x0, x1 = a[live], b[live]
     xm = 0.5 * (x0 + x1)
-    f0, fm, f1 = evaluate(np.concatenate((x0, xm, x1)), live).reshape(3, -1)
+    f0, fm, f1 = evaluate(np.array((x0, xm, x1)), live)
     whole = (f0 + 4.0 * fm + f1) * (x1 - x0) / 6.0
     panels = np.empty((16, live.size))
     panels[:9] = [whole, live, x0, xm, x1, f0, fm, f1, tol[live]]
@@ -152,11 +139,10 @@ def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
     splits, count = 0, None  # over all intervals; per interval
     failed = n  # the first interval over its budget
     while panels.shape[1]:
-        k = panels.shape[1]
         quarter, fq, halves = panels[9:11], panels[11:13], panels[13:15]
         np.add(panels[2:4], panels[3:5], out=quarter)
         quarter *= 0.5
-        fq[:] = evaluate(quarter.ravel(), panels[1]).reshape(2, k)
+        fq[:] = evaluate(quarter, panels[1])
         # Simpson's rule on both halves: (f0 + 4 fq + fm) (xm - x0) / 6 on
         # the left, (fm + 4 fq + f1) (x1 - xm) / 6 on the right
         np.multiply(fq, 4.0, out=halves)
@@ -192,12 +178,12 @@ def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
         )
     # An interval's accepted panels do not overlap, and none has zero width (a
     # panel between adjacent floats has err = 0 and is accepted whole), so the
-    # depth-first order, right to left, sorts them by descending left edge.
-    # (The stable sort by interval runs as a radix sort on small integer types.)
+    # depth-first order, right to left, sorts them by descending left edge. A
+    # weighted bincount adds in array order, one value after another from 0.0,
+    # and only the order within an interval matters.
     value, owner, x0 = np.concatenate(accepted, axis=1)
     order = np.argsort(-x0)
-    order = order[np.argsort(owner[order].astype(np.min_scalar_type(n)), kind="stable")]
-    return sequential_sums(value[order], owner[order].astype(np.intp), n)
+    return np.bincount(owner[order].astype(np.intp), value[order], n)
 
 
 def bose_integrand(x):

@@ -575,6 +575,15 @@ def test_harmonic_infinite_temperature_is_named(argv):
     assert "t_over_theta must be finite, got inf" in err
 
 
+@pytest.mark.parametrize("kl", [("1", "1"), ("0", "0.5")])
+def test_ising_infinite_temperature_is_named(kl):
+    # the message names t_over_b, whether or not the constant condition
+    # reads e_bar; it used to name beta_b, an argument the user never gave
+    code, out, err = run_cli("nmin", "ising", "--t-over-b", "inf", "--K", kl[0], "--L", kl[1])
+    assert (code, out) == (1, "")
+    assert "t_over_b must be finite, got inf" in err
+
+
 _NOTE = (
     "note: commonly quoted length estimates for some materials (hot iron, carbon"
     " near room temperature) run about two orders of magnitude above these"
@@ -646,3 +655,50 @@ _NOTE = (
 )
 def test_human_format_text(argv, text):
     assert run_cli(*argv) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv", [("--t-over-b", "1", "--delta", "1e-320"),
+                                  ("--t-over-b", "1e-10", "--delta", "1e-300")])
+def test_const_width_tiny_delta_is_not_nan(argv):
+    # beta / 2 delta overflows; the constant width makes the linearity bound 0
+    code, out, err = run_cli("nmin", "ising", "--K", "1", "--L", "1", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_linearity"] == 1
+
+
+@pytest.mark.parametrize("b,square", [("1e-200", "0.0"), ("1e-160", "1e-320")])
+def test_junction_width_underflow_names_field(b, square):
+    # B = 1e-200 used to print n_min = 1 (B = 1 gives 4), and B = 1e-160 a
+    # c1_estimate off by 1e-5 relative
+    code, out, err = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--B", b)
+    assert (code, out) == (2, "")
+    assert err == ("localtemp: numerical failure: junction width underflows:"
+                   f" B^2 at B={b} underflows to {square}\n")
+
+
+def test_const_width_low_temperature_overflow_is_named():
+    # e_bar is skipped at K = L = 1, so the bound itself overflows to inf
+    code, out, err = run_cli("nmin", "ising", "--t-over-b", "1e-308", "--K", "1", "--L", "1")
+    assert (code, out) == (2, "")
+    assert err == "localtemp: numerical failure: bound is not finite; no integer exceeds it\n"
+
+
+def test_const_width_sweep_computes_no_e_bar(monkeypatch):
+    # at K = L = 1 and alpha = 10, e_bar / alpha never reaches the window
+    # edge: neither the grid pass nor any point computes it; at K = 0,
+    # L = 0.5 it can, and one grid pass serves every point
+    from localtemp import ising
+
+    calls = []
+    real = ising.mean_energy_per_site
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ising, "mean_energy_per_site", counted)
+    argv = ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "50", "--log")
+    assert run_cli(*argv, "--K", "1", "--L", "1")[0] == 0
+    assert calls == []
+    assert run_cli(*argv, "--K", "0", "--L", "0.5")[0] == 0
+    assert len(calls) == 1

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localtemp.canonical import AccuracyParams, Binding
 from localtemp.ising import (
@@ -15,6 +17,7 @@ from localtemp.ising import (
     delta_sq,
     delta_sq_extremes,
     dispersion_periodic,
+    e_bar_can_bind,
     e_mu_extremes,
     ground_energy_per_site,
     group_energy,
@@ -27,6 +30,7 @@ from localtemp.ising import (
     nmin_isotropic_weak,
     nmin_linearity,
     occupation_patterns,
+    uses_mean_energy,
 )
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
@@ -384,3 +388,64 @@ def test_gapped_grid_beta_overflow_is_silent():
             grid = mean_energy_per_site(np.array([1.0, huge]), model)
             assert grid[1] == mean_energy_per_site(huge, model)
             assert 0.0 <= grid[1] < 1e-300
+
+
+_SKIP_MODELS = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.5, 1.5, 2.0), (0.3, -0.3, 1.0),
+                (10.0, 10.0, 1.0), (0.0, 0.5, 1.0), (0.0, 10.0, 1.0), (0.0, 2.0, 0.7)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kl=st.sampled_from(_SKIP_MODELS),
+       alpha=st.sampled_from([1.01, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 8.0, 10.0, 17.0, 100.0]),
+       log_t=st.floats(-4.0, 4.0))
+def test_skipped_e_bar_keeps_the_bound_to_the_bit(kl, alpha, log_t):
+    # where e_bar / alpha cannot reach the window edge, the bound computed
+    # without e_bar equals the one given the explicit e_bar, bit for bit
+    model, acc, t = _model(*kl), AccuracyParams(alpha=alpha, delta=0.01), 10.0**log_t
+    e_bar = mean_energy_per_site(1.0 / t, model)
+    assert cond_const_bound(t, acc, model) == cond_const_bound(t, acc, model, e_bar)
+
+
+def test_e_bar_skip_depends_on_model_and_alpha():
+    strong, weak = _model(1.0, 1.0), _model(0.0, 0.5)
+    assert uses_mean_energy(strong) and not e_bar_can_bind(strong, ACC)
+    assert e_bar_can_bind(strong, AccuracyParams(alpha=2.0, delta=0.01))
+    assert e_bar_can_bind(weak, ACC) and not e_bar_can_bind(_model(0.0, 10.0), ACC)
+    # the rule is tight: at K = 0, L = 0.5 and alpha = 17 the hot e_bar / alpha
+    # passes the edge, though B hypot(1, L) / alpha is only 6% above it
+    acc = AccuracyParams(alpha=17.0, delta=0.01)
+    edge = e_mu_extremes(weak, 1)[0] - ground_energy_per_site(weak)
+    assert mean_energy_per_site(1e-4, weak) / 17.0 > edge and e_bar_can_bind(weak, acc)
+
+
+@pytest.mark.parametrize("kl", _SKIP_MODELS + [(1.0, 0.0, 1.0), (2.0, 0.0, 0.5),
+                                               (-1.6, 0.0, 1.0), (1.0, 0.3, 1.0)])
+def test_e_bar_stays_below_the_skip_bound(kl):
+    # at beta -> 0 every Fermi factor is 1/2 and e_bar is the mean of omega / 2,
+    # within 6% of B hypot(1 + |K|, L) at K = 0, L = 0.5; gapped and gapless
+    model = _model(*kl)
+    reach = model.b_field * math.hypot(1.0 + abs(model.k_param), model.l_param)
+    e_bar = mean_energy_per_site(np.array([1e-12, 1e-6, 1e-3, 1.0]), model)
+    assert (e_bar <= reach).all()
+    assert e_bar[0] > 0.45 * reach
+
+
+@pytest.mark.parametrize("t,delta", [(1.0, 1e-320), (1e-10, 1e-300), (1.0, 0.01)])
+def test_const_width_linearity_bound_is_zero(t, delta):
+    # |K| = |L| leaves the width no range, so the bound is +0.0 even where
+    # beta / 2 delta overflows; inf * 0 used to make it nan
+    acc = AccuracyParams(alpha=10.0, delta=delta)
+    for model in (_model(1.0, 1.0), _model(1.5, -1.5, 2.0)):
+        bound = linearity_bound(t, acc, model)
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
+
+
+@pytest.mark.parametrize("b", [1e-200, 1e-160, 1e-155, 5e-324])
+def test_field_square_underflow_is_named(b):
+    # B^2 below the normal range would scale every width to 0 or to a few
+    # digits; the smallest B accepted is about 1.5e-154, and 1e-150 squares
+    # to a normal float
+    model = _model(1.0, 1.0, b=b)
+    with pytest.raises(OverflowError, match=f"junction width underflows: B\\^2 at B={b!r}"):
+        delta_sq_extremes(model)
+    assert delta_sq_extremes(_model(1.0, 1.0, b=1e-150))[1] == 1e-150**2

@@ -15,7 +15,6 @@ from localtemp.specfun import (
     in_chunks,
     integrate,
     min_integer_above,
-    sequential_sums,
 )
 
 # erfc by mpmath at 30 digits, rounded to double; erfcx(x) e^{-x^2} must
@@ -208,15 +207,18 @@ def test_indexed_integrand_sees_its_interval():
     assert np.allclose(got, scale / 2.0, rtol=1e-15)
 
 
-def test_sequential_sums_keep_the_loop_order():
-    # 1e16 + 1 rounds back to 1e16, so only the loop's order leaves 1.0
-    values = np.array([1e16, 1.0, -1e16, 1.0, 3.0])
-    owner = np.array([0, 0, 0, 0, 2])
-    want = [0.0, 0.0, 0.0]
-    for v, i in zip(values.tolist(), owner):
-        want[i] += v
-    assert want == [1.0, 0.0, 3.0]
-    assert sequential_sums(values, owner, 3).tolist() == want
+def test_batch_sums_panels_in_depth_first_order():
+    # the accepted panels span many magnitudes and signs, so adding them left
+    # to right, or pairwise, leaves other last bits than the depth-first
+    # recursion's right-to-left sum, which every interval of a batch keeps
+    def f(x):
+        return np.exp(3.0 * x) * np.sin(40.0 * x)
+
+    a = np.array([0.0, -1.0, 0.5, 2.0, 1.0])
+    b = np.array([3.0, 2.5, 0.5, 2.001, 1.7])
+    got = integrate(f, a, b, tol=1e-6)
+    reference = [_depth_first(f, lo, hi, 1e-6) for lo, hi in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == reference
 
 
 def test_in_chunks_takes_near_equal_chunks_in_order():

@@ -1,0 +1,140 @@
+"""Run the same CLI commands on two source trees and print every difference.
+
+Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the `localtemp` package (the `src/`
+of a checkout). The commands are the sweep catalog of
+`benchmarks/workloads.py` and a few longer grid sweeps, each in csv, json and
+human format, then commands that end in a named failure of the CLI. Every
+command runs in a fresh interpreter for each tree, and any difference in
+exit code, stdout or stderr is printed with a diff.
+
+Exit status: 1 when the stdout of a catalog or grid command differs and the
+change does not declare it; 0 otherwise. A change that alters such output on
+purpose (a golden re-record, say) lists the commands in
+tools/expected_output_changes.txt: one shell-style pattern per line, matched
+against the command as printed ("localtemp sweep ising ... --format csv").
+Differences in stderr or exit code, and in the failure commands, are printed
+but do not fail, as fixes change those on purpose; say which in the change
+log.
+"""
+from __future__ import annotations
+
+import difflib
+import fnmatch
+import os
+import pathlib
+import subprocess
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+from workloads import SWEEP_CATALOG  # noqa: E402
+
+# Longer and odd-sized grids: several in-chunk passes, both thermal paths,
+# and models whose constant condition reads e_bar or only the window edge.
+GRID_SWEEPS = (
+    ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "1000", "--log",
+     "--K", "0", "--L", "0.5"),
+    ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "333", "--log",
+     "--K", "2", "--L", "0"),
+    ("sweep", "ising", "--tmin", "1e-2", "--tmax", "1e2", "--points", "37", "--log",
+     "--K", "1", "--L", "0"),
+    ("sweep", "ising", "--tmin", "0.01", "--tmax", "50", "--points", "150",
+     "--K", "0", "--L", "10"),
+    ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "77", "--log",
+     "--K", "-1", "--L", "1", "--alpha", "1.5"),
+    ("sweep", "harmonic", "--tmin", "1e-4", "--tmax", "100", "--points", "1000", "--log"),
+)
+
+EXPECTED = pathlib.Path(__file__).with_name("expected_output_changes.txt")
+
+FAILURES = (
+    ("nmin", "ising", "--t-over-b", "1e-308", "--K", "1", "--L", "1"),
+    ("nmin", "ising", "--t-over-b", "inf", "--K", "1", "--L", "1"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--delta", "1e-320"),
+    ("nmin", "ising", "--t-over-b", "1e-10", "--K", "1", "--L", "1", "--delta", "1e-300"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--B", "1e-200"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--B", "1e-160"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "2", "--L", "3"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "nan", "--L", "nan"),
+    ("nmin", "ising", "--t-over-b", "1", "--B", "1e-300", "--jx", "1", "--jy", "1"),
+    ("nmin", "ising", "--t-over-b=5e-324", "--K=0.5", "--L=0.5", "--B=1e-5"),
+    ("nmin", "ising", "--t-over-b=5e-324", "--K=0.5", "--L=0"),
+    ("nmin", "ising", "--t-over-b=1", "--K=0", "--L=2", "--B=5e-324"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "1e200"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1e155", "--L", "1e155"),
+    ("nmin", "harmonic", "--t-over-theta", "1e-120"),
+    ("nmin", "harmonic", "--t-over-theta", "inf"),
+    ("sweep", "harmonic", "--tmin", "1", "--tmax", "1e308", "--points", "3"),
+    ("sweep", "ising", "--tmin", "1e-300", "--tmax", "1e-290", "--points", "3", "--log",
+     "--K", "2"),
+    ("sweep", "ising", "--tmin", "1e-310", "--tmax", "1", "--points", "5", "--log",
+     "--K", "1", "--L", "1"),
+    ("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--L=-inf"),
+    ("oracle", "rho", "--sites", "4", "--groups", "2", "--K", "0.3", "--beta-b", "200"),
+    ("oracle", "moments", "--sites", "8", "--groups", "2", "--K", "0.3"),
+)
+
+
+def run(src: str, argv: tuple[str, ...]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
+    proc = subprocess.run([sys.executable, "-m", "localtemp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def differences(parent, change) -> list[str]:
+    lines = []
+    if parent[0] != change[0]:
+        lines.append(f"  exit code {parent[0]} -> {change[0]}")
+    for name, old, new in (("stdout", parent[1], change[1]), ("stderr", parent[2], change[2])):
+        if old != new:
+            diff = difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                        "parent", "change", n=0, lineterm="")
+            lines += [f"  {name}:"] + [f"    {line}" for line in list(diff)[:40]]
+    return lines
+
+
+def expected_patterns(path: pathlib.Path = EXPECTED) -> list[str]:
+    """The declared patterns of path, without blank lines and # comments."""
+    if not path.exists():
+        return []
+    lines = (line.split("#", 1)[0].strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    parent_src, change_src = argv
+    exact = [argv_ + ("--format", fmt)
+             for argv_ in [a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS)
+             for fmt in ("csv", "json", "human")]
+    commands = [(c, True) for c in exact] + [(c, False) for c in FAILURES]
+    patterns = expected_patterns()
+    failed = differing = 0
+    for command, gated in commands:
+        parent, change = run(parent_src, command), run(change_src, command)
+        lines = differences(parent, change)
+        if not lines:
+            continue
+        differing += 1
+        shown = f"localtemp {' '.join(command)}"
+        if not gated:
+            kind = "failure command"
+        elif parent[1] == change[1]:
+            kind = "stdout matches"
+        elif any(fnmatch.fnmatchcase(shown, p) for p in patterns):
+            kind = "declared"
+        else:
+            kind, failed = "STDOUT MUST MATCH", failed + 1
+        print(f"[{kind}] {shown}")
+        print("\n".join(lines))
+    print(f"{len(commands)} commands, {differing} differ,"
+          f" {failed} of them catalog or grid commands with undeclared stdout changes")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
