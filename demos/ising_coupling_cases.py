@@ -38,33 +38,33 @@ def sweep(model, label, grid):
 
 
 sweep(
-    IsingModel.from_kl(1.0, 0.1, 0.1),
+    IsingModel(1.0, 0.1, 0.1),
     "K = L = 0.1 (weak, constant width)",
     np.geomspace(0.1, 10.0, 5),
 )
 sweep(
-    IsingModel.from_kl(1.0, 10.0, 10.0),
+    IsingModel(1.0, 10.0, 10.0),
     "K = L = 10 (strong, constant width; threshold moves up with coupling)",
     np.geomspace(1.0, 100.0, 5),
 )
 sweep(
-    IsingModel.from_kl(1.0, 0.0, 10.0),
+    IsingModel(1.0, 0.0, 10.0),
     "K = 0, L = 10 (fully anisotropic; linearity bound ~ 1/T)",
     np.geomspace(0.1, 10.0, 5),
 )
 sweep(
-    IsingModel.from_kl(1.0, 0.1, 0.0),
+    IsingModel(1.0, 0.1, 0.0),
     "K = 0.1, L = 0 (isotropic below the critical ratio)",
     np.geomspace(1e-3, 1.0, 4),
 )
 sweep(
-    IsingModel.from_kl(1.0, 10.0, 0.0),
+    IsingModel(1.0, 10.0, 0.0),
     "K = 10, L = 0 (isotropic above the critical ratio; n_min ~ T^-3)",
     np.geomspace(1e-3, 1.0, 4),
 )
 
 print("a coupling outside the three cases is refused:")
 try:
-    nmin(1.0, acc, IsingModel.from_kl(1.0, 2.0, 3.0))
+    nmin(1.0, acc, IsingModel(1.0, 2.0, 3.0))
 except UnsupportedCouplingError as exc:
     print(f"  UnsupportedCouplingError: {exc}")

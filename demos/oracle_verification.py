@@ -20,7 +20,7 @@ from localtemp.oracle import (
     skewness_by_groups,
 )
 
-model = IsingModel.from_kl(1.0, 0.3, 0.0)
+model = IsingModel(1.0, 0.3, 0.0)
 
 print("1. open-group spectrum vs the mode formula (exact at L = 0)")
 for n in (2, 3, 4):
@@ -38,7 +38,7 @@ print(f"   max |w_a variance - width|       {report.max_var_identity_dev:.3e}")
 
 print()
 print("3. w_a turns Gaussian as groups are added (max |skewness| falls)")
-for row in skewness_by_groups(10, 5, model, 1.0):
+for row in skewness_by_groups(10, 5, model):
     print(f"   {row.n_groups} groups ({row.sites} sites): {row.max_abs_skewness:.6f}")
 
 print()

@@ -101,20 +101,27 @@ class AccuracyParams:
 class CriterionReport:
     """Outcome of both criteria at one temperature.
 
-    binding names the larger bound (NONE when a single subsystem already
-    suffices); intensive records |c1_estimate| <= delta.
+    n_min is the larger bound and binding names it: ties go to cond_const,
+    and NONE when a single subsystem already suffices. intensive records
+    |c1_estimate| <= delta.
     """
 
     n_cond_const: int
     n_linearity: int
-    n_min: int
-    binding: Binding
     c1_estimate: float
     intensive: bool
 
-    def __post_init__(self) -> None:
-        if self.n_min != max(self.n_cond_const, self.n_linearity):
-            raise ValueError("n_min must be the max of the two bounds")
+    @property
+    def n_min(self) -> int:
+        return max(self.n_cond_const, self.n_linearity)
+
+    @property
+    def binding(self) -> Binding:
+        if self.n_min == 1:
+            return Binding.NONE
+        if self.n_cond_const >= self.n_linearity:
+            return Binding.COND_CONST
+        return Binding.LINEARITY
 
 
 def build_report(
@@ -123,21 +130,9 @@ def build_report(
     c1_estimate: float,
     acc: AccuracyParams,
 ) -> CriterionReport:
-    """Assemble a CriterionReport; ties between the bounds go to cond_const."""
-    n_min = max(n_cond_const, n_linearity)
-    if n_min == 1:
-        binding = Binding.NONE
-    elif n_cond_const >= n_linearity:
-        binding = Binding.COND_CONST
-    else:
-        binding = Binding.LINEARITY
+    """Assemble a CriterionReport, judging c1_estimate against acc.delta."""
     return CriterionReport(
-        n_cond_const=n_cond_const,
-        n_linearity=n_linearity,
-        n_min=n_min,
-        binding=binding,
-        c1_estimate=c1_estimate,
-        intensive=abs(c1_estimate) <= acc.delta,
+        n_cond_const, n_linearity, c1_estimate, abs(c1_estimate) <= acc.delta
     )
 
 

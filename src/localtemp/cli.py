@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _ANGSTROM = 1e-10
+# a 100,000-point sweep takes 11-15 s and about 100 MB (gapless Ising, 2-vCPU VM)
+_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _ising_from_args(args) -> IsingModel:
         raise ValueError("give either --K/--L or --jx/--jy, not both")
     if j_given:
         return IsingModel.from_couplings(args.b_field, args.jx or 0.0, args.jy or 0.0)
-    return IsingModel.from_kl(args.b_field, args.k_param or 0.0, args.l_param or 0.0)
+    return IsingModel(args.b_field, args.k_param or 0.0, args.l_param or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,8 @@ def _sweep_grid(args) -> np.ndarray:
         raise ValueError("--tmin must be below --tmax")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
+    if args.points > _MAX_POINTS:
+        raise ValueError(f"--points must be at most {_MAX_POINTS}")
     if args.log:
         if args.tmin <= 0:
             raise ValueError("logarithmic grid needs --tmin > 0")
@@ -288,65 +292,48 @@ def cmd_sweep(args) -> int:
 # figure
 
 
-def _figure_curves(figure_id: str, acc: AccuracyParams):
-    """Grid plus named raw-bound callables of (grid index, t) for one figure
-    id; the e_bar a bound reads comes from one pass over the grid."""
-    if figure_id == "fig3":
-        grid = np.geomspace(1e-4, 1e2, 200)
-        e = _mean_energies(grid, acc)
-        curves = [
-            ("cond_const", lambda i, t: harmonic.cond_const_bound(t, acc, e[i])),
-            ("linearity", lambda i, t: harmonic.linearity_bound(t, acc, e[i])),
-        ]
-        return "t_over_theta", grid, curves
-    if figure_id == "fig4":
-        grid = np.geomspace(1e-2, 1e2, 200)
-        weak = IsingModel.from_kl(1.0, 0.1, 0.1)
-        strong = IsingModel.from_kl(1.0, 10.0, 10.0)
-        e_weak, e_strong = (_mean_energies(grid, acc, m) for m in (weak, strong))
-        curves = [
-            ("cond_const_kl_0.1",
-             lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
-            ("cond_const_kl_10",
-             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
-        ]
-        return "t_over_b", grid, curves
-    if figure_id == "fig5":
-        grid = np.geomspace(1e-3, 1e3, 200)
-        weak = IsingModel.from_kl(1.0, 0.0, 0.1)
-        strong = IsingModel.from_kl(1.0, 0.0, 10.0)
-        e_weak, e_strong = (_mean_energies(grid, acc, m) for m in (weak, strong))
-        curves = [
-            ("cond_const_l_0.1",
-             lambda i, t: ising.cond_const_bound(t, acc, weak, e_weak[i])),
-            ("linearity_l_0.1", lambda i, t: ising.linearity_bound(t, acc, weak)),
-            ("cond_const_l_10",
-             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
-            ("linearity_l_10", lambda i, t: ising.linearity_bound(t, acc, strong)),
-        ]
-        return "t_over_b", grid, curves
-    if figure_id == "fig6":
-        grid = np.geomspace(1e-3, 1e3, 200)
-        weak = IsingModel.from_kl(1.0, 0.1, 0.0)
-        strong = IsingModel.from_kl(1.0, 10.0, 0.0)
-        e_strong = _mean_energies(grid, acc, strong)
-        curves = [
-            ("isotropic_weak_k_0.1", lambda i, t: ising.isotropic_weak_bound(t, weak)),
-            ("linearity_k_0.1", lambda i, t: ising.linearity_bound(t, acc, weak)),
-            ("cond_const_k_10",
-             lambda i, t: ising.cond_const_bound(t, acc, strong, e_strong[i])),
-            ("linearity_k_10", lambda i, t: ising.linearity_bound(t, acc, strong)),
-        ]
-        return "t_over_b", grid, curves
-    raise ValueError(f"unknown figure id {figure_id!r}")
+# raw bound of a curve at (t, acc, Ising model or None for the harmonic chain, e_bar)
+_BOUNDS = {
+    "cond_const": lambda t, acc, m, e: (harmonic.cond_const_bound(t, acc, e) if m is None
+                                        else ising.cond_const_bound(t, acc, m, e)),
+    "linearity": lambda t, acc, m, e: (harmonic.linearity_bound(t, acc, e) if m is None
+                                       else ising.linearity_bound(t, acc, m)),
+    "isotropic_weak": lambda t, acc, m, e: ising.isotropic_weak_bound(t, m),
+}
+
+# figure id -> (temperature column, grid ends, curves); each curve is
+# (column, (K, L) of an Ising model at B = 1 or None for the harmonic chain,
+# bound), evaluated on 200 log-spaced temperatures
+_FIGURES = {
+    "fig3": ("t_over_theta", (1e-4, 1e2), (
+        ("cond_const", None, "cond_const"), ("linearity", None, "linearity"))),
+    "fig4": ("t_over_b", (1e-2, 1e2), (
+        ("cond_const_kl_0.1", (0.1, 0.1), "cond_const"),
+        ("cond_const_kl_10", (10.0, 10.0), "cond_const"))),
+    "fig5": ("t_over_b", (1e-3, 1e3), (
+        ("cond_const_l_0.1", (0.0, 0.1), "cond_const"),
+        ("linearity_l_0.1", (0.0, 0.1), "linearity"),
+        ("cond_const_l_10", (0.0, 10.0), "cond_const"),
+        ("linearity_l_10", (0.0, 10.0), "linearity"))),
+    "fig6": ("t_over_b", (1e-3, 1e3), (
+        ("isotropic_weak_k_0.1", (0.1, 0.0), "isotropic_weak"),
+        ("linearity_k_0.1", (0.1, 0.0), "linearity"),
+        ("cond_const_k_10", (10.0, 0.0), "cond_const"),
+        ("linearity_k_10", (10.0, 0.0), "linearity"))),
+}
 
 
 def cmd_figure(args) -> int:
     acc = AccuracyParams(alpha=10.0, delta=0.01)
-    t_label, grid, curves = _figure_curves(args.id, acc)
-    rows = []
-    for i, t in enumerate(grid.tolist()):
-        rows.append({t_label: t, **{name: fn(i, t) for name, fn in curves}})
+    t_label, ends, curves = _FIGURES[args.id]
+    grid = np.geomspace(*ends, 200)
+    models = {kl: None if kl is None else IsingModel(1.0, *kl) for _, kl, _ in curves}
+    e_bars = {kl: _mean_energies(grid, acc, m) for kl, m in models.items()}
+    rows = [
+        {t_label: t, **{name: _BOUNDS[bound](t, acc, models[kl], e_bars[kl][i])
+                        for name, kl, bound in curves}}
+        for i, t in enumerate(grid.tolist())
+    ]
     comments = [f"localtemp figure {args.id}", "alpha=10.0 delta=0.01"]
     return _emit(args, rows, comments)
 
@@ -380,8 +367,8 @@ def cmd_materials(args) -> int:
     material = _material_by_name(records, args.name)
     if args.temp_kelvin is None:
         raise ValueError("--temp-kelvin is required with --name")
-    if args.temp_kelvin <= 0:
-        raise ValueError("--temp-kelvin must be positive")
+    if not (args.temp_kelvin > 0 and math.isfinite(args.temp_kelvin)):
+        raise ValueError("--temp-kelvin must be positive and finite")
     acc = _acc_from_args(args)
     t = args.temp_kelvin / material.theta_kelvin
     report = harmonic.nmin(t, acc)
@@ -414,9 +401,9 @@ def _oracle_report(args):
         return oracle.spectrum_check(args.sites, model, boundary)
     if args.oracle_cmd == "moments":
         return oracle.moments_check(args.sites, args.groups, model)
+    if args.oracle_cmd == "gaussian":  # w_a does not depend on the temperature
+        return oracle.skewness_by_groups(args.sites, args.groups, model)
     beta = args.beta_b / model.b_field
-    if args.oracle_cmd == "gaussian":
-        return oracle.skewness_by_groups(args.sites, args.groups, model, beta)
     return oracle.rho_diag_check(args.sites, args.groups, model, beta)
 
 
@@ -499,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_sweep)
 
     figure = sub.add_parser("figure", help="fixed-parameter curve data")
-    figure.add_argument("id", choices=("fig3", "fig4", "fig5", "fig6"))
+    figure.add_argument("id", choices=tuple(_FIGURES))
     _add_format_flags(figure, "csv")
     figure.set_defaults(func=cmd_figure)
 
@@ -521,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             op.add_argument("--groups", type=int, required=True)
         if name in ("gaussian", "rho"):
-            op.add_argument("--beta-b", dest="beta_b", type=float, default=1.0)
+            no_effect = "checked, but without effect: w_a does not depend on the temperature"
+            op.add_argument("--beta-b", dest="beta_b", type=float, default=1.0,
+                            help=no_effect if name == "gaussian" else None)
         _add_ising_flags(op)
         _add_format_flags(op, "human")
         op.set_defaults(func=cmd_oracle)

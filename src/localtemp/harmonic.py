@@ -178,8 +178,7 @@ def nmin(
     """
     n_cond = nmin_cond_const(t_over_theta, acc, e_bar)
     n_lin = nmin_linearity(t_over_theta, acc, e_bar)
-    n_min = max(n_cond, n_lin)
-    c1 = 1.0 / (2.0 * n_min * t_over_theta)
+    c1 = 1.0 / (2.0 * max(n_cond, n_lin) * t_over_theta)
     return build_report(n_cond, n_lin, c1, acc)
 
 

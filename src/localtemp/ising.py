@@ -109,14 +109,12 @@ def _classify(k_param: float, l_param: float) -> CouplingCase:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Field and couplings of one chain; build via from_kl or from_couplings."""
+    """Field B and couplings K, L of one chain; Jx = B(K + L), Jy = B(K - L)
+    and the coupling case are derived. from_couplings builds one from Jx, Jy."""
 
     b_field: float
-    jx: float
-    jy: float
     k_param: float
     l_param: float
-    coupling_case: CouplingCase
 
     def __post_init__(self) -> None:
         for name in ("b_field", "jx", "jy", "k_param", "l_param"):
@@ -125,41 +123,24 @@ class IsingModel:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.b_field > 0:
             raise ValueError("b_field must be positive")
-        scale = max(1.0, abs(self.k_param), abs(self.l_param))
-        k_check = (self.jx + self.jy) / (2.0 * self.b_field)
-        l_check = (self.jx - self.jy) / (2.0 * self.b_field)
-        if abs(k_check - self.k_param) > 1e-9 * scale or abs(
-            l_check - self.l_param
-        ) > 1e-9 * scale:
-            raise ValueError("k_param/l_param inconsistent with jx, jy")
-        if self.coupling_case is not _classify(self.k_param, self.l_param):
-            raise ValueError("coupling_case inconsistent with k_param/l_param")
-
-    @classmethod
-    def from_kl(cls, b_field: float, k_param: float, l_param: float) -> "IsingModel":
-        return cls(
-            b_field=b_field,
-            jx=b_field * (k_param + l_param),
-            jy=b_field * (k_param - l_param),
-            k_param=k_param,
-            l_param=l_param,
-            coupling_case=_classify(k_param, l_param),
-        )
 
     @classmethod
     def from_couplings(cls, b_field: float, jx: float, jy: float) -> "IsingModel":
         if not b_field > 0:
             raise ValueError("b_field must be positive")
-        k_param = (jx + jy) / (2.0 * b_field)
-        l_param = (jx - jy) / (2.0 * b_field)
-        return cls(
-            b_field=b_field,
-            jx=jx,
-            jy=jy,
-            k_param=k_param,
-            l_param=l_param,
-            coupling_case=_classify(k_param, l_param),
-        )
+        return cls(b_field, (jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field))
+
+    @property
+    def jx(self) -> float:
+        return self.b_field * (self.k_param + self.l_param)
+
+    @property
+    def jy(self) -> float:
+        return self.b_field * (self.k_param - self.l_param)
+
+    @functools.cached_property
+    def coupling_case(self) -> CouplingCase:
+        return _classify(self.k_param, self.l_param)
 
     @functools.cached_property
     def _site_energy_range(self) -> tuple[float, float]:
@@ -561,6 +542,5 @@ def nmin(
     else:
         n_cond = nmin_isotropic_weak(t_over_b, model)
     n_lin = nmin_linearity(t_over_b, acc, model)
-    n_min = max(n_cond, n_lin)
-    c1 = acc.delta * linearity_bound(t_over_b, acc, model) / n_min
+    c1 = acc.delta * linearity_bound(t_over_b, acc, model) / max(n_cond, n_lin)
     return build_report(n_cond, n_lin, c1, acc)

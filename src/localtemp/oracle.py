@@ -188,7 +188,7 @@ def _sectors(n_sites: int, blocks: list) -> list:
 
 @dataclass(eq=False)
 class DenseThermalSystem:
-    """Exactly diagonalized chain plus inverse temperature.
+    """Exactly diagonalized chain: H, its eigenvalues and eigenvectors.
 
     Construction checks that every eigenvector has unit norm, then symmetry
     and the eigenpair residual per fermion-parity block: no element of H and
@@ -196,22 +196,19 @@ class DenseThermalSystem:
     residual raises OverflowError. blocks is _parity_blocks(hamiltonian) when
     the caller already split it.
 
-    Treat instances as immutable after construction; all queries only read.
+    The temperature enters only through thermal_state. Treat instances as
+    immutable after construction; all queries only read.
     """
 
-    n_sites: int
     hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    beta: float
     blocks: InitVar[list | None] = None
 
     def __post_init__(self, blocks) -> None:
-        dim = 2**self.n_sites
+        dim = self.hamiltonian.shape[0]
         if self.hamiltonian.shape != (dim, dim):
-            raise ValueError("hamiltonian shape inconsistent with n_sites")
-        if not (self.beta >= 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be finite and nonnegative")
+            raise ValueError("hamiltonian must be square")
         # the residual cannot see scale: 2 * V or 0 would pass it
         vecs = self.eigenvectors
         lengths = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
@@ -239,7 +236,7 @@ class DenseThermalSystem:
             raise ValueError(f"eigendecomposition residual too large: {worst:g}")
 
     @classmethod
-    def solve(cls, hamiltonian: np.ndarray, beta: float) -> "DenseThermalSystem":
+    def solve(cls, hamiltonian: np.ndarray) -> "DenseThermalSystem":
         """Diagonalize sector by sector (parity x site reflection), eigenpairs
         merged into ascending eigenvalue order; eigenvalues closer than
         8 eps max|E| are set to the lowest of them. Rejects a matrix that
@@ -272,23 +269,21 @@ class DenseThermalSystem:
         tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > tol)
         vals = np.repeat(vals[starts], np.diff(starts, append=vals.size))
-        return cls(n_sites, hamiltonian, vals, vecs, beta, blocks)
+        return cls(hamiltonian, vals, vecs, blocks)
 
 
 @dataclass(eq=False)
 class ProductBasisData:
     """Spectra of the decoupled groups and the interaction they leave over.
 
-    The n_groups groups are congruent, so they share one spectrum:
-    group_vals and the eigenvector columns group_vecs. Product state a is
-    the Kronecker product of the columns that the base-2^group_size digits
-    of a select (group 0 lowest); E_a = product_energies[a] sums their
-    eigenvalues, and interaction_matrix is I = H - H_0 in the product basis.
+    The n_groups groups are congruent, so they share one eigenbasis, the
+    columns of group_vecs. Product state a is the Kronecker product of the
+    columns that the base-2^group_size digits of a select (group 0 lowest);
+    E_a = product_energies[a] sums their eigenvalues, and interaction_matrix
+    is I = H - H_0 in the product basis.
     """
 
-    group_size: int
     n_groups: int
-    group_vals: np.ndarray
     group_vecs: np.ndarray
     product_energies: np.ndarray
     interaction_matrix: np.ndarray
@@ -297,8 +292,6 @@ class ProductBasisData:
         gram = self.group_vecs.T @ self.group_vecs
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-12:
             raise ValueError("group eigenbasis not orthonormal")
-        if self.group_vals.size**self.n_groups != self.product_energies.size:
-            raise ValueError("group dimensions inconsistent with product basis")
 
 
 def _group_digits(n_groups: int, group_size: int) -> list[np.ndarray]:
@@ -364,14 +357,7 @@ def product_basis(n_sites: int, group_size: int, model: IsingModel) -> ProductBa
     pairs = _junction_pairs(vecs, model)
     for lower in range(n_groups - 1):
         _add_junction(interaction, n_groups, lower, pairs)
-    return ProductBasisData(
-        group_size=group_size,
-        n_groups=n_groups,
-        group_vals=vals,
-        group_vecs=vecs,
-        product_energies=energies,
-        interaction_matrix=interaction,
-    )
+    return ProductBasisData(n_groups, vecs, energies, interaction)
 
 
 def _basis_transpose_apply(pb: ProductBasisData, x: np.ndarray) -> np.ndarray:
@@ -395,9 +381,12 @@ def _basis_transpose_apply(pb: ProductBasisData, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def thermal_state(sys: DenseThermalSystem) -> tuple[float, np.ndarray]:
-    """Log partition function and canonical weights over the eigenstates."""
-    exponents = -sys.beta * sys.eigenvalues
+def thermal_state(sys: DenseThermalSystem, beta: float) -> tuple[float, np.ndarray]:
+    """Log partition function and canonical weights over the eigenstates at
+    inverse temperature beta."""
+    if not (beta >= 0 and math.isfinite(beta)):
+        raise ValueError("beta must be finite and nonnegative")
+    exponents = -beta * sys.eigenvalues
     # shift by the largest exponent: no term overflows and the sum is >= 1
     top = float(np.max(exponents))
     log_z = top + math.log(float(np.sum(np.exp(exponents - top))))
@@ -449,9 +438,12 @@ def product_moments(
     return mean, var, skew
 
 
-def rho_product_diag(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
-    """Exact diagonal <a|rho|a> of the thermal state in the product basis."""
-    _, weights = thermal_state(sys)
+def rho_product_diag(
+    sys: DenseThermalSystem, pb: ProductBasisData, beta: float
+) -> np.ndarray:
+    """Exact diagonal <a|rho|a> of the thermal state at inverse temperature
+    beta in the product basis."""
+    _, weights = thermal_state(sys, beta)
     return _overlap_sq(sys, pb) @ weights
 
 
@@ -588,7 +580,7 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
     """Moment identities of w_a for every product state of an open chain."""
     group_size = _group_size(n_sites, n_groups)
     occs = occupations_by_energy(model, group_size) if model.l_param == 0.0 else None
-    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), 0.0)
+    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
     pb = product_basis(n_sites, group_size, model)
     eps, dsq = interaction_statistics(pb)
     mean, var, _ = product_moments(sys, pb)
@@ -611,16 +603,17 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
 
 
 def skewness_by_groups(
-    n_sites: int, n_groups: int, model: IsingModel, beta: float
+    n_sites: int, n_groups: int, model: IsingModel
 ) -> tuple[SkewnessRow, ...]:
-    """Worst w_a skewness for 2..n_groups groups of n_sites // n_groups sites."""
+    """Worst w_a skewness for 2..n_groups groups of n_sites // n_groups sites;
+    w_a, the energy distribution of a product state, does not depend on beta."""
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
     rows = []
     for count in range(2, n_groups + 1):
         sites = group_size * count
-        sys = DenseThermalSystem.solve(build_hamiltonian(sites, model), beta)
+        sys = DenseThermalSystem.solve(build_hamiltonian(sites, model))
         pb = product_basis(sites, group_size, model)
         _, dsq = interaction_statistics(pb)
         _, _, skew = product_moments(sys, pb)
@@ -641,10 +634,10 @@ def rho_diag_check(
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("rho check needs at least two groups")
-    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model), beta)
+    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
     pb = product_basis(n_sites, group_size, model)
-    log_z, _ = thermal_state(sys)
-    dense = rho_product_diag(sys, pb)
+    log_z, _ = thermal_state(sys, beta)
+    dense = rho_product_diag(sys, pb, beta)
     e0 = float(np.min(sys.eigenvalues))
     e1 = float(np.max(sys.eigenvalues))
     eps, dsq = interaction_statistics(pb)
@@ -654,14 +647,14 @@ def rho_diag_check(
         a = states[exact == 0.0][0]
         raise OverflowError(
             f"exact <a|rho|a> underflows to 0 at product state a={a}"
-            f" (beta={sys.beta!r}); its logarithm is not finite"
+            f" (beta={beta!r}); its logarithm is not finite"
         )
     e_a, eps, dsq = pb.product_energies[states], eps[states], dsq[states]
     # statistics the dense arithmetic overflowed carry a nan into the report
     finite = np.isfinite(e_a) & np.isfinite(eps) & np.isfinite(dsq)
     predicted = np.full(states.size, math.nan)
     stats = GroupStatistics(e_a[finite], eps[finite], dsq[finite], e0, e1)
-    predicted[finite] = rho_diag(stats, sys.beta, log_z)
+    predicted[finite] = rho_diag(stats, beta, log_z)
     # math.log per state, as the formula side takes its logarithms
     deviations = np.abs(predicted - [math.log(p) for p in exact.tolist()])
     # np.max, unlike max(), carries a nan deviation into the report

@@ -184,13 +184,17 @@ def test_build_report_binding_rules():
     assert not loose.intensive
 
 
-def test_criterion_report_consistency():
-    with pytest.raises(ValueError):
-        CriterionReport(
-            n_cond_const=5,
-            n_linearity=9,
-            n_min=5,
-            binding=Binding.LINEARITY,
-            c1_estimate=0.0,
-            intensive=True,
-        )
+def test_report_derives_n_min_and_binding():
+    # the rule build_report used to apply: n_min is the larger bound, ties go
+    # to cond_const, and a single subsystem binds nothing
+    for n_cond in range(1, 7):
+        for n_lin in range(1, 7):
+            rep = CriterionReport(n_cond, n_lin, 0.0, True)
+            n_min = max(n_cond, n_lin)
+            if n_min == 1:
+                binding = Binding.NONE
+            elif n_cond >= n_lin:
+                binding = Binding.COND_CONST
+            else:
+                binding = Binding.LINEARITY
+            assert (rep.n_min, rep.binding) == (n_min, binding)

@@ -247,6 +247,16 @@ def test_oracle_rho_driver():
     assert payload["max_abs_log_deviation"] == pytest.approx(0.005127, rel=1e-3)
 
 
+def test_oracle_gaussian_output_does_not_depend_on_beta():
+    # w_a is the energy distribution of a product state: no temperature
+    base = ("oracle", "gaussian", "--sites", "9", "--groups", "3", "--K", "0.3", "--L", "0")
+    cool, hot = run_cli(*base, "--beta-b", "0.7"), run_cli(*base, "--beta-b", "5")
+    assert cool[0] == 0 and cool == hot
+    code, out, err = run_cli(*base, "--beta-b", "0")
+    assert (code, out) == (1, "")
+    assert "--beta-b must be positive and finite" in err
+
+
 @pytest.mark.parametrize("command", ["rho", "gaussian"])
 @pytest.mark.parametrize("beta_b", ["nan", "inf", "0"])
 def test_oracle_rejects_non_finite_or_nonpositive_beta(command, beta_b):
@@ -562,17 +572,44 @@ def test_junction_width_overflow_names_coupling(argv, square):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("nmin", "harmonic", "--t-over-theta", "inf"),
-        ("materials", "--name", "iron", "--temp-kelvin", "inf"),
+        pytest.param(("nmin", "harmonic", "--t-over-theta", "inf"),
+                     "t_over_theta must be finite, got inf", id="argv0"),
+        pytest.param(("materials", "--name", "iron", "--temp-kelvin", "inf"),
+                     "--temp-kelvin must be positive and finite", id="argv1"),
     ],
 )
-def test_harmonic_infinite_temperature_is_named(argv):
-    # t^2 is inf without raising, and inf * 0 used to give a nan bound
+def test_harmonic_infinite_temperature_is_named(argv, message):
+    # t^2 is inf without raising, and inf * 0 used to give a nan bound; the
+    # message names the flag the user gave
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
-    assert "t_over_theta must be finite, got inf" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("kelvin", ["nan", "-inf", "0", "-1"])
+def test_materials_rejects_bad_temperature_by_flag_name(kelvin):
+    # nan used to fail as "t_over_theta must be positive", a name never typed
+    code, out, err = run_cli("materials", "--name", "iron", "--temp-kelvin", kelvin)
+    assert (code, out) == (1, "")
+    assert err == "localtemp: error: --temp-kelvin must be positive and finite\n"
+
+
+@pytest.mark.parametrize("points", ["100001", "1000000000000"])
+def test_sweep_points_are_capped_before_any_grid(monkeypatch, points):
+    # 1e12 points used to end in a numpy memory-error traceback
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr("localtemp.cli.np.geomspace", no_grid)
+    monkeypatch.setattr("localtemp.cli.np.linspace", no_grid)
+    for extra in ((), ("--log",)):
+        code, out, err = run_cli(
+            "sweep", "harmonic", "--tmin", "0.1", "--tmax", "10", "--points", points, *extra
+        )
+        assert (code, out) == (1, "")
+        assert err == "localtemp: error: --points must be at most 100000\n"
 
 
 @pytest.mark.parametrize("kl", [("1", "1"), ("0", "0.5")])

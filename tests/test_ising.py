@@ -37,7 +37,7 @@ ACC = AccuracyParams(alpha=10.0, delta=0.01)
 
 
 def _model(k, l, b=1.0):
-    return IsingModel.from_kl(b, k, l)
+    return IsingModel(b, k, l)
 
 
 def test_coupling_classification():
@@ -54,16 +54,28 @@ def test_model_coupling_consistency():
     assert math.isclose(m.k_param, 0.5, rel_tol=1e-12)
     assert math.isclose(m.l_param, 0.1, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        IsingModel(
-            b_field=1.0,
-            jx=1.0,
-            jy=1.0,
-            k_param=5.0,
-            l_param=0.0,
-            coupling_case=CouplingCase.ISOTROPIC,
-        )
-    with pytest.raises(ValueError):
-        IsingModel.from_kl(0.0, 0.1, 0.1)
+        IsingModel(0.0, 0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "b, jx, jy",
+    [(2.0, 1.2, 0.8), (1.0, 0.4, 0.2), (0.3, -0.7, 0.05), (1e-3, 3.0, -3.0),
+     (7.0, 1e-9, 2.5), (1.0, 0.0, 0.0)],
+)
+def test_derived_couplings_reproduce_the_inputs(b, jx, jy):
+    # Jx = B(K + L) and Jy = B(K - L) are derived, so they may differ from the
+    # typed couplings by roundoff, but by no more than a few ulps
+    m = IsingModel.from_couplings(b, jx, jy)
+    tol = 4.0 * math.ulp(max(abs(jx), abs(jy)))
+    assert abs(m.jx - jx) <= tol and abs(m.jy - jy) <= tol
+
+
+def test_non_finite_derived_coupling_is_named():
+    # K and L are finite, but B(K + L) overflows
+    with pytest.raises(ValueError, match="^jx must be finite, got inf"):
+        IsingModel(1.0, 1e308, 1e308)
+    with pytest.raises(ValueError, match="^jy must be finite, got inf"):
+        IsingModel(1.0, 1e308, -1e308)
 
 
 def test_dispersion_periodic_band_edges():

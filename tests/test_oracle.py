@@ -37,12 +37,11 @@ from localtemp.oracle import (
 
 
 def _model(k, l, b=1.0):
-    return IsingModel.from_kl(b, k, l)
+    return IsingModel(b, k, l)
 
 
-def _system(n_sites, model, beta_b=1.0, boundary=Boundary.OPEN):
-    h = build_hamiltonian(n_sites, model, boundary)
-    return DenseThermalSystem.solve(h, beta_b / model.b_field)
+def _system(n_sites, model, boundary=Boundary.OPEN):
+    return DenseThermalSystem.solve(build_hamiltonian(n_sites, model, boundary))
 
 
 def test_single_site_hamiltonian():
@@ -103,10 +102,10 @@ def test_width_decomposes_over_junctions():
 
 
 def test_thermal_state_normalization():
-    sys = _system(4, _model(0.5, 0.0), beta_b=2.0)
-    log_z, weights = thermal_state(sys)
+    sys = _system(4, _model(0.5, 0.0))
+    log_z, weights = thermal_state(sys, 2.0)
     assert math.isclose(float(np.sum(weights)), 1.0, rel_tol=1e-12)
-    direct = math.log(float(np.sum(np.exp(-sys.beta * sys.eigenvalues))))
+    direct = math.log(float(np.sum(np.exp(-2.0 * sys.eigenvalues))))
     assert math.isclose(log_z, direct, rel_tol=1e-12)
 
 
@@ -115,7 +114,7 @@ def test_w_a_moment_identities():
     # product-state mean and variance at any coupling
     for k_param, l_param in ((0.0, 0.4), (0.3, 0.0), (1.2, 2.0)):
         model = _model(k_param, l_param)
-        sys = _system(6, model, beta_b=1.0)
+        sys = _system(6, model)
         pb = product_basis(6, 2, model)
         eps, dsq = interaction_statistics(pb)
         mean, var, _ = product_moments(sys, pb)
@@ -125,7 +124,7 @@ def test_w_a_moment_identities():
 
 def test_skewness_decays_with_group_count():
     # zero-width product states carry no distribution shape and are masked
-    rows = skewness_by_groups(10, 5, _model(0.3, 0.0), 1.0)
+    rows = skewness_by_groups(10, 5, _model(0.3, 0.0))
     assert [(row.n_groups, row.sites) for row in rows] == [
         (2, 4), (3, 6), (4, 8), (5, 10)
     ]
@@ -152,7 +151,7 @@ def test_rho_diag_formula_tracks_dense():
 
 _CHECKS = {
     "moments": moments_check,
-    "gaussian": functools.partial(skewness_by_groups, beta=1.0),
+    "gaussian": skewness_by_groups,
     "rho": functools.partial(rho_diag_check, beta=1.0),
 }
 
@@ -182,9 +181,9 @@ def test_rho_diag_check_calls_formula_once(monkeypatch):
 
 def test_rho_product_diag_sums_to_one():
     model = _model(0.4, 0.9)
-    sys = _system(6, model, beta_b=0.7)
+    sys = _system(6, model)
     pb = product_basis(6, 2, model)
-    assert math.isclose(float(np.sum(rho_product_diag(sys, pb))), 1.0, rel_tol=1e-12)
+    assert math.isclose(float(np.sum(rho_product_diag(sys, pb, 0.7))), 1.0, rel_tol=1e-12)
 
 
 def test_periodic_ground_energy_approaches_integral():
@@ -217,9 +216,9 @@ def test_product_basis_validation():
 def test_dense_system_rejects_nonsymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        DenseThermalSystem.solve(bad, 1.0)
-    with pytest.raises(ValueError):
-        DenseThermalSystem.solve(np.zeros((2, 2)), -1.0)
+        DenseThermalSystem.solve(bad)
+    with pytest.raises(ValueError, match="square"):
+        DenseThermalSystem(np.zeros((2, 3)), np.zeros(2), np.eye(2))
 
 
 def test_occupations_by_energy_ordering():
@@ -400,7 +399,7 @@ def test_product_moments_match_per_state_distribution():
     # the oracle commands do: a point distribution's skewness is noise / noise
     for k_param, l_param in _COUPLINGS:
         model = _model(k_param, l_param)
-        sys = _system(6, model, beta_b=1.0)
+        sys = _system(6, model)
         pb = product_basis(6, 2, model)
         basis, inter = _reference_interaction(6, 2, model)
         probs = (basis.T @ sys.eigenvectors) ** 2
@@ -427,7 +426,7 @@ def test_parity_blocked_solve_matches_full_spectrum(boundary, k_param, l_param):
     model = _model(k_param, l_param)
     for n in range(1, 10):
         h = build_hamiltonian(n, model, boundary)
-        sys = DenseThermalSystem.solve(h, 1.0)
+        sys = DenseThermalSystem.solve(h)
         vals, vecs = np.linalg.eigh(h)
         assert np.all(np.diff(sys.eigenvalues) >= 0.0)
         assert np.max(np.abs(sys.eigenvalues - vals)) <= 1e-12
@@ -444,7 +443,7 @@ def test_solve_rejects_reflection_breaking_field():
     idx = np.arange(16)
     h[idx, idx] += np.where(idx & 1, 0.25, -0.25)
     with pytest.raises(ValueError, match="reflection"):
-        DenseThermalSystem.solve(h, 1.0)
+        DenseThermalSystem.solve(h)
 
 
 def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
@@ -461,7 +460,7 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, record)
     model = _model(0.3, 0.2)
-    DenseThermalSystem.solve(build_hamiltonian(10, model), 1.0)
+    DenseThermalSystem.solve(build_hamiltonian(10, model))
     for boundary in Boundary:
         spectrum_check(10, model, boundary)
     assert len(shapes) == 12
@@ -472,38 +471,42 @@ def test_solve_rejects_cross_parity_entries():
     h = build_hamiltonian(3, _model(0.3, 0.2))
     h[0, 1] = h[1, 0] = 0.25  # index 0 is even, index 1 odd
     with pytest.raises(ValueError, match="parity"):
-        DenseThermalSystem.solve(h, 1.0)
+        DenseThermalSystem.solve(h)
 
 
-def test_dense_system_rejects_non_finite_beta():
-    h = build_hamiltonian(2, _model(0.3, 0.0))
-    for beta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="beta"):
-            DenseThermalSystem.solve(h, beta)
+def test_thermal_state_rejects_non_finite_or_negative_beta():
+    sys = _system(2, _model(0.3, 0.0))
+    pb = product_basis(2, 1, _model(0.3, 0.0))
+    for beta in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="^beta must be finite and nonnegative"):
+            thermal_state(sys, beta)
+        with pytest.raises(ValueError, match="^beta must be finite and nonnegative"):
+            rho_product_diag(sys, pb, beta)
+    assert thermal_state(sys, 0.0)[0] == math.log(4.0)
 
 
 def test_dense_system_checks_each_parity_block():
     # a field-free site: any rotation of its two zero levels is an
     # eigenbasis, but only a parity-pure one is accepted
     h = np.zeros((2, 2))
-    DenseThermalSystem(1, h, np.zeros(2), np.eye(2), 1.0)
+    DenseThermalSystem(h, np.zeros(2), np.eye(2))
     rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     with pytest.raises(ValueError, match="eigenvector mixes"):
-        DenseThermalSystem(1, h, np.zeros(2), rotation, 1.0)
+        DenseThermalSystem(h, np.zeros(2), rotation)
     # an element between the blocks is rejected even with the exact eigh
     mixing = np.array([[0.0, 1.0], [1.0, 0.0]])
     vals, vecs = np.linalg.eigh(mixing)
     with pytest.raises(ValueError, match="hamiltonian mixes"):
-        DenseThermalSystem(1, mixing, vals, vecs, 1.0)
+        DenseThermalSystem(mixing, vals, vecs)
     # each block must be symmetric
     skew = np.zeros((4, 4))
     skew[0, 3] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        DenseThermalSystem(2, skew, np.zeros(4), np.eye(4), 1.0)
+        DenseThermalSystem(skew, np.zeros(4), np.eye(4))
     # a wrong eigenvalue still fails the per-block residual
     field = np.diag([-1.0, 1.0])
     with pytest.raises(ValueError, match="residual too large"):
-        DenseThermalSystem(1, field, np.array([-1.0, 2.0]), np.eye(2), 1.0)
+        DenseThermalSystem(field, np.array([-1.0, 2.0]), np.eye(2))
 
 
 def test_dense_system_rejects_non_unit_eigenvectors():
@@ -512,22 +515,22 @@ def test_dense_system_rejects_non_unit_eigenvectors():
     field = np.diag([-1.0, 1.0])
     for vecs in (2.0 * np.eye(2), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="unit norm"):
-            DenseThermalSystem(1, field, np.array([-1.0, 1.0]), vecs, 1.0)
+            DenseThermalSystem(field, np.array([-1.0, 1.0]), vecs)
 
 
 def test_thermal_state_log_z_at_large_beta():
     # beta * |E| ~ 1e3: exp(-beta E) overflows a double, log Z must not
-    sys = _system(4, _model(0.5, 0.0), beta_b=300.0)
+    sys = _system(4, _model(0.5, 0.0))
+    beta = 300.0
     e_min = float(np.min(sys.eigenvalues))
-    assert sys.beta * abs(e_min) > 500.0
-    log_z, weights = thermal_state(sys)
+    assert beta * abs(e_min) > 500.0
+    log_z, weights = thermal_state(sys, beta)
     assert math.isfinite(log_z)
-    assert -sys.beta * e_min <= log_z <= -sys.beta * e_min + math.log(16)
+    assert -beta * e_min <= log_z <= -beta * e_min + math.log(16)
     assert math.isclose(float(np.sum(weights)), 1.0, rel_tol=1e-12)
     # small beta: agrees with the plain sum
-    sys = _system(4, _model(0.5, 0.0), beta_b=0.01)
-    log_z, _ = thermal_state(sys)
-    direct = math.log(math.fsum(math.exp(-sys.beta * e) for e in sys.eigenvalues))
+    log_z, _ = thermal_state(sys, 0.01)
+    direct = math.log(math.fsum(math.exp(-0.01 * e) for e in sys.eigenvalues))
     assert math.isclose(log_z, direct, rel_tol=1e-14)
 
 
@@ -541,7 +544,7 @@ def test_peak_memory_in_dense_arrays(n_groups):
     calls = (
         (product_basis, (10, 10 // n_groups, model), 2),
         (rho_diag_check, (10, n_groups, model, 1.0), 4),
-        (skewness_by_groups, (10, n_groups, model, 1.0), 4),
+        (skewness_by_groups, (10, n_groups, model), 4),
     )
     for fn, args, limit in calls:
         tracemalloc.start()

@@ -4,10 +4,11 @@ Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `localtemp` package (the `src/`
 of a checkout). The commands are the sweep catalog of
-`benchmarks/workloads.py` and a few longer grid sweeps, each in csv, json and
-human format, then commands that end in a named failure of the CLI. Every
-command runs in a fresh interpreter for each tree, and any difference in
-exit code, stdout or stderr is printed with a diff.
+`benchmarks/workloads.py`, a few longer grid sweeps and the four figures,
+each in csv, json and human format, then commands that end in a named
+failure of the CLI, then small dense oracle commands. Every command runs in
+a fresh interpreter for each tree, and any difference in exit code, stdout
+or stderr is printed with a diff.
 
 Exit status: 1 when the stdout of a catalog or grid command differs and the
 change does not declare it; 0 otherwise. A change that alters such output on
@@ -16,7 +17,8 @@ tools/expected_output_changes.txt: one shell-style pattern per line, matched
 against the command as printed ("localtemp sweep ising ... --format csv").
 Differences in stderr or exit code, and in the failure commands, are printed
 but do not fail, as fixes change those on purpose; say which in the change
-log.
+log. Differences in the oracle commands are printed but do not fail either:
+BLAS threading can move their roundoff-level digits from run to run.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ GRID_SWEEPS = (
     ("sweep", "harmonic", "--tmin", "1e-4", "--tmax", "100", "--points", "1000", "--log"),
 )
 
+FIGURES = tuple(("figure", fig) for fig in ("fig3", "fig4", "fig5", "fig6"))
+
 EXPECTED = pathlib.Path(__file__).with_name("expected_output_changes.txt")
 
 FAILURES = (
@@ -73,6 +77,22 @@ FAILURES = (
     ("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--L=-inf"),
     ("oracle", "rho", "--sites", "4", "--groups", "2", "--K", "0.3", "--beta-b", "200"),
     ("oracle", "moments", "--sites", "8", "--groups", "2", "--K", "0.3"),
+    ("sweep", "harmonic", "--tmin", "1", "--tmax", "2", "--points", "100001"),
+    ("materials", "--name", "iron", "--temp-kelvin", "nan"),
+)
+
+
+# each dense check at <= 8 sites, with the model given as K, L and as Jx, Jy
+ORACLE = tuple(
+    cmd + model
+    for cmd in (
+        ("oracle", "spectrum", "--sites", "6"),
+        ("oracle", "spectrum", "--sites", "6", "--boundary", "periodic"),
+        ("oracle", "moments", "--sites", "8", "--groups", "4"),
+        ("oracle", "rho", "--sites", "6", "--groups", "3", "--beta-b", "2"),
+        ("oracle", "gaussian", "--sites", "8", "--groups", "4"),
+    )
+    for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"))
 )
 
 
@@ -109,20 +129,21 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src = argv
     exact = [argv_ + ("--format", fmt)
-             for argv_ in [a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS)
+             for argv_ in [a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS) + list(FIGURES)
              for fmt in ("csv", "json", "human")]
-    commands = [(c, True) for c in exact] + [(c, False) for c in FAILURES]
+    commands = ([(c, None) for c in exact] + [(c, "failure command") for c in FAILURES]
+                + [(c, "oracle command") for c in ORACLE])
     patterns = expected_patterns()
     failed = differing = 0
-    for command, gated in commands:
+    for command, ungated in commands:
         parent, change = run(parent_src, command), run(change_src, command)
         lines = differences(parent, change)
         if not lines:
             continue
         differing += 1
         shown = f"localtemp {' '.join(command)}"
-        if not gated:
-            kind = "failure command"
+        if ungated:
+            kind = ungated
         elif parent[1] == change[1]:
             kind = "stdout matches"
         elif any(fnmatch.fnmatchcase(shown, p) for p in patterns):
