@@ -91,8 +91,8 @@ class AccuracyParams:
     delta: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1:
-            raise ValueError("alpha must exceed 1")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 

@@ -45,11 +45,8 @@ from .specfun import bose_integrand, in_chunks, integrate, min_integer_above
 __all__ = [
     "HarmonicModel",
     "mean_energy_reduced",
-    "ground_energy_reduced",
     "cond_const_bound",
     "linearity_bound",
-    "nmin_cond_const",
-    "nmin_linearity",
     "nmin",
     "asymptotic_nmin",
     "min_length",
@@ -111,20 +108,14 @@ def _mean_energy(t_over_theta: np.ndarray) -> np.ndarray:
     return np.array(scale) * integral[which]
 
 
-def ground_energy_reduced() -> float:
-    """Zero-point energy per site over k_B Theta."""
-    return 0.25
-
-
 def cond_const_bound(
     t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
 ) -> float:
     """Raw real bound of the constant condition, evaluated at any t.
 
-    Only meaningful where e_bar < 1/4; nmin_cond_const applies that guard,
-    sweeps for plots use the raw curve. e_bar, when given, is
-    mean_energy_reduced(t_over_theta) computed by the caller; the same
-    holds for the functions below.
+    Only meaningful where e_bar < 1/4; nmin applies that guard, sweeps for
+    plots use the raw curve. e_bar, when given, is the caller's
+    mean_energy_reduced(t_over_theta); the same holds for linearity_bound.
     """
     if e_bar is None:
         e_bar = mean_energy_reduced(t_over_theta)
@@ -147,27 +138,6 @@ def linearity_bound(
     return (2.0 * acc.alpha / acc.delta) * e_bar / t_over_theta
 
 
-def nmin_cond_const(
-    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
-) -> int:
-    """Smallest n satisfying the constant condition; 1 once e_bar >= 1/4.
-
-    Above that point the thermal energy exceeds the zero-point energy and the
-    condition no longer constrains the group size.
-    """
-    guard = mean_energy_reduced(t_over_theta) if e_bar is None else e_bar
-    if guard >= ground_energy_reduced():
-        return 1
-    return min_integer_above(cond_const_bound(t_over_theta, acc, e_bar))
-
-
-def nmin_linearity(
-    t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
-) -> int:
-    """Smallest n keeping the exponent's slope below delta across the window."""
-    return min_integer_above(linearity_bound(t_over_theta, acc, e_bar))
-
-
 def nmin(
     t_over_theta: float, acc: AccuracyParams, e_bar: float | None = None
 ) -> CriterionReport:
@@ -176,8 +146,11 @@ def nmin(
     c1_estimate is the residual slope at the returned group size,
     (Theta/T) / (2 n_min).
     """
-    n_cond = nmin_cond_const(t_over_theta, acc, e_bar)
-    n_lin = nmin_linearity(t_over_theta, acc, e_bar)
+    guard = mean_energy_reduced(t_over_theta) if e_bar is None else e_bar
+    # one site suffices once e_bar reaches the zero-point energy e_0 = 1/4
+    n_cond = 1 if guard >= 0.25 else min_integer_above(
+        cond_const_bound(t_over_theta, acc, e_bar))
+    n_lin = min_integer_above(linearity_bound(t_over_theta, acc, e_bar))
     c1 = 1.0 / (2.0 * max(n_cond, n_lin) * t_over_theta)
     return build_report(n_cond, n_lin, c1, acc)
 

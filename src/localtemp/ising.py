@@ -30,7 +30,10 @@ Temperatures enter as t = T/B. Thermal k-integrals are done by uniform
 trapezoid sums when the dispersion is gapped (spectrally accurate for smooth
 periodic integrands) and by a geometric cell ladder anchored at the gapless
 point otherwise; at low T the Fermi weight is supported on a width ~ T/|w'|
-that uniform grids miss entirely.
+that uniform grids miss entirely. A gapless ground energy per site is a
+closed form (Lieb, Schultz and Mattis): the group minimum per site at L = 0,
+and -(2B/pi)(|L| + g) at K = +-1, with c = sqrt(|L^2 - 1|) and g = asinh(c)/c
+above |L| = 1, atan2(c, |L|)/c below.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
@@ -73,9 +76,6 @@ __all__ = [
     "cond_const_bound",
     "linearity_bound",
     "isotropic_weak_bound",
-    "nmin_cond_const",
-    "nmin_linearity",
-    "nmin_isotropic_weak",
     "nmin",
 ]
 
@@ -323,17 +323,19 @@ def mean_energy_per_site(beta_b, model: IsingModel):
 
 @functools.lru_cache(maxsize=128)
 def ground_energy_per_site(model: IsingModel) -> float:
-    """Ground energy per site, -(1/2pi) int_0^pi omega_k dk (doubled by parity)."""
-    node = _gap_node(model)
-    if node is None:
+    """Ground energy per site, -(1/2pi) int_0^pi omega_k dk (doubled by parity):
+    a trapezoid sum if gapped. At L = 0 the integral of |1 - K cos k| is pi times
+    _extreme_coefficient(K); at K = +-1, u = cos(k/2) makes it elementary, and
+    atan2 keeps the digits that asin(c) loses at small |L|."""
+    if _gap_node(model) is None:
         k, w = _trapezoid_grid(model)
         return float(-np.trapezoid(w, k) / (2.0 * math.pi))
-    # split at the node: omega has a kink (or flat touch) there
-    k0 = node[0]
-    below, above = integrate(
-        lambda k: dispersion_periodic(k, model), [0.0, k0], [k0, math.pi], tol=1e-12
-    )
-    return float(-(below + above) / (2.0 * math.pi))
+    if abs(model.l_param) <= _CASE_TOL:
+        return model._site_energy_range[0]
+    a = abs(model.l_param)
+    c = math.sqrt(abs(a - 1.0)) * math.sqrt(a + 1.0)  # no overflow of a^2
+    g = 1.0 if c == 0.0 else (math.asinh(c) if a > 1.0 else math.atan2(c, a)) / c
+    return -2.0 * model.b_field / math.pi * (a + g)
 
 
 def _window_edge(model: IsingModel, acc: AccuracyParams) -> tuple[float, bool]:
@@ -507,22 +509,6 @@ def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
     return 2.0 * model.k_param**2 / (t_over_b * (1.0 - a))
 
 
-def nmin_cond_const(
-    t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
-) -> int:
-    """Smallest group size satisfying the constant condition."""
-    return min_integer_above(cond_const_bound(t_over_b, acc, model, e_bar))
-
-
-def nmin_linearity(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> int:
-    """Smallest group size keeping the exponent slope below delta."""
-    return min_integer_above(linearity_bound(t_over_b, acc, model))
-
-
-def nmin_isotropic_weak(t_over_b: float, model: IsingModel) -> int:
-    return min_integer_above(isotropic_weak_bound(t_over_b, model))
-
-
 def nmin(
     t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
 ) -> CriterionReport:
@@ -538,9 +524,10 @@ def nmin(
             "no criterion covers K and L both nonzero with K != +-L"
         )
     if uses_mean_energy(model):
-        n_cond = nmin_cond_const(t_over_b, acc, model, e_bar)
+        n_cond = min_integer_above(cond_const_bound(t_over_b, acc, model, e_bar))
     else:
-        n_cond = nmin_isotropic_weak(t_over_b, model)
-    n_lin = nmin_linearity(t_over_b, acc, model)
+        n_cond = min_integer_above(isotropic_weak_bound(t_over_b, model))
+    n_lin = min_integer_above(linearity_bound(t_over_b, acc, model))
+    # c1 calls linearity_bound a second time; ROADMAP item 4 removes that call
     c1 = acc.delta * linearity_bound(t_over_b, acc, model) / max(n_cond, n_lin)
     return build_report(n_cond, n_lin, c1, acc)

@@ -19,7 +19,6 @@ from localtemp.ising import (
     IsingModel,
     delta_sq,
     group_energy,
-    nmin_linearity,
     occupation_patterns,
 )
 from localtemp.ising import nmin as ising_nmin
@@ -128,7 +127,7 @@ def test_criterion_06_ising_isotropic_low_t_slope():
 
 def test_criterion_07_ising_linearity_exact_integer():
     model = IsingModel(1.0, 0.0, 10.0)
-    assert nmin_linearity(1.0, ACC, model) == 2501
+    assert ising_nmin(1.0, ACC, model).n_linearity == 2501
 
 
 def test_criterion_08_oracle_exact_at_zero_anisotropy():

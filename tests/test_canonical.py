@@ -198,3 +198,35 @@ def test_report_derives_n_min_and_binding():
             else:
                 binding = Binding.LINEARITY
             assert (rep.n_min, rep.binding) == (n_min, binding)
+
+
+@pytest.mark.parametrize(
+    "k,l",
+    [pytest.param(None, None, id="harmonic"), pytest.param(0.5, 0.5, id="ConstWidth"),
+     pytest.param(0.0, 2.0, id="FullyAnisotropic"), pytest.param(0.5, 0.0, id="IsotropicWeak"),
+     pytest.param(2.0, 0.0, id="IsotropicStrong"), pytest.param(1.0, 0.0, id="IsotropicCritical"),
+     pytest.param(-1.0, 1.0, id="ConstWidthCritical")],
+)
+def test_nmin_integers_follow_the_raw_bound_rule(k, l):
+    # nmin is the one road from the raw bounds to integers: the smallest
+    # integer above each bound, with the harmonic chain's e_bar >= 1/4 guard and
+    # the all-states bound in place of the constant condition at L = 0, |K| < 1
+    from localtemp import harmonic, ising
+    from localtemp.specfun import min_integer_above
+
+    acc = AccuracyParams(alpha=10.0, delta=0.01)
+    for t in np.geomspace(1e-3, 1e3, 25).tolist():
+        if k is None:
+            report = harmonic.nmin(t, acc)
+            cond = (1 if harmonic.mean_energy_reduced(t) >= 0.25
+                    else min_integer_above(harmonic.cond_const_bound(t, acc)))
+            lin = min_integer_above(harmonic.linearity_bound(t, acc))
+        else:
+            model = ising.IsingModel(1.0, k, l)
+            report = ising.nmin(t, acc, model)
+            weak = l == 0.0 and abs(k) < 1.0
+            raw = (ising.isotropic_weak_bound(t, model) if weak
+                   else ising.cond_const_bound(t, acc, model))
+            cond = min_integer_above(raw)
+            lin = min_integer_above(ising.linearity_bound(t, acc, model))
+        assert (report.n_cond_const, report.n_linearity) == (cond, lin)

@@ -739,3 +739,32 @@ def test_const_width_sweep_computes_no_e_bar(monkeypatch):
     assert calls == []
     assert run_cli(*argv, "--K", "0", "--L", "0.5")[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1"),
+     ("nmin", "harmonic", "--t-over-theta", "1"),
+     ("sweep", "ising", "--tmin", "0.1", "--tmax", "10", "--points", "5", "--K", "2")],
+)
+def test_infinite_alpha_is_rejected(argv):
+    # alpha = inf used to give n_min = 4, a bound that is not finite, or an
+    # underflow, depending on the command
+    code, out, err = run_cli(*argv, "--alpha", "inf")
+    assert (code, out) == (1, "")
+    assert err == "localtemp: error: alpha must be finite and exceed 1\n"
+
+
+@pytest.mark.parametrize("kl", [("1", "0"), ("1", "1"), ("-1", "1"), ("2", "0"), ("-1.6", "0")])
+def test_gapless_nmin_does_not_depend_on_field(kl):
+    # every gapless ground energy is a closed form, so the integers at fixed
+    # (t, K, L) are the same at every B; an absolute quadrature tolerance
+    # used to fail at B = 1e5
+    rows = set()
+    for b in ("1e-8", "1", "1e5", "1e8"):
+        code, out, err = run_cli("nmin", "ising", "--t-over-b", "0.5", "--K", kl[0],
+                                 "--L", kl[1], "--B", b, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        rows.add(tuple(report[f] for f in ("n_cond_const", "n_linearity", "n_min", "binding")))
+    assert len(rows) == 1

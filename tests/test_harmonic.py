@@ -15,8 +15,6 @@ from localtemp.harmonic import (
     mean_energy_reduced,
     min_length,
     nmin,
-    nmin_cond_const,
-    nmin_linearity,
 )
 from localtemp.specfun import min_integer_above
 
@@ -74,9 +72,9 @@ def test_mean_energy_strictly_increasing():
     ],
 )
 def test_nmin_branches_frozen(t, cond_n, lin_n):
-    assert nmin_cond_const(t, ACC) == cond_n
-    assert nmin_linearity(t, ACC) == lin_n
     report = nmin(t, ACC)
+    assert report.n_cond_const == cond_n
+    assert report.n_linearity == lin_n
     assert report.n_min == max(cond_n, lin_n)
 
 
@@ -88,8 +86,8 @@ def test_cond_bound_raw_value():
 def test_cond_const_regime_boundary():
     # bound applies only while the thermal energy stays below the ground value
     t_star = 0.4398506066712677
-    assert nmin_cond_const(t_star * 1.01, ACC) == 1
-    assert nmin_cond_const(t_star * 0.99, ACC) > 1
+    assert nmin(t_star * 1.01, ACC).n_cond_const == 1
+    assert nmin(t_star * 0.99, ACC).n_cond_const > 1
     assert math.isclose(mean_energy_reduced(t_star), 0.25, rel_tol=1e-9)
 
 
@@ -192,7 +190,7 @@ def test_tightest_golden_cond_const_integer():
     import mpmath
 
     t = 0.00010718913192051276
-    assert nmin_cond_const(t, ACC) == 1234068477212
+    assert nmin(t, ACC).n_cond_const == 1234068477212
     grid_e_bar = mean_energy_reduced(np.array([1e-4, t]))[1]
     assert min_integer_above(cond_const_bound(t, ACC, grid_e_bar)) == 1234068477212
     with mpmath.workdps(40):

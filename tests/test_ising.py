@@ -26,9 +26,6 @@ from localtemp.ising import (
     linearity_bound,
     mean_energy_per_site,
     nmin,
-    nmin_cond_const,
-    nmin_isotropic_weak,
-    nmin_linearity,
     occupation_patterns,
     uses_mean_energy,
 )
@@ -108,16 +105,43 @@ def test_ground_energy_frozen(k, l, expected):
 @pytest.mark.parametrize(
     "k,l,expected",
     [
-        (1.5, 0.0, -1.1763215978147163),
-        (1.0, 0.5, -1.0881102451032911),
-        (-1.0, 1.0, -1.2732395447351632),
+        (1.5, 0.0, -1.1763215978147172),
+        (1.0, 0.5, -1.0881102451032918),
+        (-1.0, 1.0, -1.2732395447351628),
     ],
 )
 def test_ground_energy_gapless_bitwise(k, l, expected):
-    # the gapless ground energy integrates to an absolute tol of 1e-12; at
-    # the integrator's default 1e-10 these read ...175, -1.08811024510328
-    # and ...628
+    # closed forms, each within 1 ulp of mpmath (40 digits): -1.17632159781471704,
+    # -1.08811024510329169 and -1.27323954473516269 (= -4/pi)
     assert ground_energy_per_site(_model(k, l)) == expected
+
+
+def _mpmath_ground_energy(k, l):
+    import mpmath
+
+    with mpmath.workdps(40):
+        k, l = mpmath.mpf(k), mpmath.mpf(l)
+        omega = lambda q: 2 * mpmath.sqrt((1 - k * mpmath.cos(q)) ** 2 + (l * mpmath.sin(q)) ** 2)
+        nodes = [0, mpmath.acos(1 / k), mpmath.pi] if l == 0 and abs(k) > 1 else [0, mpmath.pi]
+        return float(-mpmath.quad(omega, nodes) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("k,l", [(1e5, 0.0), (1.0, 1e4), (-1.0, 1e4), (1.0, 1e200)])
+def test_ground_energy_gapless_strong_coupling_matches_mpmath(k, l):
+    # an absolute quadrature tolerance cannot be met once omega ~ 1e5, and
+    # L^2 overflows at L = 1e200
+    e0 = ground_energy_per_site(_model(k, l))
+    assert math.isclose(e0, _mpmath_ground_energy(k, l), rel_tol=1e-15)
+
+
+def test_ground_energy_gapless_calls_no_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr("localtemp.ising.integrate", no_quadrature)
+    for k, l in ((1.0, 0.0), (-1.0, 0.0), (2.0, 0.0), (-1.6, 0.0), (1.0, 1.0),
+                 (-1.0, 1.0), (1.0, 1e-3), (1.0, 7.0)):
+        ground_energy_per_site.__wrapped__(_model(k, l))  # past the cache
 
 
 def test_ground_energy_weak_coupling_flat():
@@ -249,22 +273,22 @@ def test_linearity_bound_frozen():
     assert math.isclose(got, 390743.73004341096, rel_tol=1e-9)
     # fully anisotropic benchmark: (1/0.02) * 100 / 2 = 2500 exactly
     assert math.isclose(linearity_bound(1.0, ACC, _model(0.0, 10.0)), 2500.0, rel_tol=1e-12)
-    assert nmin_linearity(1.0, ACC, _model(0.0, 10.0)) == 2501
+    assert nmin(1.0, ACC, _model(0.0, 10.0)).n_linearity == 2501
 
 
 def test_const_width_thresholds():
     weak, strong = _model(0.1, 0.1), _model(10.0, 10.0)
     for m, t_star in ((weak, 0.755987105272306), (strong, 27.571296748746548)):
-        assert nmin_cond_const(t_star * 1.001, ACC, m) == 1
-        assert nmin_cond_const(t_star * 0.999, ACC, m) > 1
-    assert nmin_cond_const(0.05, ACC, weak) == 80
+        assert nmin(t_star * 1.001, ACC, m).n_cond_const == 1
+        assert nmin(t_star * 0.999, ACC, m).n_cond_const > 1
+    assert nmin(0.05, ACC, weak).n_cond_const == 80
 
 
 def test_isotropic_weak_bound_values():
     m = _model(0.1, 0.0)
     assert math.isclose(isotropic_weak_bound(1.0, m), 0.2 / 9.0, rel_tol=1e-12)
-    assert nmin_isotropic_weak(1.0, m) == 1
-    assert nmin_isotropic_weak(1e-3, m) == 23
+    assert nmin(1.0, ACC, m).n_cond_const == 1
+    assert nmin(1e-3, ACC, m).n_cond_const == 23
     with pytest.raises(ValueError):
         isotropic_weak_bound(1.0, _model(1.5, 0.0))
     with pytest.raises(ValueError):
@@ -356,9 +380,9 @@ def test_tightest_golden_ising_integer():
     # the second point of the K = 2 sweep: its bound ends in ...019.0286
     t = 0.0010718913192051276
     model = _model(2.0, 0.0)
-    assert nmin_cond_const(t, ACC, model) == 214881706020
+    assert nmin(t, ACC, model).n_cond_const == 214881706020
     grid_e_bar = mean_energy_per_site(np.array([1e3, 1.0 / t]), model)[1]
-    assert nmin_cond_const(t, ACC, model, grid_e_bar) == 214881706020
+    assert nmin(t, ACC, model, grid_e_bar).n_cond_const == 214881706020
 
 
 @pytest.mark.parametrize("k", [2.0, 1.0])

@@ -5,19 +5,20 @@ Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 Each argument is a directory that holds the `localtemp` package (the `src/`
 of a checkout). The commands are the sweep catalog of
 `benchmarks/workloads.py`, a few longer grid sweeps and the four figures,
-each in csv, json and human format, then commands that end in a named
-failure of the CLI, then small dense oracle commands. Every command runs in
-a fresh interpreter for each tree, and any difference in exit code, stdout
-or stderr is printed with a diff.
+each in csv, json and human format, then failure and range-edge commands
+(inputs that end in a named failure of the CLI, and inputs at the edge of
+the supported range, such as huge fields or couplings), then small dense
+oracle commands. Every command runs in a fresh interpreter for each tree,
+and any difference in exit code, stdout or stderr is printed with a diff.
 
 Exit status: 1 when the stdout of a catalog or grid command differs and the
 change does not declare it; 0 otherwise. A change that alters such output on
 purpose (a golden re-record, say) lists the commands in
 tools/expected_output_changes.txt: one shell-style pattern per line, matched
 against the command as printed ("localtemp sweep ising ... --format csv").
-Differences in stderr or exit code, and in the failure commands, are printed
-but do not fail, as fixes change those on purpose; say which in the change
-log. Differences in the oracle commands are printed but do not fail either:
+Differences in stderr or exit code, and in the failure and range-edge
+commands, are printed but do not fail, as fixes change those on purpose;
+say which in the change log. Differences in the oracle commands are printed but do not fail either:
 BLAS threading can move their roundoff-level digits from run to run.
 """
 from __future__ import annotations
@@ -79,6 +80,15 @@ FAILURES = (
     ("oracle", "moments", "--sites", "8", "--groups", "2", "--K", "0.3"),
     ("sweep", "harmonic", "--tmin", "1", "--tmax", "2", "--points", "100001"),
     ("materials", "--name", "iron", "--temp-kelvin", "nan"),
+    ("nmin", "ising", "--t-over-b", "0.5", "--K", "1", "--L", "1", "--B", "1e5"),
+    ("nmin", "ising", "--t-over-b", "0.5", "--K", "2", "--L", "0", "--B", "1e5"),
+    ("nmin", "ising", "--t-over-b", "0.5", "--K", "-1", "--L", "1", "--B", "1e5"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1e5"),
+    ("oracle", "spectrum", "--sites", "4", "--boundary", "periodic", "--K", "1", "--L", "1e4"),
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--alpha", "inf"),
+    ("nmin", "harmonic", "--t-over-theta", "1", "--alpha", "inf"),
+    ("sweep", "ising", "--tmin", "0.1", "--tmax", "10", "--points", "5", "--K", "2",
+     "--alpha", "inf"),
 )
 
 
