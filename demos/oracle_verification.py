@@ -1,10 +1,10 @@
-"""Dense diagonalization against every analytic building block.
+"""Exact diagonalization against every analytic building block.
 
 Small transverse-field chains (up to 10 sites) are solved exactly and
 compared with the closed forms the criteria are built from: the free-mode
 group spectrum, the interaction mean and width per product state, the
-Gaussian shape of the energy distribution w_a, and the error-function
-formula for the thermal diagonal <a|rho|a>.
+Gaussian shape of the energy distribution w_a (from the chain's free-fermion
+form), and the error-function formula for the thermal diagonal <a|rho|a>.
 
 Run:  python3 demos/oracle_verification.py
 """

@@ -3,7 +3,7 @@
 Subcommands: nmin (single-point criteria query), sweep (temperature sweep as
 CSV), figure (fixed parameter sets behind the standard log-log plots),
 materials (Debye-temperature database and minimal physical lengths), oracle
-(dense verification drivers). Kelvin and angstrom are converted here, once;
+(exact verification drivers). Kelvin and angstrom are converted here, once;
 everything below the argument layer works in dimensionless ratios.
 
 Exit codes: 0 success, 1 invalid parameters or files, 2 numerical failure
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(materials, "human")
     materials.set_defaults(func=cmd_materials)
 
-    orc = sub.add_parser("oracle", help="dense verification drivers")
+    orc = sub.add_parser("oracle", help="exact verification drivers")
     orc_sub = orc.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("spectrum", "moments", "gaussian", "rho"):
         op = orc_sub.add_parser(name)

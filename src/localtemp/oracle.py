@@ -1,13 +1,17 @@
 """Exact verification of the analytic building blocks on small spin chains.
 
-Everything here is exact, built from the chain's structure: the full 2^n
-Hamiltonian is filled by bit arithmetic on basis indices, diagonalized one
-symmetry sector at a time, and used to measure the quantities the
-analytic modules predict: the interaction mean and width, the moments of the
-energy distribution w_a, and the diagonal of the thermal state in the
-product basis. Each is one array over all product states. No Gaussian or
-thermodynamic-limit approximation enters, so any disagreement beyond
-numerical noise points at the formulas, not at the check.
+Everything here is exact, built from the chain's structure, and used to
+measure the quantities the analytic modules predict: the interaction mean
+and width, the moments of the energy distribution w_a, and the diagonal of
+the thermal state in the product basis. Each is one array over all product
+states. No Gaussian or thermodynamic-limit approximation enters, so any
+disagreement beyond numerical noise points at the formulas, not at the check.
+
+The open `spectrum` and `gaussian` use the chain's free-fermion form
+(quadratic.py), whose product states are products of group Fock states. The
+rest fills the full 2^n Hamiltonian by bit arithmetic on basis indices and
+diagonalizes it one symmetry sector at a time; its product states are built
+from the group eigenstates a dense eigh picks.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
@@ -61,6 +65,7 @@ from .ising import (
     group_energy,
     occupation_patterns,
 )
+from .quadratic import open_spectrum, product_cumulants
 
 __all__ = [
     "Boundary",
@@ -410,17 +415,17 @@ def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
 
 def product_moments(
     sys: DenseThermalSystem, pb: ProductBasisData
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, variance, skewness) of w_a for every product state a at once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of w_a for every product state a at once.
 
     w_a puts weight |<a|phi>|^2 on each eigenvalue E_phi; the moments are
     centred sums over the whole spectrum, so no degenerate levels need
-    merging. Skewness is 0 where the variance is not positive.
+    merging.
     """
     energies = sys.eigenvalues
     probs = _overlap_sq(sys, pb)
     mean = probs @ energies
-    var, m3 = np.empty_like(mean), np.empty_like(mean)
+    var = np.empty_like(mean)
     # a few rows at a time, so the deviations never fill a second dim^2 array
     step = max(1, _MOMENT_ROWS_ELEMENTS // energies.size)
     buf = np.empty((min(step, mean.size), energies.size))
@@ -431,11 +436,7 @@ def product_moments(
         p *= dev
         p *= dev
         var[rows] = p.sum(axis=1)
-        m3[rows] = np.einsum("ab,ab->a", p, dev)
-    skew = np.zeros_like(var)
-    wide = var > 0.0
-    skew[wide] = m3[wide] / var[wide] ** 1.5
-    return mean, var, skew
+    return mean, var
 
 
 def rho_product_diag(
@@ -560,16 +561,18 @@ class RhoDiagReport(_Report):
 def spectrum_check(
     n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
 ) -> SpectrumReport | GroundEnergyReport:
-    """Dense spectrum against the mode formula (open) or the ground-energy
-    integral (periodic, where only that is meaningful)."""
-    h = build_hamiltonian(n_sites, model, boundary)
-    sectors = _sectors(n_sites, _parity_blocks(h))
-    dense = np.sort(np.concatenate([np.linalg.eigvalsh(s[0]) for s in sectors]))
+    """Open chain: the free-fermion spectrum against the mode formula.
+    Periodic chain, where only the ground energy is meaningful: the dense
+    ground energy against the k-integral."""
     label = boundary.name.lower()
     if boundary is Boundary.OPEN:
+        _check_sites(n_sites)
+        exact = open_spectrum(n_sites, model)
         formula = np.sort(group_energy(occupation_patterns(n_sites), model))
-        return SpectrumReport(n_sites, label, float(np.max(np.abs(dense - formula))))
-    dense_ground = float(dense[0]) / n_sites
+        return SpectrumReport(n_sites, label, float(np.max(np.abs(exact - formula))))
+    h = build_hamiltonian(n_sites, model, boundary)
+    sectors = _sectors(n_sites, _parity_blocks(h))
+    dense_ground = min(float(np.linalg.eigvalsh(s[0])[0]) for s in sectors) / n_sites
     integral = ground_energy_per_site(model)
     return GroundEnergyReport(
         n_sites, label, dense_ground, integral, abs(dense_ground - integral)
@@ -583,7 +586,7 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
     sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
     pb = product_basis(n_sites, group_size, model)
     eps, dsq = interaction_statistics(pb)
-    mean, var, _ = product_moments(sys, pb)
+    mean, var = product_moments(sys, pb)
     formula_dev = None
     if occs is not None:
         widths = delta_sq(occs[:, None], occs[None, :], model)
@@ -605,20 +608,23 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
 def skewness_by_groups(
     n_sites: int, n_groups: int, model: IsingModel
 ) -> tuple[SkewnessRow, ...]:
-    """Worst w_a skewness for 2..n_groups groups of n_sites // n_groups sites;
-    w_a, the energy distribution of a product state, does not depend on beta."""
+    """Worst w_a skewness kappa_3 / kappa_2^(3/2) for 2..n_groups groups of
+    n_sites // n_groups sites, over the products of group Fock states (see
+    quadratic.py); w_a, the energy distribution of a product state, does not
+    depend on beta."""
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
+    _check_sites(n_sites)
     rows = []
     for count in range(2, n_groups + 1):
-        sites = group_size * count
-        sys = DenseThermalSystem.solve(build_hamiltonian(sites, model))
-        pb = product_basis(sites, group_size, model)
-        _, dsq = interaction_statistics(pb)
-        _, _, skew = product_moments(sys, pb)
-        worst = float(np.max(np.abs(skew[dsq >= _ZERO_WIDTH]), initial=0.0))
-        rows.append(SkewnessRow(count, sites, worst))
+        _, k2, k3 = product_cumulants(count, group_size, model)
+        # a zero-width state has no shape; a non-finite cumulant is an
+        # overflow, which the row must carry rather than mask
+        keep = (k2 >= _ZERO_WIDTH) | ~np.isfinite(k2) | ~np.isfinite(k3)
+        skew = k3[keep] / k2[keep] / np.sqrt(k2[keep])
+        worst = float(np.max(np.abs(skew), initial=0.0))
+        rows.append(SkewnessRow(count, group_size * count, worst))
     return tuple(rows)
 
 

@@ -159,7 +159,7 @@ def test_criterion_09_oracle_moment_identities():
             sys = DenseThermalSystem.solve(build_hamiltonian(8, model))
             pb = product_basis(8, 2, model)
             eps, dsq = interaction_statistics(pb)
-            mean, var, _ = product_moments(sys, pb)
+            mean, var = product_moments(sys, pb)
             assert np.max(np.abs(mean - (pb.product_energies + eps))) <= 1e-10
             assert np.max(np.abs(var - dsq)) <= 1e-10
 

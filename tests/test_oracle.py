@@ -34,6 +34,7 @@ from localtemp.oracle import (
     spectrum_check,
     thermal_state,
 )
+from localtemp.quadratic import _fock_modes, product_cumulants
 
 
 def _model(k, l, b=1.0):
@@ -117,7 +118,7 @@ def test_w_a_moment_identities():
         sys = _system(6, model)
         pb = product_basis(6, 2, model)
         eps, dsq = interaction_statistics(pb)
-        mean, var, _ = product_moments(sys, pb)
+        mean, var = product_moments(sys, pb)
         assert np.max(np.abs(mean - (pb.product_energies + eps))) <= 1e-10
         assert np.max(np.abs(var - dsq)) <= 1e-10
 
@@ -393,10 +394,50 @@ def test_w_a_distribution_matches_kronecker_reference(k_param, l_param):
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
 
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def _majoranas(n):
+    # a_2j = S_j sx_j and a_2j+1 = S_j sy_j, with the string S_j = prod_{l<j} sz_l
+    ops, string = [], np.eye(2**n)
+    for j in range(n):
+        ops += [string @ _site_op(_SX, j, n), string @ _site_op(_SY, j, n)]
+        string = string @ _site_op(_SZ, j, n)
+    return np.array(ops)
+
+
+def _fock_states(group_size, model):
+    # column p is the group state with mode k occupied where bit k of p is
+    # set: the joint eigenvector of the occupations n_k = (1 + (i/2) a^T G_k a) / 2
+    a = _majoranas(group_size)
+    one = np.eye(2**group_size)
+    label = sum(
+        2**k * 0.5 * (one + 0.5j * np.einsum("ij,iab,jbc->ac", g, a, a))
+        for k, g in enumerate(_fock_modes(group_size, model))
+    )
+    values, states = np.linalg.eigh(label)
+    assert np.max(np.abs(values - np.arange(2**group_size))) <= 1e-10
+    return states
+
+
+def _fock_reference_moments(n_sites, group_size, model):
+    # mean, variance and third central moment of w_a for every product of
+    # group Fock states, from the explicit Kronecker basis and a full eigh
+    states = _fock_states(group_size, model)
+    basis = functools.reduce(np.kron, [states] * (n_sites // group_size))
+    vals, vecs = np.linalg.eigh(_reference_hamiltonian(n_sites, model))
+    probs = np.abs(basis.conj().T @ vecs) ** 2
+    mean = probs @ vals
+    dev = vals - mean[:, None]
+    return mean, np.sum(probs * dev**2, axis=1), np.sum(probs * dev**3, axis=1)
+
+
 def test_product_moments_match_per_state_distribution():
     # every product state's w_a, mean and width from the explicit Kronecker
-    # basis; skewness is compared only where the width is above roundoff, as
-    # the oracle commands do: a point distribution's skewness is noise / noise
+    # basis. The skewness of the free-fermion cumulants is pinned against the
+    # products of group Fock states, compared only where the width is above
+    # roundoff, as the oracle commands do: a point distribution's skewness is
+    # noise / noise
     for k_param, l_param in _COUPLINGS:
         model = _model(k_param, l_param)
         sys = _system(6, model)
@@ -406,12 +447,14 @@ def test_product_moments_match_per_state_distribution():
         ref_mean = probs @ sys.eigenvalues
         dev = sys.eigenvalues - ref_mean[:, None]
         ref_var = np.sum(probs * dev**2, axis=1)
-        mean, var, skew = product_moments(sys, pb)
+        mean, var = product_moments(sys, pb)
         assert np.max(np.abs(mean - ref_mean)) <= 1e-10
         assert np.max(np.abs(var - ref_var)) <= 1e-10
-        wide = ref_var >= 1e-12
-        ref_skew = np.sum(probs * dev**3, axis=1)[wide] / ref_var[wide] ** 1.5
-        assert np.max(np.abs(skew[wide] - ref_skew)) <= 1e-10
+        _, fock_var, fock_m3 = _fock_reference_moments(6, 2, model)
+        _, k2, k3 = product_cumulants(3, 2, model)
+        wide = fock_var >= 1e-12
+        ref_skew = fock_m3[wide] / fock_var[wide] ** 1.5
+        assert np.max(np.abs(k3[wide] / k2[wide] ** 1.5 - ref_skew)) <= 1e-10
         ref_eps = np.diag(inter)
         eps, dsq = interaction_statistics(pb)
         assert np.max(np.abs(eps - ref_eps)) <= 1e-14
@@ -463,7 +506,9 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
     DenseThermalSystem.solve(build_hamiltonian(10, model))
     for boundary in Boundary:
         spectrum_check(10, model, boundary)
-    assert len(shapes) == 12
+    # the open spectrum takes one eigvalsh of the 20 x 20 Majorana matrix
+    sector_sized = [size for size in shapes if size > 2 * 10]
+    assert len(sector_sized) == 8
     assert max(shapes) <= 2**10 // 4 + 2**5
 
 
@@ -544,7 +589,6 @@ def test_peak_memory_in_dense_arrays(n_groups):
     calls = (
         (product_basis, (10, 10 // n_groups, model), 2),
         (rho_diag_check, (10, n_groups, model, 1.0), 4),
-        (skewness_by_groups, (10, n_groups, model), 4),
     )
     for fn, args, limit in calls:
         tracemalloc.start()
