@@ -1,17 +1,15 @@
 """Exact verification of the analytic building blocks on small spin chains.
 
-Everything here is exact, built from the chain's structure, and used to
-measure the quantities the analytic modules predict: the interaction mean
-and width, the moments of the energy distribution w_a, and the diagonal of
-the thermal state in the product basis. Each is one array over all product
-states. No Gaussian or thermodynamic-limit approximation enters, so any
-disagreement beyond numerical noise points at the formulas, not at the check.
-
-The open `spectrum` and `gaussian` use the chain's free-fermion form
-(quadratic.py), whose product states are products of group Fock states. The
-rest fills the full 2^n Hamiltonian by bit arithmetic on basis indices and
-diagonalizes it one symmetry sector at a time; its product states are built
-from the group eigenstates a dense eigh picks.
+Everything here is exact, built from the chain's structure: the open
+`spectrum` and `gaussian` from its free-fermion form (quadratic.py), over
+products of group Fock states; the rest from the full 2^n Hamiltonian, filled
+by bit arithmetic on basis indices and diagonalized one symmetry sector at a
+time, over the group eigenstates a dense eigh picks. They measure the
+quantities the analytic modules predict: the interaction mean and width, the
+moments of the energy distribution w_a, and the diagonal of the thermal state
+in the product basis. Each is one array over all product states. No Gaussian
+or thermodynamic-limit approximation enters, so any disagreement beyond
+numerical noise points at the formulas, not at the check.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
@@ -65,7 +63,7 @@ from .ising import (
     group_energy,
     occupation_patterns,
 )
-from .quadratic import open_spectrum, product_cumulants
+from .quadratic import mode_energies, open_spectrum, product_cumulants
 
 __all__ = [
     "Boundary",
@@ -94,6 +92,10 @@ _MAX_SITES = 12
 
 # product states whose interaction width lies below this carry no w_a shape
 _ZERO_WIDTH = 1e-12
+
+# mode energies closer than this, relative to the largest, are degenerate
+# within roundoff: eigh cannot tell their vectors, or their Fock states, apart
+_MODE_GAP = 1e-13
 
 # product_moments centres this many overlap elements at a time (256 KB)
 _MOMENT_ROWS_ELEMENTS = 2**15
@@ -504,7 +506,7 @@ class _Report:
 
 @dataclass(frozen=True)
 class SpectrumReport(_Report):
-    """Open chain: worst gap between the sorted dense and formula spectra."""
+    """Open chain: worst gap between the sorted exact and formula spectra."""
 
     sites: int
     boundary: str
@@ -611,20 +613,31 @@ def skewness_by_groups(
     """Worst w_a skewness kappa_3 / kappa_2^(3/2) for 2..n_groups groups of
     n_sites // n_groups sites, over the products of group Fock states (see
     quadratic.py); w_a, the energy distribution of a product state, does not
-    depend on beta."""
+    depend on beta. Raises ValueError where those states are not unique."""
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
     _check_sites(n_sites)
+    # relative to the junction's Jx^2 + Jy^2, as the skewness is scale-free
+    zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     rows = []
     for count in range(2, n_groups + 1):
         _, k2, k3 = product_cumulants(count, group_size, model)
         # a zero-width state has no shape; a non-finite cumulant is an
         # overflow, which the row must carry rather than mask
-        keep = (k2 >= _ZERO_WIDTH) | ~np.isfinite(k2) | ~np.isfinite(k3)
+        keep = (k2 > zero_width) | ~np.isfinite(k2) | ~np.isfinite(k3)
         skew = k3[keep] / k2[keep] / np.sqrt(k2[keep])
         worst = float(np.max(np.abs(skew), initial=0.0))
         rows.append(SkewnessRow(count, group_size * count, worst))
+    # checked after the rows, so an overflow is reported as such
+    modes = mode_energies(group_size, model)
+    gaps = np.diff(modes, prepend=-modes[0])  # 2 Lambda_0, then neighbours
+    if zero_width > 0.0 and np.min(gaps) <= _MODE_GAP * modes[-1]:
+        raise ValueError(
+            "gaussian check is undefined: a group's mode energies are degenerate"
+            " (K = 0, or a strong-coupling edge mode), so its Fock states are not"
+            " unique"
+        )
     return tuple(rows)
 
 

@@ -1,34 +1,23 @@
 """The open spin chain as free Majorana fermions: spectrum and w_a cumulants.
 
-The chain sum_j -B sz_j - (Jx/2) sx_j sx_j+1 - (Jy/2) sy_j sy_j+1 is
-quadratic in the Majorana operators a_2j = S_j sx_j and a_2j+1 = S_j sy_j,
-with S_j = prod_{l<j} sz_l, for every K and L (Lieb, Schultz & Mattis, Ann.
-Phys. 16, 407 (1961)): H = 1/4 a^T (iA) a with the real antisymmetric A of
-majorana_matrix, and tr H = 0. The positive eigenvalues Lambda_k of iA are
-the mode energies, and the 2^n levels are -1/2 sum_k (1 - 2 n_k) Lambda_k
-over the occupation bits n_k. This holds on open chains only: a periodic
-bond carries the string of the whole chain, so the two parity sectors see
-different fermion boundary conditions.
+The open chain is H = 1/4 a^T (iA) a, A real antisymmetric, in the Majoranas
+a_2j = S_j sx_j and a_2j+1 = S_j sy_j, S_j = prod_{l<j} sz_l, for every K and
+L (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)). The positive
+eigenvalues Lambda_k of iA are the mode energies, and the levels are
+-1/2 sum_k (1 - 2 n_k) Lambda_k. A group eigenstate is a Fock state of the
+group's modes, with covariance sum_k (2 n_k - 1) G_k, G_k = 2 Im(v_k v_k^+)
+for the eigenvector v_k of Lambda_k; a product state's Gamma_a is block
+diagonal. By Wick's theorem its w_a has kappa_1 = -tr(A Gamma_a) / 4. Split
+A = A_G + A_V into the blocks inside groups and the bonds between them: A_G
+commutes with Gamma_a, so the terms of order 0 and 1 in A_V (of size n B^2 and
+n B^3) cancel exactly, and are left out rather than rounded into a width:
 
-A group eigenstate with bits n_k is a Fock state of the group's modes. With
-v_k the eigenvectors of iA for Lambda_k > 0, its Majorana covariance
-Gamma_kl = (i/2)<[a_k, a_l]> is sum_k (2 n_k - 1) G_k, G_k = 2 Im(v_k v_k^+).
-A product of group Fock states has the block-diagonal covariance Gamma_a of
-its groups, since bilinears across two groups vanish in a parity eigenstate.
-By Wick's theorem its energy distribution w_a has, with M = A Gamma_a,
+    kappa_2 = (|A_V|_F^2 - tr (A_V Gamma_a)^2) / 8,
+    kappa_3 = -(tr(A_V^3 Gamma_a) + tr (A_V Gamma_a)^3 + 2 tr(A_V^2 A_G Gamma_a)
+                + tr(A_V A_G A_V Gamma_a) + 3 tr(A_G Gamma_a (A_V Gamma_a)^2)) / 8.
 
-    kappa_1 = -tr M / 4,
-    kappa_2 = (|A|_F^2 - tr M^2) / 8,
-    kappa_3 = -(tr(A^3 Gamma_a) + tr M^3) / 8.
-
-Over all modes m of the chain Gamma_a = sum_m s_m G_m, with s_m = 2 n_m - 1,
-so each trace is a polynomial in the signs s whose coefficients are traces
-over at most three modes: every product state at once, in real arithmetic,
-with no 2^n x 2^n matrix.
-
-Where group levels are degenerate (L = 0 with groups of >= 4 sites, or K = 0),
-a dense eigh of the group need not pick Fock states. Where mode energies are
-degenerate too (K = 0), the modes that eigh picks fix the Fock basis.
+Each trace is a polynomial in the signs 2 n_m - 1 of the chain's modes, with
+coefficients over at most three modes, so no 2^n x 2^n matrix is formed.
 """
 from __future__ import annotations
 
@@ -36,10 +25,10 @@ import numpy as np
 
 from .ising import IsingModel, occupation_patterns
 
-__all__ = ["majorana_matrix", "open_spectrum", "product_cumulants"]
+__all__ = ["mode_energies", "open_spectrum", "product_cumulants"]
 
 
-def majorana_matrix(n_sites: int, model: IsingModel) -> np.ndarray:
+def _majorana_matrix(n_sites: int, model: IsingModel) -> np.ndarray:
     """The real antisymmetric A of the open chain, H = 1/4 a^T (iA) a:
     A[2j, 2j+1] = 2B, A[2j+1, 2j+2] = Jx and A[2j, 2j+3] = -Jy."""
     a = np.zeros((2 * n_sites, 2 * n_sites))
@@ -50,15 +39,20 @@ def majorana_matrix(n_sites: int, model: IsingModel) -> np.ndarray:
     return a - a.T
 
 
+def mode_energies(n_sites: int, model: IsingModel) -> np.ndarray:
+    """The open chain's mode energies Lambda_k >= 0, ascending."""
+    return np.linalg.eigvalsh(1j * _majorana_matrix(n_sites, model))[n_sites:]
+
+
 def open_spectrum(n_sites: int, model: IsingModel) -> np.ndarray:
     """All 2^n levels of the open chain, ascending, from its mode energies."""
-    modes = np.linalg.eigvalsh(1j * majorana_matrix(n_sites, model))[n_sites:]
+    modes = mode_energies(n_sites, model)
     return np.sort(occupation_patterns(n_sites) @ modes - 0.5 * np.sum(modes))
 
 
 def _fock_modes(group_size: int, model: IsingModel) -> np.ndarray:
     """G_k = 2 Im(v_k v_k^+) of the group's modes, Lambda_k ascending."""
-    _, vecs = np.linalg.eigh(1j * majorana_matrix(group_size, model))
+    _, vecs = np.linalg.eigh(1j * _majorana_matrix(group_size, model))
     v = vecs[:, group_size:]
     return 2.0 * np.einsum("ik,jk->kij", v, v.conj()).imag
 
@@ -70,23 +64,28 @@ def product_cumulants(
     chain of n_groups groups. Entry a is the state whose group g holds the
     occupation bits of (a >> group_size * g) mod 2^group_size."""
     n = n_groups * group_size
-    a = majorana_matrix(n, model)
+    a = _majorana_matrix(n, model)
+    groups = np.zeros_like(a)
     modes = np.zeros((n, 2 * n, 2 * n))
     fock = _fock_modes(group_size, model)
     for start in range(0, n, group_size):
         block = slice(2 * start, 2 * (start + group_size))
         modes[start : start + group_size, block, block] = fock
-    am = a @ modes
+        groups[block, block] = a[block, block]
+    v = a - groups
+    vm, gm = v @ modes, groups @ modes  # A_V G_m, A_G G_m
     # tr(X Y) is the dot product of X's rows with Y^T's rows, flattened
-    flat, flat_t = am.reshape(n, -1), am.transpose(0, 2, 1).reshape(n, -1)
-    first = np.trace(am, axis1=1, axis2=2)  # tr(A G_m)
-    second = flat @ flat_t.T  # tr(A G_m A G_n)
-    pairs = (am[:, None] @ am[None, :]).reshape(n * n, -1)  # A G_m A G_n
-    third = (pairs @ flat_t.T).reshape(n, n * n)  # tr(A G_m A G_n A G_p)
-    a_cubed = modes.reshape(n, -1) @ (a @ a @ a).T.ravel()  # tr(A^3 G_m)
+    vm_t = vm.transpose(0, 2, 1).reshape(n, -1)
+    first = np.trace(a @ modes, axis1=1, axis2=2)  # tr(A G_m)
+    second = vm.reshape(n, -1) @ vm_t.T  # tr(A_V G_m A_V G_n)
+    pairs = (vm[:, None] @ vm[None, :]).reshape(n * n, -1)  # A_V G_n A_V G_p
+    # tr((A_V + 3 A_G) G_m A_V G_n A_V G_p), indexed [m, n * n + p]
+    third = (pairs @ (vm + 3.0 * gm).transpose(0, 2, 1).reshape(n, -1).T).T
+    linear = v @ v @ v + 2.0 * v @ v @ groups + v @ groups @ v
+    first_v = modes.reshape(n, -1) @ linear.T.ravel()  # tr(linear G_m)
     s = 2.0 * occupation_patterns(n) - 1.0
-    tr_m3 = np.einsum("anp,an,ap->a", (s @ third).reshape(-1, n, n), s, s)
+    cubic = np.einsum("anp,an,ap->a", (s @ third).reshape(-1, n, n), s, s)
     kappa1 = -0.25 * (s @ first)
-    kappa2 = (np.sum(a * a) - np.einsum("an,an->a", s @ second, s)) / 8.0
-    kappa3 = -(s @ a_cubed + tr_m3) / 8.0
+    kappa2 = (np.sum(v * v) - np.einsum("an,an->a", s @ second, s)) / 8.0
+    kappa3 = -(s @ first_v + cubic) / 8.0
     return kappa1, kappa2, kappa3

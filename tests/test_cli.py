@@ -681,7 +681,7 @@ _NOTE = (
         ),
         (
             ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "0.3"),
-            "2  4  2.8284271247462662\n",
+            "2  4  2.828427124746189\n",
         ),
         (
             ("oracle", "rho", "--sites", "2", "--groups", "2", "--K", "0.5"),

@@ -16,7 +16,7 @@ from test_oracle import (
 )
 
 from localtemp.oracle import build_hamiltonian, skewness_by_groups, spectrum_check
-from localtemp.quadratic import majorana_matrix, open_spectrum, product_cumulants
+from localtemp.quadratic import _majorana_matrix, open_spectrum, product_cumulants
 
 _ALL_COUPLINGS = _COUPLINGS + ((0.0, 0.0), (0.6, 0.6), (0.3, 0.2))
 
@@ -27,7 +27,7 @@ def test_majorana_matrix_is_the_hamiltonian(k_param, l_param):
     model = _model(k_param, l_param)
     for n in range(1, 6):
         a = _majoranas(n)
-        h = 0.25j * np.einsum("ij,iab,jbc->ac", majorana_matrix(n, model), a, a)
+        h = 0.25j * np.einsum("ij,iab,jbc->ac", _majorana_matrix(n, model), a, a)
         assert np.max(np.abs(h - build_hamiltonian(n, model))) <= 1e-14
 
 
@@ -42,14 +42,50 @@ def test_open_spectrum_matches_dense(k_param, l_param):
 
 @pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)
 def test_cumulants_match_fock_product_states(k_param, l_param):
-    # kappa_1 and kappa_2 are the mean and variance of w_a for every product
-    # of group Fock states, in the order of the occupation bits
+    # kappa_1, kappa_2 and kappa_3 are the mean, variance and third central
+    # moment of w_a for every product of group Fock states, in the order of
+    # the occupation bits
     model = _model(k_param, l_param)
     for n_sites, group_size in ((4, 1), (6, 2), (6, 3), (8, 4)):
-        mean, var, _ = _fock_reference_moments(n_sites, group_size, model)
-        k1, k2, _ = product_cumulants(n_sites // group_size, group_size, model)
+        mean, var, m3 = _fock_reference_moments(n_sites, group_size, model)
+        k1, k2, k3 = product_cumulants(n_sites // group_size, group_size, model)
         assert np.max(np.abs(k1 - mean)) <= 1e-10
         assert np.max(np.abs(k2 - var)) <= 1e-10
+        assert np.max(np.abs(k3 - m3)) <= 1e-10
+
+
+@pytest.mark.parametrize("k_param", [0.3, 10.0])
+@pytest.mark.parametrize("n_sites, n_groups", [(8, 2), (8, 4), (9, 3)])
+def test_skewness_does_not_depend_on_the_field(k_param, n_sites, n_groups):
+    # at L = 0 the all-up and all-down products have zero width; scaling
+    # every coupling with B must neither unmask them nor move any row
+    rows = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0))
+    for b_field in (1e-8, 1e2, 1e3):
+        scaled = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0, b_field))
+        assert [(r.n_groups, r.sites) for r in scaled] == [
+            (r.n_groups, r.sites) for r in rows
+        ]
+        for row, other in zip(rows, scaled):
+            assert other.max_abs_skewness == pytest.approx(
+                row.max_abs_skewness, rel=1e-9
+            )
+
+
+def test_skewness_needs_a_unique_fock_basis():
+    # at K = 0 a group's modes pair up in energy: any rotation of a pair gives
+    # other Fock states and another worst skewness
+    with pytest.raises(ValueError, match="mode energies are degenerate"):
+        skewness_by_groups(8, 4, _model(0.0, 0.5))
+    # a strongly coupled group of 5 has an edge mode within roundoff of 0
+    with pytest.raises(ValueError, match="mode energies are degenerate"):
+        skewness_by_groups(10, 2, _model(1e3, 1e3))
+    # at K = 1e150 the modes also agree within roundoff, but the cumulants
+    # overflow first, and that is what the check reports
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="is nan"):
+        skewness_by_groups(4, 2, _model(1e150, 0.0))
+    # with no coupling at all every width is 0, whatever the basis
+    rows = skewness_by_groups(8, 4, _model(0.0, 0.0))
+    assert [r.max_abs_skewness for r in rows] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
