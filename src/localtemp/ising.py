@@ -384,19 +384,19 @@ def _s_sum(bits):
     return 2.0 / (k.size + 1) * np.sum(weight, axis=-1)
 
 
-def _squared_couplings(model: IsingModel) -> tuple[float, float, float]:
-    """(B^2, K^2, L^2) of the junction width; a square that overflows, or a B^2
-    below the normal float range, raises an OverflowError naming its coupling."""
+def _squared_couplings(model: IsingModel, field: bool = True) -> tuple[float, ...]:
+    """(B^2, K^2, L^2) of the junction width, (K^2, L^2) without the field; an
+    overflowing square, or a B^2 under the normal range, raises OverflowError."""
     squares = []
     couplings = (("B", model.b_field), ("K", model.k_param), ("L", model.l_param))
-    for name, value in couplings:
+    for name, value in couplings if field else couplings[1:]:
         try:
             squares.append(value**2)
         except OverflowError:
             raise OverflowError(
                 f"junction width overflows: {name}^2 at {name}={value!r}"
             ) from None
-    if squares[0] < np.finfo(float).tiny:
+    if field and squares[0] < np.finfo(float).tiny:
         raise OverflowError(f"junction width underflows: B^2 at B={model.b_field!r}"
                             f" underflows to {squares[0]!r}")
     return tuple(squares)
@@ -481,17 +481,16 @@ def cond_const_bound(
     return beta * model._width_range[1] / gap
 
 
-@_underflow_is_overflow
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
-    """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span."""
+    """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span.
+    B cancels from it, so it is evaluated at B = 1, in B = 1's operation order."""
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
-    beta = 1.0 / (t_over_b * model.b_field)
-    d_lo, d_hi = model._width_range
-    if d_hi == d_lo:  # constant width; beta / 2 delta may overflow, and inf * 0 is nan
+    k_sq, l_sq = _squared_couplings(model, field=False)
+    if k_sq == l_sq:  # constant width; beta / 2 delta may overflow, and inf * 0 is nan
         return 0.0
-    e_lo, e_hi = model._site_energy_range
-    return beta / (2.0 * acc.delta) * (d_hi - d_lo) / (e_hi - e_lo)
+    span = 2.0 * _extreme_coefficient(model.k_param)
+    return 1.0 / t_over_b / (2.0 * acc.delta) * abs(k_sq - l_sq) / span
 
 
 @_underflow_is_overflow

@@ -1,15 +1,15 @@
 """Exact verification of the analytic building blocks on small spin chains.
 
-Everything here is exact, built from the chain's structure: the open
-`spectrum` and `gaussian` from its free-fermion form (quadratic.py), over
-products of group Fock states; the rest from the full 2^n Hamiltonian, filled
-by bit arithmetic on basis indices and diagonalized one symmetry sector at a
-time, over the group eigenstates a dense eigh picks. They measure the
-quantities the analytic modules predict: the interaction mean and width, the
-moments of the energy distribution w_a, and the diagonal of the thermal state
-in the product basis. Each is one array over all product states. No Gaussian
-or thermodynamic-limit approximation enters, so any disagreement beyond
-numerical noise points at the formulas, not at the check.
+Everything here is exact, built from the chain's structure. The open
+`spectrum` and `gaussian` come from its free-fermion form (quadratic.py),
+over products of group Fock states. `moments` rotates the full 2^n
+Hamiltonian, filled by bit arithmetic on basis indices, into the product
+basis of the group eigenstates a dense eigh picks; only `rho` and the
+periodic `spectrum` diagonalize the chain, one symmetry sector at a time.
+They measure the interaction mean and width, the moments of the energy
+distribution w_a and the thermal state's diagonal, each as one array over
+all product states. No Gaussian or thermodynamic-limit approximation enters,
+so any disagreement beyond numerical noise points at the formulas.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
@@ -19,22 +19,20 @@ gives that element 1, and sigma^y sigma^y gives it -1 when the two bits agree
 and +1 when they differ, so every matrix stays real. The product basis is
 the Kronecker power of the group eigenvector matrix with group 0 on the low
 index bits. It is never formed: junction bonds are rotated into it one group
-at a time, and overlaps apply its Kronecker factors one axis at a time.
+at a time, and eigenvectors and H take its Kronecker factors one at a time.
 
-Sectors: every bond flips two bits, so the fermion parity prod sigma^z (the
-parity of a basis index's bit count) commutes with H for every K, L and
-boundary; a matrix with an element between the parity blocks is rejected.
-The couplings are uniform, so the site reflection R: j -> n - 1 - j commutes
-with H too, open or periodic, and keeps the bit count. Each parity block
-splits into a + and a - sector of R, with basis (|i> +- |R i>)/sqrt2 for a
-mirror pair and |i> alone for a palindrome (R i = i, + sector only); a block
-that does not commute with R is rejected. The four sector blocks are gathered
-from H by index arithmetic, diagonalized one by one, and their eigenvectors
-scattered back into site order, merged into ascending eigenvalue order. The
-eigenpair check still runs per parity block of the real H against the full
-eigenvectors, so a wrong sector basis fails it. Group Hamiltonians are
-diagonalized whole, so the product basis is the one a full eigh of the group
-picks.
+Sectors (`rho` and the periodic `spectrum`): every bond flips two bits, so
+the fermion parity prod sigma^z (the parity of a basis index's bit count)
+commutes with H for every K, L and boundary; a matrix with an element between
+the parity blocks is rejected. The couplings are uniform, so the site
+reflection R: j -> n - 1 - j commutes with H too, open or periodic, and keeps
+the bit count. Each parity block splits into a + and a - sector of R, with
+basis (|i> +- |R i>)/sqrt2 for a mirror pair and |i> alone for a palindrome
+(R i = i, + sector only); a block that does not commute with R is rejected.
+The four sector blocks are gathered from H by index arithmetic, diagonalized
+one by one, and their eigenvectors scattered back into site order, merged
+into ascending eigenvalue order. Group Hamiltonians are diagonalized whole,
+so the product basis is the one a full eigh of the group picks.
 
 The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
@@ -78,7 +76,6 @@ __all__ = [
     "product_basis",
     "thermal_state",
     "interaction_statistics",
-    "product_moments",
     "rho_product_diag",
     "occupations_by_energy",
     "harmonic_mode_check",
@@ -96,9 +93,6 @@ _ZERO_WIDTH = 1e-12
 # mode energies closer than this, relative to the largest, are degenerate
 # within roundoff: eigh cannot tell their vectors, or their Fock states, apart
 _MODE_GAP = 1e-13
-
-# product_moments centres this many overlap elements at a time (256 KB)
-_MOMENT_ROWS_ELEMENTS = 2**15
 
 
 class Boundary(enum.Enum):
@@ -252,8 +246,7 @@ class DenseThermalSystem:
         n_sites = int(round(math.log2(dim)))
         if 2**n_sites != dim:
             raise ValueError("hamiltonian dimension must be a power of two")
-        if n_sites > _MAX_SITES:
-            raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
+        _check_sites(n_sites)
         blocks = _parity_blocks(hamiltonian)
         sectors = _sectors(n_sites, blocks)
         solved = [np.linalg.eigh(sector[0]) for sector in sectors]
@@ -415,30 +408,19 @@ def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
     return probs
 
 
-def product_moments(
-    sys: DenseThermalSystem, pb: ProductBasisData
+def _w_a_moments(
+    n_sites: int, model: IsingModel, pb: ProductBasisData
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, variance) of w_a for every product state a at once.
-
-    w_a puts weight |<a|phi>|^2 on each eigenvalue E_phi; the moments are
-    centred sums over the whole spectrum, so no degenerate levels need
-    merging.
-    """
-    energies = sys.eigenvalues
-    probs = _overlap_sq(sys, pb)
-    mean = probs @ energies
-    var = np.empty_like(mean)
-    # a few rows at a time, so the deviations never fill a second dim^2 array
-    step = max(1, _MOMENT_ROWS_ELEMENTS // energies.size)
-    buf = np.empty((min(step, mean.size), energies.size))
-    for start in range(0, mean.size, step):
-        rows = slice(start, start + step)
-        p = probs[rows]
-        dev = np.subtract(energies, mean[rows, None], out=buf[: p.shape[0]])
-        p *= dev
-        p *= dev
-        var[rows] = p.sum(axis=1)
-    return mean, var
+    """(mean, variance) of w_a for every product state a at once: <a|H|a> and
+    <a|H^2|a> - <a|H|a>^2, read off H_p = V^T H V in the product basis V as
+    the diagonal of H_p and the squared norm of each row of H_p without its
+    diagonal entry, so nothing cancels."""
+    h = build_hamiltonian(n_sites, model)
+    h[...] = _basis_transpose_apply(pb, h).T  # (V^T H)^T = H V, in H's buffer
+    h_p = _basis_transpose_apply(pb, h)
+    mean = np.diag(h_p).copy()
+    np.fill_diagonal(h_p, 0.0)
+    return mean, np.einsum("ab,ab->a", h_p, h_p)
 
 
 def rho_product_diag(
@@ -585,10 +567,9 @@ def moments_check(n_sites: int, n_groups: int, model: IsingModel) -> MomentsRepo
     """Moment identities of w_a for every product state of an open chain."""
     group_size = _group_size(n_sites, n_groups)
     occs = occupations_by_energy(model, group_size) if model.l_param == 0.0 else None
-    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
     pb = product_basis(n_sites, group_size, model)
     eps, dsq = interaction_statistics(pb)
-    mean, var = product_moments(sys, pb)
+    mean, var = _w_a_moments(n_sites, model, pb)
     formula_dev = None
     if occs is not None:
         widths = delta_sq(occs[:, None], occs[None, :], model)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -628,6 +629,21 @@ _NOTE = (
 )
 
 
+_ROUNDOFF_ROWS = {"max_abs_eps", "max_mean_identity_dev", "max_var_identity_dev",
+                  "max_delta_sq_formula_dev", "deviation"}
+
+# the gaussian row "2  4": the skewness of 2 groups of 2 sites is 2 sqrt 2
+_EXACT_VALUES = {"2  4": 2.0 * math.sqrt(2.0)}
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return not text.lstrip("-").isdigit()
+
+
 @pytest.mark.parametrize(
     "argv,text",
     [
@@ -691,7 +707,26 @@ _NOTE = (
     ],
 )
 def test_human_format_text(argv, text):
-    assert run_cli(*argv) == (0, text, "")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    if argv[0] != "oracle":
+        assert out == text
+        return
+    # oracle values come from BLAS, so they match to roundoff, not to the
+    # last digit: labels, integers and words exactly, the identity deviations
+    # (zero in exact arithmetic) to 1e-12 absolute, other floats to 1e-12
+    # relative
+    got = [line.rsplit("  ", 1) for line in out.splitlines()]
+    want = [line.rsplit("  ", 1) for line in text.splitlines()]
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, value), (_, expected) in zip(got, want):
+        if not _is_float(expected):
+            assert value == expected, label
+        elif label in _ROUNDOFF_ROWS:
+            assert abs(float(value) - float(expected)) <= 1e-12, label
+        else:
+            exact = _EXACT_VALUES.get(label, float(expected))
+            assert math.isclose(float(value), exact, rel_tol=1e-12), label
 
 
 @pytest.mark.parametrize("argv", [("--t-over-b", "1", "--delta", "1e-320"),

@@ -276,6 +276,20 @@ def test_linearity_bound_frozen():
     assert nmin(1.0, ACC, _model(0.0, 10.0)).n_linearity == 2501
 
 
+@pytest.mark.parametrize(
+    "t, k, l", [(0.5, 1.0, 0.0), (1e-3, 10.0, 0.0), (0.3, 0.5, 0.0), (1.0, 0.0, 10.0),
+                (0.7, 0.0, 0.5)]
+)
+def test_linearity_bound_does_not_depend_on_field(t, k, l):
+    # B cancels from the bound; at t = 0.5, K = 1, L = 0 it is 50 exactly,
+    # which B = 0.7 used to round to 49.99999999999999 and n_linearity to 50
+    bound = linearity_bound(t, ACC, _model(k, l))
+    n_lin = nmin(t, ACC, _model(k, l)).n_linearity
+    for b in (1e-40, 1e-12, 0.7, 1.0, 1e12, 1e40):
+        assert linearity_bound(t, ACC, _model(k, l, b=b)) == bound
+        assert nmin(t, ACC, _model(k, l, b=b)).n_linearity == n_lin
+
+
 def test_const_width_thresholds():
     weak, strong = _model(0.1, 0.1), _model(10.0, 10.0)
     for m, t_star in ((weak, 0.755987105272306), (strong, 27.571296748746548)):

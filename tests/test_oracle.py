@@ -20,6 +20,7 @@ from localtemp.oracle import (
     Boundary,
     _basis_transpose_apply,
     _overlap_sq,
+    _w_a_moments,
     DenseThermalSystem,
     build_hamiltonian,
     harmonic_mode_check,
@@ -27,7 +28,6 @@ from localtemp.oracle import (
     moments_check,
     occupations_by_energy,
     product_basis,
-    product_moments,
     rho_diag_check,
     rho_product_diag,
     skewness_by_groups,
@@ -111,14 +111,13 @@ def test_thermal_state_normalization():
 
 
 def test_w_a_moment_identities():
-    # first two moments of the overlap distribution must reproduce the
-    # product-state mean and variance at any coupling
+    # the first two moments of w_a, read off H in the product basis, must
+    # reproduce the product-state mean and variance at any coupling
     for k_param, l_param in ((0.0, 0.4), (0.3, 0.0), (1.2, 2.0)):
         model = _model(k_param, l_param)
-        sys = _system(6, model)
         pb = product_basis(6, 2, model)
         eps, dsq = interaction_statistics(pb)
-        mean, var = product_moments(sys, pb)
+        mean, var = _w_a_moments(6, model, pb)
         assert np.max(np.abs(mean - (pb.product_energies + eps))) <= 1e-10
         assert np.max(np.abs(var - dsq)) <= 1e-10
 
@@ -433,21 +432,21 @@ def _fock_reference_moments(n_sites, group_size, model):
 
 
 def test_product_moments_match_per_state_distribution():
-    # every product state's w_a, mean and width from the explicit Kronecker
-    # basis. The skewness of the free-fermion cumulants is pinned against the
-    # products of group Fock states, compared only where the width is above
-    # roundoff, as the oracle commands do: a point distribution's skewness is
-    # noise / noise
+    # every product state's w_a mean and width against the spectral sums
+    # sum_phi |<a|phi>|^2 E_phi^k, from the explicit Kronecker basis and a
+    # full eigh. The skewness of the free-fermion cumulants is pinned against
+    # the products of group Fock states, compared only where the width is
+    # above roundoff, as the oracle commands do: a point distribution's
+    # skewness is noise / noise
     for k_param, l_param in _COUPLINGS:
         model = _model(k_param, l_param)
-        sys = _system(6, model)
         pb = product_basis(6, 2, model)
         basis, inter = _reference_interaction(6, 2, model)
-        probs = (basis.T @ sys.eigenvectors) ** 2
-        ref_mean = probs @ sys.eigenvalues
-        dev = sys.eigenvalues - ref_mean[:, None]
-        ref_var = np.sum(probs * dev**2, axis=1)
-        mean, var = product_moments(sys, pb)
+        vals, vecs = np.linalg.eigh(_reference_hamiltonian(6, model))
+        probs = (basis.T @ vecs) ** 2
+        ref_mean = probs @ vals
+        ref_var = probs @ vals**2 - ref_mean**2
+        mean, var = _w_a_moments(6, model, pb)
         assert np.max(np.abs(mean - ref_mean)) <= 1e-10
         assert np.max(np.abs(var - ref_var)) <= 1e-10
         _, fock_var, fock_m3 = _fock_reference_moments(6, 2, model)
@@ -489,10 +488,8 @@ def test_solve_rejects_reflection_breaking_field():
         DenseThermalSystem.solve(h)
 
 
-def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
-    # a (parity, reflection) sector holds the mirror pairs of a parity block
-    # and at most all its palindromes: 240 + 32 at 10 sites, below 2^n / 4 +
-    # 2^(n/2), where a parity block holds 512
+def _record_eigh_sizes(monkeypatch):
+    # the dimension of every np.linalg.eigh and eigvalsh call from now on
     shapes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -502,6 +499,14 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
+    return shapes
+
+
+def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
+    # a (parity, reflection) sector holds the mirror pairs of a parity block
+    # and at most all its palindromes: 240 + 32 at 10 sites, below 2^n / 4 +
+    # 2^(n/2), where a parity block holds 512
+    shapes = _record_eigh_sizes(monkeypatch)
     model = _model(0.3, 0.2)
     DenseThermalSystem.solve(build_hamiltonian(10, model))
     for boundary in Boundary:
@@ -510,6 +515,17 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
     sector_sized = [size for size in shapes if size > 2 * 10]
     assert len(sector_sized) == 8
     assert max(shapes) <= 2**10 // 4 + 2**5
+
+
+@pytest.mark.parametrize("k_param, l_param", [(0.3, 0.0), (0.3, 0.2)])
+def test_moments_diagonalize_only_a_group(monkeypatch, k_param, l_param):
+    # moments rotates H into the product basis: the one eigensolver call is
+    # the group Hamiltonian's, never a chain or sector matrix
+    shapes = _record_eigh_sizes(monkeypatch)
+    for n_sites, n_groups in ((10, 5), (9, 3)):
+        shapes.clear()
+        moments_check(n_sites, n_groups, _model(k_param, l_param))
+        assert shapes and max(shapes) <= 2 ** (n_sites // n_groups)
 
 
 def test_solve_rejects_cross_parity_entries():
@@ -586,10 +602,12 @@ def test_peak_memory_in_dense_arrays(n_groups):
     # vectors. A formed 2^n x 2^n product basis adds one array to each
     model = _model(0.3, 0.0)
     unit = 8 * 4**10
-    calls = (
+    calls = [
         (product_basis, (10, 10 // n_groups, model), 2),
         (rho_diag_check, (10, n_groups, model, 1.0), 4),
-    )
+    ]
+    if n_groups == 5:  # 2 groups of 5 sites at L = 0 exit before any array
+        calls.append((moments_check, (10, n_groups, model), 4))
     for fn, args, limit in calls:
         tracemalloc.start()
         try:

@@ -96,7 +96,8 @@ FAILURES = (
 )
 
 
-# each oracle check at <= 8 sites, with the model given as K, L and as Jx, Jy
+# each oracle check at <= 8 sites, with the model given as K, L and as Jx, Jy,
+# and at L = 0, where moments also compares the junction width formula
 ORACLE = tuple(
     cmd + model + ("--format", "json")
     for cmd in (
@@ -106,7 +107,8 @@ ORACLE = tuple(
         ("oracle", "rho", "--sites", "6", "--groups", "3", "--beta-b", "2"),
         ("oracle", "gaussian", "--sites", "8", "--groups", "4"),
     )
-    for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"))
+    for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
+                  ("--K", "0.3", "--L", "0"))
 )
 
 # an oracle number may move by roundoff, and by no more, without a declaration
