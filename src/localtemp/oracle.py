@@ -1,11 +1,12 @@
 """Exact verification of the analytic building blocks on small spin chains.
 
-Everything here is exact, built from the chain's structure. The open
-`spectrum` and `gaussian` come from its free-fermion form (quadratic.py),
-over products of group Fock states. `moments` rotates the full 2^n
-Hamiltonian, filled by bit arithmetic on basis indices, into the product
-basis of the group eigenstates a dense eigh picks; only `rho` and the
-periodic `spectrum` diagonalize the chain, one symmetry sector at a time.
+Everything here is exact, built from the chain's structure. `spectrum`
+(open and periodic) and `gaussian` come from its free-fermion form
+(quadratic.py): `gaussian` over products of group Fock states, the periodic
+`spectrum` with each fermion-parity sector's own boundary condition.
+`moments` rotates the open chain's 2^n Hamiltonian, filled by bit arithmetic
+on basis indices, into the product basis of the group eigenstates a dense
+eigh picks; only `rho` diagonalizes the chain, one symmetry sector at a time.
 They measure the interaction mean and width, the moments of the energy
 distribution w_a and the thermal state's diagonal, each as one array over
 all product states. No Gaussian or thermodynamic-limit approximation enters,
@@ -21,14 +22,14 @@ the Kronecker power of the group eigenvector matrix with group 0 on the low
 index bits. It is never formed: junction bonds are rotated into it one group
 at a time, and eigenvectors and H take its Kronecker factors one at a time.
 
-Sectors (`rho` and the periodic `spectrum`): every bond flips two bits, so
-the fermion parity prod sigma^z (the parity of a basis index's bit count)
-commutes with H for every K, L and boundary; a matrix with an element between
-the parity blocks is rejected. The couplings are uniform, so the site
-reflection R: j -> n - 1 - j commutes with H too, open or periodic, and keeps
-the bit count. Each parity block splits into a + and a - sector of R, with
-basis (|i> +- |R i>)/sqrt2 for a mirror pair and |i> alone for a palindrome
-(R i = i, + sector only); a block that does not commute with R is rejected.
+Sectors (`rho`): every bond flips two bits, so the fermion parity
+prod sigma^z (the parity of a basis index's bit count) commutes with H for
+every K and L; a matrix with an element between the parity blocks is
+rejected. The couplings are uniform, so the site reflection
+R: j -> n - 1 - j commutes with H too, and keeps the bit count. Each parity
+block splits into a + and a - sector of R, with basis (|i> +- |R i>)/sqrt2
+for a mirror pair and |i> alone for a palindrome (R i = i, + sector only);
+a block that does not commute with R is rejected.
 The four sector blocks are gathered from H by index arithmetic, diagonalized
 one by one, and their eigenvectors scattered back into site order, merged
 into ascending eigenvalue order. Group Hamiltonians are diagonalized whole,
@@ -38,10 +39,11 @@ The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
 pairs those labels with the dense eigenstates by sorting both by energy.
 
-Caveat baked into the checks: for periodic chains only ground-energy
-comparisons at O(1/n) tolerance are meaningful (the two parity blocks see
-different fermion boundary conditions, which no formula here tracks), so
-product bases are built on open chains only.
+Rings: the periodic `spectrum` is the exact ground energy of the finite
+ring, with each parity sector's fermion boundary condition tracked
+(quadratic.periodic_ground_energy); only its comparison with the k-integral
+of the infinite chain carries an O(1/n) finite-size term. Product bases are
+built on open chains only.
 """
 from __future__ import annotations
 
@@ -61,7 +63,12 @@ from .ising import (
     group_energy,
     occupation_patterns,
 )
-from .quadratic import mode_energies, open_spectrum, product_cumulants
+from .quadratic import (
+    mode_energies,
+    open_spectrum,
+    periodic_ground_energy,
+    product_cumulants,
+)
 
 __all__ = [
     "Boundary",
@@ -86,6 +93,8 @@ __all__ = [
 ]
 
 _MAX_SITES = 12
+# the periodic spectrum is O(n^3) in the ring's size, not 2^n
+_MAX_RING_SITES = 400
 
 # product states whose interaction width lies below this carry no w_a shape
 _ZERO_WIDTH = 1e-12
@@ -100,9 +109,9 @@ class Boundary(enum.Enum):
     PERIODIC = "Periodic"
 
 
-def _check_sites(n_sites: int) -> None:
-    if not 1 <= n_sites <= _MAX_SITES:
-        raise ValueError(f"n_sites must be between 1 and {_MAX_SITES}")
+def _check_sites(n_sites: int, limit: int = _MAX_SITES) -> None:
+    if not 1 <= n_sites <= limit:
+        raise ValueError(f"n_sites must be between 1 and {limit}")
 
 
 def _group_size(n_sites: int, n_groups: int) -> int:
@@ -112,20 +121,15 @@ def _group_size(n_sites: int, n_groups: int) -> int:
     return n_sites // n_groups
 
 
-def build_hamiltonian(
-    n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
-) -> np.ndarray:
-    """Dense chain Hamiltonian sum_i -B sz_i - (Jx/2) sx sx - (Jy/2) sy sy."""
+def build_hamiltonian(n_sites: int, model: IsingModel) -> np.ndarray:
+    """Dense open-chain Hamiltonian sum_i -B sz_i - (Jx/2) sx sx - (Jy/2) sy sy."""
     _check_sites(n_sites)
-    bonds = [(i, i + 1) for i in range(n_sites - 1)]
-    if boundary is Boundary.PERIODIC and n_sites > 1:
-        bonds.append((n_sites - 1, 0))
     idx = np.arange(2**n_sites)
     h = np.zeros((idx.size, idx.size))
     xx, yy = -0.5 * model.jx, 0.5 * model.jy
-    for i, j in bonds:
-        equal = ((idx >> i) ^ (idx >> j)) & 1 == 0
-        h[idx ^ (1 << i | 1 << j), idx] += np.where(equal, xx + yy, xx - yy)
+    for i in range(n_sites - 1):  # the bond (i, i + 1) flips bits i and i + 1
+        equal = ((idx >> i) ^ (idx >> (i + 1))) & 1 == 0
+        h[idx ^ (3 << i), idx] = np.where(equal, xx + yy, xx - yy)
     diag = np.zeros(idx.size)
     for j in range(n_sites):
         diag -= np.where((idx >> j) & 1, -model.b_field, model.b_field)
@@ -497,7 +501,8 @@ class SpectrumReport(_Report):
 
 @dataclass(frozen=True)
 class GroundEnergyReport(_Report):
-    """Periodic chain: dense ground energy per site against the k-integral."""
+    """Periodic chain: the exact ground energy per site of the finite ring,
+    ground_per_site_dense, against the k-integral of the infinite chain."""
 
     sites: int
     boundary: str
@@ -545,18 +550,18 @@ class RhoDiagReport(_Report):
 def spectrum_check(
     n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
 ) -> SpectrumReport | GroundEnergyReport:
-    """Open chain: the free-fermion spectrum against the mode formula.
-    Periodic chain, where only the ground energy is meaningful: the dense
-    ground energy against the k-integral."""
+    """Open chain (up to _MAX_SITES): the free-fermion spectrum against the
+    mode formula. Periodic chain (up to _MAX_RING_SITES), where only the ground
+    energy is meaningful: the ring's exact ground energy against the
+    k-integral."""
     label = boundary.name.lower()
     if boundary is Boundary.OPEN:
         _check_sites(n_sites)
         exact = open_spectrum(n_sites, model)
         formula = np.sort(group_energy(occupation_patterns(n_sites), model))
         return SpectrumReport(n_sites, label, float(np.max(np.abs(exact - formula))))
-    h = build_hamiltonian(n_sites, model, boundary)
-    sectors = _sectors(n_sites, _parity_blocks(h))
-    dense_ground = min(float(np.linalg.eigvalsh(s[0])[0]) for s in sectors) / n_sites
+    _check_sites(n_sites, _MAX_RING_SITES)
+    dense_ground = periodic_ground_energy(n_sites, model) / n_sites
     integral = ground_energy_per_site(model)
     return GroundEnergyReport(
         n_sites, label, dense_ground, integral, abs(dense_ground - integral)

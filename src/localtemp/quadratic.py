@@ -1,4 +1,4 @@
-"""The open spin chain as free Majorana fermions: spectrum and w_a cumulants.
+"""The spin chain as free Majorana fermions: spectra and w_a cumulants.
 
 The open chain is H = 1/4 a^T (iA) a, A real antisymmetric, in the Majoranas
 a_2j = S_j sx_j and a_2j+1 = S_j sy_j, S_j = prod_{l<j} sz_l, for every K and
@@ -18,6 +18,20 @@ n B^3) cancel exactly, and are left out rather than rounded into a width:
 
 Each trace is a polynomial in the signs 2 n_m - 1 of the chain's modes, with
 coefficients over at most three modes, so no 2^n x 2^n matrix is formed.
+
+The ring adds the bond from site n - 1 to site 0. In Majoranas that bond is
+the one to a virtual site n, with a_2n = a_0 and a_2n+1 = a_1, times -P.
+Here P = prod sz_j = prod(-i a_2j a_2j+1) is the fermion parity, +1 for an
+even count of down spins. P commutes with H, so the ring is quadratic within
+each parity sector: the even sector sees the closing bond with weight
+ring = -1 (antiperiodic fermions), the odd sector with ring = +1. The
+quadratic ground state of a ring matrix A, every mode empty, has parity
+sign Pf(A): with A = O S O^T, S the 2 x 2 blocks of the Lambda_k > 0, that
+state has P = det O, and Pf(A) = det O prod_k Lambda_k. If the sector's
+parity is the other one, its lowest level lies Lambda_min higher, with the
+softest mode filled. Every bond and the field join an even Majorana to an
+odd one, so Pf(A) = det M for the n x n block M = A[0::2, 1::2], whose
+singular values are the Lambda_k: one real SVD and one pivoted LU per sector.
 """
 from __future__ import annotations
 
@@ -25,17 +39,27 @@ import numpy as np
 
 from .ising import IsingModel, occupation_patterns
 
-__all__ = ["mode_energies", "open_spectrum", "product_cumulants"]
+__all__ = [
+    "mode_energies",
+    "open_spectrum",
+    "periodic_ground_energy",
+    "product_cumulants",
+]
 
 
-def _majorana_matrix(n_sites: int, model: IsingModel) -> np.ndarray:
-    """The real antisymmetric A of the open chain, H = 1/4 a^T (iA) a:
-    A[2j, 2j+1] = 2B, A[2j+1, 2j+2] = Jx and A[2j, 2j+3] = -Jy."""
+def _majorana_matrix(n_sites: int, model: IsingModel, ring: float = 0.0) -> np.ndarray:
+    """The real antisymmetric A of the chain, H = 1/4 a^T (iA) a:
+    A[2j, 2j+1] = 2B, A[2j+1, 2j+2] = Jx and A[2j, 2j+3] = -Jy, and the bond
+    from site n - 1 to site 0 with weight ring (none on a single site). It is
+    added, so a two-site ring doubles its bond."""
     a = np.zeros((2 * n_sites, 2 * n_sites))
     site, bond = np.arange(n_sites), np.arange(n_sites - 1)
     a[2 * site, 2 * site + 1] = 2.0 * model.b_field
     a[2 * bond + 1, 2 * bond + 2] = model.jx
     a[2 * bond, 2 * bond + 3] = -model.jy
+    if ring and n_sites > 1:
+        a[2 * n_sites - 1, 0] += ring * model.jx
+        a[2 * n_sites - 2, 1] -= ring * model.jy
     return a - a.T
 
 
@@ -48,6 +72,20 @@ def open_spectrum(n_sites: int, model: IsingModel) -> np.ndarray:
     """All 2^n levels of the open chain, ascending, from its mode energies."""
     modes = mode_energies(n_sites, model)
     return np.sort(occupation_patterns(n_sites) @ modes - 0.5 * np.sum(modes))
+
+
+def periodic_ground_energy(n_sites: int, model: IsingModel) -> float:
+    """Ground energy of the n-site ring: the lower of its two parity sectors,
+    each -1/2 sum_k Lambda_k over its own ring's modes, plus Lambda_min where
+    the quadratic ground state has the other parity (see the module
+    docstring)."""
+    energies = []
+    for parity in (1.0, -1.0):  # the closing bond has weight -P
+        m = _majorana_matrix(n_sites, model, -parity)[0::2, 1::2]
+        modes = np.linalg.svd(m, compute_uv=False)  # descending
+        flip = modes[-1] if np.linalg.slogdet(m)[0] != parity else 0.0
+        energies.append(flip - 0.5 * np.sum(modes))
+    return float(np.min(energies))  # np.min, unlike min(), keeps a nan
 
 
 def _fock_modes(group_size: int, model: IsingModel) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense-diagonalization checks of every analytic building block.
 
-Small chains only (up to 10 sites here); everything is compared against
-numbers the closed-form package modules produce, or against frozen values
-recorded from an independent implementation.
+Small chains only (up to 10 sites here, and 400-site rings where no dense
+matrix is formed); everything is compared against numbers the closed-form
+package modules produce, or against frozen values recorded from an
+independent implementation.
 """
 from __future__ import annotations
 
@@ -15,7 +16,13 @@ import pytest
 
 from localtemp.canonical import AccuracyParams, rho_diag
 from localtemp.harmonic import HarmonicModel
-from localtemp.ising import IsingModel, delta_sq, group_energy, occupation_patterns
+from localtemp.ising import (
+    IsingModel,
+    delta_sq,
+    ground_energy_per_site,
+    group_energy,
+    occupation_patterns,
+)
 from localtemp.oracle import (
     Boundary,
     _basis_transpose_apply,
@@ -34,15 +41,15 @@ from localtemp.oracle import (
     spectrum_check,
     thermal_state,
 )
-from localtemp.quadratic import _fock_modes, product_cumulants
+from localtemp.quadratic import _fock_modes, periodic_ground_energy, product_cumulants
 
 
 def _model(k, l, b=1.0):
     return IsingModel(b, k, l)
 
 
-def _system(n_sites, model, boundary=Boundary.OPEN):
-    return DenseThermalSystem.solve(build_hamiltonian(n_sites, model, boundary))
+def _system(n_sites, model):
+    return DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
 
 
 def test_single_site_hamiltonian():
@@ -187,13 +194,11 @@ def test_rho_product_diag_sums_to_one():
 
 
 def test_periodic_ground_energy_approaches_integral():
-    from localtemp.ising import ground_energy_per_site
-
     model = _model(0.5, 0.3)
     integral = ground_energy_per_site(model)
 
     def dev(n):
-        h = build_hamiltonian(n, model, Boundary.PERIODIC)
+        h = _reference_hamiltonian(n, model, Boundary.PERIODIC)
         return abs(float(np.min(np.linalg.eigvalsh(h))) / n - integral)
 
     assert dev(10) < dev(5)
@@ -263,16 +268,23 @@ def _site_op(op, j, n):
     return np.kron(np.eye(2 ** (n - 1 - j)), np.kron(op, np.eye(2**j)))
 
 
-def _reference_hamiltonian(n, model, boundary=Boundary.OPEN):
+@functools.cache
+def _reference_terms(n, boundary):
+    # sum_j sz_j, and sum sx_i sx_j and sum sy_i sy_j over the bonds
     bonds = [(i, i + 1) for i in range(n - 1)]
     if boundary is Boundary.PERIODIC and n > 1:
         bonds.append((n - 1, 0))
-    h = -model.b_field * sum(_site_op(_SZ, j, n) for j in range(n))
+    field = sum(_site_op(_SZ, j, n) for j in range(n))
+    xx, yy = np.zeros((2**n, 2**n)), np.zeros((2**n, 2**n))
     for i, j in bonds:
-        xx = _site_op(_SX, i, n) @ _site_op(_SX, j, n)
-        yy = -(_site_op(_IY, i, n) @ _site_op(_IY, j, n))
-        h = h - 0.5 * model.jx * xx - 0.5 * model.jy * yy
-    return h
+        xx += _site_op(_SX, i, n) @ _site_op(_SX, j, n)
+        yy -= _site_op(_IY, i, n) @ _site_op(_IY, j, n)
+    return field, xx, yy
+
+
+def _reference_hamiltonian(n, model, boundary=Boundary.OPEN):
+    field, xx, yy = _reference_terms(n, boundary)
+    return -model.b_field * field - 0.5 * model.jx * xx - 0.5 * model.jy * yy
 
 
 def _kron_power(pb):
@@ -300,15 +312,50 @@ def _reference_interaction(n_sites, group_size, model, boundary=Boundary.OPEN):
 _COUPLINGS = ((0.3, 0.0), (1.2, 2.0), (0.0, 0.5), (-0.7, 0.7))
 
 
-@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN])
 @pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
 def test_build_hamiltonian_matches_kronecker_reference(boundary, k_param, l_param):
     model = _model(k_param, l_param)
     for n in range(1, 7):
-        dev = build_hamiltonian(n, model, boundary) - _reference_hamiltonian(
-            n, model, boundary
-        )
+        dev = build_hamiltonian(n, model) - _reference_hamiltonian(n, model, boundary)
         assert np.max(np.abs(dev)) <= 1e-14
+
+
+# the couplings of _COUPLINGS, no coupling at all, both signs of the critical
+# and of a strong isotropic chain (where the two parity sectors compete), and
+# K = +-L and a fully anisotropic pair
+_RING_COUPLINGS = _COUPLINGS + (
+    (0.0, 0.0), (1.0, 0.0), (1.6, 0.0), (-1.6, 0.0), (1.2, 1.2), (0.5, -1.2)
+)
+
+
+@pytest.mark.parametrize("k_param, l_param", _RING_COUPLINGS)
+def test_periodic_ground_energy_matches_kronecker_reference(k_param, l_param):
+    # the lower of the two parity sectors, each with its own fermion boundary
+    # condition, is the ground level of the ring's 2^n x 2^n Hamiltonian
+    for b_field in (0.3, 1.0, 5.0):
+        model = _model(k_param, l_param, b_field)
+        for n in range(1, 11):
+            ring = _reference_hamiltonian(n, model, Boundary.PERIODIC)
+            dense = np.linalg.eigvalsh(ring)
+            scale = max(1.0, float(np.max(np.abs(dense))))
+            assert abs(periodic_ground_energy(n, model) - dense[0]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "k_param, l_param, bound",
+    [(1.6, 0.0, (1.0 + 1.6) / 400**2), (0.3, 0.0, 1e-12), (0.5, 0.3, 1e-12)],
+    ids=["gapless", "gapped-isotropic", "gapped-anisotropic"],
+)
+def test_periodic_spectrum_at_four_hundred_sites(k_param, l_param, bound):
+    # a gapless ring is within (1 + |K| + |L|) / N^2 of the infinite chain,
+    # and a gapped one within roundoff
+    model = _model(k_param, l_param)
+    report = spectrum_check(400, model, Boundary.PERIODIC)
+    assert report.ground_per_site_integral == ground_energy_per_site(model)
+    assert report.deviation <= bound
+    with pytest.raises(ValueError, match="between 1 and 400"):
+        spectrum_check(401, model, Boundary.PERIODIC)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN])
@@ -467,7 +514,10 @@ def test_parity_blocked_solve_matches_full_spectrum(boundary, k_param, l_param):
     # thermal projector is unique even where the eigenvectors are not
     model = _model(k_param, l_param)
     for n in range(1, 10):
-        h = build_hamiltonian(n, model, boundary)
+        if boundary is Boundary.OPEN:
+            h = build_hamiltonian(n, model)
+        else:
+            h = _reference_hamiltonian(n, model, boundary)
         sys = DenseThermalSystem.solve(h)
         vals, vecs = np.linalg.eigh(h)
         assert np.all(np.diff(sys.eigenvalues) >= 0.0)
@@ -489,9 +539,9 @@ def test_solve_rejects_reflection_breaking_field():
 
 
 def _record_eigh_sizes(monkeypatch):
-    # the dimension of every np.linalg.eigh and eigvalsh call from now on
+    # the dimension of every np.linalg.eigh, eigvalsh and svd call from now on
     shapes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def record(a, *args, _original=original, **kwargs):
@@ -511,10 +561,12 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
     DenseThermalSystem.solve(build_hamiltonian(10, model))
     for boundary in Boundary:
         spectrum_check(10, model, boundary)
-    # the open spectrum takes one eigvalsh of the 20 x 20 Majorana matrix
+    # the open spectrum takes one eigvalsh of the 20 x 20 Majorana matrix, and
+    # the periodic one an svd of a 10 x 10 block of each ring's matrix
     sector_sized = [size for size in shapes if size > 2 * 10]
-    assert len(sector_sized) == 8
+    assert len(sector_sized) == 4
     assert max(shapes) <= 2**10 // 4 + 2**5
+    assert shapes[4:] == [2 * 10, 10, 10]
 
 
 @pytest.mark.parametrize("k_param, l_param", [(0.3, 0.0), (0.3, 0.2)])

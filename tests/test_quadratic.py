@@ -4,21 +4,35 @@ Small chains only (up to 10 sites), where the dense 2^n matrices still fit.
 """
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 from test_oracle import (
     _COUPLINGS,
+    _SZ,
     _fock_reference_moments,
     _majoranas,
     _model,
+    _reference_hamiltonian,
 )
 
-from localtemp.oracle import build_hamiltonian, skewness_by_groups, spectrum_check
+from localtemp.oracle import (
+    Boundary,
+    build_hamiltonian,
+    skewness_by_groups,
+    spectrum_check,
+)
 from localtemp.quadratic import _majorana_matrix, open_spectrum, product_cumulants
 
 _ALL_COUPLINGS = _COUPLINGS + ((0.0, 0.0), (0.6, 0.6), (0.3, 0.2))
+
+
+def _quadratic_hamiltonian(a):
+    # 1/4 a^T (iA) a over the Jordan-Wigner Majoranas of a chain of len(A) / 2
+    ops = _majoranas(a.shape[0] // 2)
+    return 0.25j * np.einsum("ij,iab,jbc->ac", a, ops, ops)
 
 
 @pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)
@@ -26,9 +40,42 @@ def test_majorana_matrix_is_the_hamiltonian(k_param, l_param):
     # H = 1/4 a^T (iA) a with the Jordan-Wigner Majoranas, and tr H = 0
     model = _model(k_param, l_param)
     for n in range(1, 6):
-        a = _majoranas(n)
-        h = 0.25j * np.einsum("ij,iab,jbc->ac", _majorana_matrix(n, model), a, a)
+        h = _quadratic_hamiltonian(_majorana_matrix(n, model))
         assert np.max(np.abs(h - build_hamiltonian(n, model))) <= 1e-14
+
+
+def _parity(n):
+    # the diagonal of prod_j sz_j: +1 on an even count of down spins
+    return functools.reduce(np.kron, [np.diag(_SZ)] * n)
+
+
+@pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
+def test_ring_majorana_matrix_is_the_hamiltonian(k_param, l_param):
+    # within the even sector the ring is A with the closing bond at weight
+    # -1, within the odd sector at +1; two sites double the bond
+    model = _model(k_param, l_param)
+    for n in range(1, 7):
+        ring = _reference_hamiltonian(n, model, Boundary.PERIODIC)
+        parity = _parity(n)
+        for weight, sector in ((-1.0, parity > 0), (1.0, parity < 0)):
+            h = _quadratic_hamiltonian(_majorana_matrix(n, model, weight))
+            block = np.ix_(sector, sector)
+            assert np.max(np.abs(h[block] - ring[block])) <= 1e-14
+
+
+@pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)
+def test_pfaffian_sign_is_the_quadratic_ground_parity(k_param, l_param):
+    # the ground state of 1/4 a^T (iA) a has parity sign Pf(A) = sign det M,
+    # M = A[0::2, 1::2], for the open chain and both rings
+    model = _model(k_param, l_param)
+    for n in range(1, 6):
+        for weight in (-1.0, 0.0, 1.0):
+            a = _majorana_matrix(n, model, weight)
+            vals, vecs = np.linalg.eigh(_quadratic_hamiltonian(a))
+            if vals[1] - vals[0] < 1e-8:  # a zero mode: either parity
+                continue
+            parity = float(np.real(np.vdot(vecs[:, 0], _parity(n) * vecs[:, 0])))
+            assert parity == pytest.approx(np.sign(np.linalg.det(a[0::2, 1::2])))
 
 
 @pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)
@@ -94,6 +141,7 @@ def test_skewness_needs_a_unique_fock_basis():
         (skewness_by_groups, (10, 5)),
         (skewness_by_groups, (10, 2)),
         (spectrum_check, (10,)),
+        (functools.partial(spectrum_check, boundary=Boundary.PERIODIC), (10,)),
     ],
 )
 def test_peak_memory_below_one_dense_array(check, args):

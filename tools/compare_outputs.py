@@ -8,9 +8,10 @@ of a checkout). The commands are the sweep catalog of
 each in csv, json and human format, then failure and range-edge commands
 (inputs that end in a named failure of the CLI, and inputs at the edge of
 the supported range, such as huge fields or couplings), then small oracle
-commands in json format. Every command runs in a fresh interpreter for
-each tree, and any difference in exit code, stdout or stderr is printed with a
-diff.
+commands in json format, among them rings where the two fermion-parity
+sectors compete for the ground state. Every command runs in a fresh
+interpreter for each tree, and any difference in exit code, stdout or stderr
+is printed with a diff.
 
 Exit status: 1 when the change does not declare a difference in the stdout
 of a catalog or grid command, or a number of an oracle command that moved by
@@ -109,6 +110,12 @@ ORACLE = tuple(
     )
     for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
                   ("--K", "0.3", "--L", "0"))
+) + tuple(
+    # rings whose two fermion-parity sectors compete for the ground state
+    ("oracle", "spectrum", "--sites", sites, "--boundary", "periodic") + model
+    + ("--format", "json")
+    for sites in ("7", "8")
+    for model in (("--K", "1.6"), ("--K", "-1.6"), ("--K", "1.2", "--L", "1.2"))
 )
 
 # an oracle number may move by roundoff, and by no more, without a declaration
