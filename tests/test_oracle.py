@@ -452,14 +452,22 @@ def _majoranas(n):
     return np.array(ops)
 
 
+def _even_odd(block):
+    # the antisymmetric 2n x 2n matrix whose even-odd block is block, 0 elsewhere
+    a = np.zeros((2 * len(block), 2 * len(block)))
+    a[0::2, 1::2] = block
+    return a - a.T
+
+
 def _fock_states(group_size, model):
     # column p is the group state with mode k occupied where bit k of p is
     # set: the joint eigenvector of the occupations n_k = (1 + (i/2) a^T G_k a) / 2
     a = _majoranas(group_size)
     one = np.eye(2**group_size)
+    u, _, v = _fock_modes(group_size, model)
     label = sum(
         2**k * 0.5 * (one + 0.5j * np.einsum("ij,iab,jbc->ac", g, a, a))
-        for k, g in enumerate(_fock_modes(group_size, model))
+        for k, g in enumerate(map(_even_odd, np.einsum("ik,jk->kij", u, v)))
     )
     values, states = np.linalg.eigh(label)
     assert np.max(np.abs(values - np.arange(2**group_size))) <= 1e-10
@@ -561,12 +569,12 @@ def test_sector_eigh_sizes_at_ten_sites(monkeypatch):
     DenseThermalSystem.solve(build_hamiltonian(10, model))
     for boundary in Boundary:
         spectrum_check(10, model, boundary)
-    # the open spectrum takes one eigvalsh of the 20 x 20 Majorana matrix, and
-    # the periodic one an svd of a 10 x 10 block of each ring's matrix
+    # the open spectrum takes one svd of the 10 x 10 chiral block, and the
+    # periodic one an svd of each ring's block
     sector_sized = [size for size in shapes if size > 2 * 10]
     assert len(sector_sized) == 4
     assert max(shapes) <= 2**10 // 4 + 2**5
-    assert shapes[4:] == [2 * 10, 10, 10]
+    assert shapes[4:] == [10, 10, 10]
 
 
 @pytest.mark.parametrize("k_param, l_param", [(0.3, 0.0), (0.3, 0.2)])

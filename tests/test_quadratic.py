@@ -12,6 +12,7 @@ import pytest
 from test_oracle import (
     _COUPLINGS,
     _SZ,
+    _even_odd,
     _fock_reference_moments,
     _majoranas,
     _model,
@@ -24,9 +25,19 @@ from localtemp.oracle import (
     skewness_by_groups,
     spectrum_check,
 )
-from localtemp.quadratic import _majorana_matrix, open_spectrum, product_cumulants
+from localtemp.quadratic import (
+    _chiral_matrix,
+    _fock_modes,
+    open_spectrum,
+    product_cumulants,
+)
 
 _ALL_COUPLINGS = _COUPLINGS + ((0.0, 0.0), (0.6, 0.6), (0.3, 0.2))
+
+
+def _majorana_matrix(n, model, ring=0.0):
+    # the 2n x 2n A of H = 1/4 a^T (iA) a, whose even-odd block is M
+    return _even_odd(_chiral_matrix(n, model, ring))
 
 
 def _quadratic_hamiltonian(a):
@@ -76,6 +87,60 @@ def test_pfaffian_sign_is_the_quadratic_ground_parity(k_param, l_param):
                 continue
             parity = float(np.real(np.vdot(vecs[:, 0], _parity(n) * vecs[:, 0])))
             assert parity == pytest.approx(np.sign(np.linalg.det(a[0::2, 1::2])))
+
+
+@pytest.mark.parametrize(
+    "k_param, l_param",
+    [(0.3, 0.0), (1.2, 2.0), (-0.7, 0.7), (0.6, 0.6), (0.3, 0.2), (1.6, -0.4)],
+)
+def test_fock_modes_match_complex_eigh(k_param, l_param):
+    # u_k v_k^T is the even-odd block of G_k = 2 Im(v_k v_k^+), for the
+    # eigenvector v_k of iA with eigenvalue Lambda_k > 0. Only where the
+    # +-Lambda_k lie apart by 1e-3 of the largest: closer pairs (an edge mode
+    # near 0 at 8 sites for K = 1.2, L = 2) move the eigenvectors by
+    # roundoff / gap, and equal ones leave the modes not unique
+    model = _model(k_param, l_param)
+    checked = 0
+    for n in range(1, 9):
+        vals, vecs = np.linalg.eigh(1j * _majorana_matrix(n, model))
+        modes = vals[n:]
+        if np.min(np.diff(modes, prepend=-modes[0])) <= 1e-3 * modes[-1]:
+            continue
+        fock = 2.0 * np.einsum("ik,jk->kij", vecs[:, n:], vecs[:, n:].conj()).imag
+        u, _, v = _fock_modes(n, model)
+        ours = np.einsum("ik,jk->kij", u, v)
+        assert np.max(np.abs(ours - fock[:, 0::2, 1::2])) <= 1e-12
+        checked += 1
+    assert checked >= 4
+
+
+def test_free_fermion_checks_need_no_eigh(monkeypatch):
+    # the open and periodic spectra and the cumulants take real n x n svds
+    # and determinants only, never a 2n x 2n or complex eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    blocks = []
+    for name in ("svd", "slogdet"):
+        original = getattr(np.linalg, name)
+
+        def record(a, *args, _original=original, **kwargs):
+            blocks.append((a.dtype, a.shape))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    model = _model(0.3, 0.2)
+    for boundary in Boundary:
+        blocks.clear()
+        spectrum_check(10, model, boundary)
+        assert blocks and set(blocks) == {(np.dtype(float), (10, 10))}
+    for n_sites, n_groups in ((10, 2), (9, 3)):
+        blocks.clear()
+        skewness_by_groups(n_sites, n_groups, model)
+        size = n_sites // n_groups
+        assert blocks and set(blocks) == {(np.dtype(float), (size, size))}
 
 
 @pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)

@@ -107,6 +107,9 @@ ORACLE = tuple(
         ("oracle", "moments", "--sites", "8", "--groups", "4"),
         ("oracle", "rho", "--sites", "6", "--groups", "3", "--beta-b", "2"),
         ("oracle", "gaussian", "--sites", "8", "--groups", "4"),
+        # the per-group svd at group sizes 3 and 5
+        ("oracle", "gaussian", "--sites", "9", "--groups", "3"),
+        ("oracle", "gaussian", "--sites", "10", "--groups", "2"),
     )
     for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
                   ("--K", "0.3", "--L", "0"))
