@@ -12,9 +12,13 @@ state's is block diagonal. By Wick's theorem the w_a of such a state is a
 polynomial in the signs s_m = 2 n_m - 1 of the chain's modes, with
 coefficients over at most three modes, so no 2^n x 2^n matrix is formed. Split
 M = M_G + M_V into the blocks inside groups and the bonds between them. In
-the groups' modes M_G is diagonal (the sigma_m) and M_V is C, with C_mm = 0,
-so kappa_1 = 1/2 s.sigma, and the terms of order 0 and 1 in C of kappa_2 and
-kappa_3 cancel exactly and are left out rather than rounded into a width.
+the groups' modes M_G is diagonal (the sigma_m) and M_V is C, which has two
+rank-one blocks per junction: -Jx u_0 v_{g-1}^T below the diagonal and
+-Jy u_{g-1} v_0^T above it, u_i and v_i row i of a group's U and V. So
+C_mm = 0, kappa_1 = 1/2 s.sigma, and the terms of order 0 and 1 in C of
+kappa_2 and kappa_3 cancel exactly and are left out rather than rounded into
+a width. The chain of the first c groups is C's leading (c g) x (c g) block,
+and its product states are the first 2^(c g).
 
 The ring adds the bond from site n - 1 to site 0, times -P, where
 P = prod sz_j = prod(-i a_2j a_2j+1) is the fermion parity, +1 for an even
@@ -31,12 +35,7 @@ import numpy as np
 
 from .ising import IsingModel, occupation_patterns
 
-__all__ = [
-    "mode_energies",
-    "open_spectrum",
-    "periodic_ground_energy",
-    "product_cumulants",
-]
+__all__ = ["open_spectrum", "periodic_ground_energy", "product_cumulants"]
 
 
 def _chiral_matrix(n_sites: int, model: IsingModel, ring: float = 0.0) -> np.ndarray:
@@ -54,14 +53,9 @@ def _chiral_matrix(n_sites: int, model: IsingModel, ring: float = 0.0) -> np.nda
     return m
 
 
-def mode_energies(n_sites: int, model: IsingModel) -> np.ndarray:
-    """The open chain's mode energies Lambda_k >= 0, ascending."""
-    return np.linalg.svd(_chiral_matrix(n_sites, model), compute_uv=False)[::-1]
-
-
 def open_spectrum(n_sites: int, model: IsingModel) -> np.ndarray:
     """All 2^n levels of the open chain, ascending, from its mode energies."""
-    modes = mode_energies(n_sites, model)
+    modes = np.linalg.svd(_chiral_matrix(n_sites, model), compute_uv=False)[::-1]
     return np.sort(occupation_patterns(n_sites) @ modes - 0.5 * np.sum(modes))
 
 
@@ -90,27 +84,34 @@ def _fock_modes(
 
 def product_cumulants(
     n_groups: int, group_size: int, model: IsingModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kappa_1, kappa_2, kappa_3) of w_a for every product state a of an open
-    chain of n_groups groups. Entry a is the state whose group g holds the
-    occupation bits of (a >> group_size * g) mod 2^group_size."""
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """One group's mode energies, ascending, and for c = 2..n_groups the
+    (kappa_1, kappa_2, kappa_3) of w_a for every product state a of the open
+    chain of c groups. Entry a is the state whose group g holds the occupation
+    bits of (a >> group_size * g) mod 2^group_size."""
     n = n_groups * group_size
     u, modes, v = _fock_modes(group_size, model)
-    groups = np.eye(n_groups)
-    junctions = _chiral_matrix(n, model) - np.kron(groups, _chiral_matrix(group_size, model))
-    c = np.kron(groups, u).T @ junctions @ np.kron(groups, v)  # M_V in the modes
+    # C = M_V in the groups' modes, one rank-one block each side of a junction
+    c = np.zeros((n_groups, group_size, n_groups, group_size))
+    left = np.arange(n_groups - 1)
+    c[left + 1, :, left] = np.outer(-model.jx * u[0], v[-1])
+    c[left, :, left + 1] = np.outer(-model.jy * u[-1], v[0])
+    c = c.reshape(n, n)
     sigma = np.tile(modes, n_groups)
-    s = 2.0 * occupation_patterns(n) - 1.0
-    d = np.diag(sigma)
-    square = c * c
-    # diag(C C^T C + C^T C C^T + C D C + C^T D C^T) + 2 D diag(C C^T + C^T C)
-    linear = np.diag(c @ (c.T + d) @ c + c.T @ (c + d) @ c.T) + 2.0 * sigma * (
-        square.sum(axis=1) + square.sum(axis=0)
-    )
-    # T[m, n, p] = Y[p, m] C[m, n] C[n, p], Y = C + 3 D
-    third = np.einsum("pm,mn,np->mnp", c + 3.0 * d, c, c).reshape(n, n * n)
-    cubic = np.einsum("anp,an,ap->a", (s @ third).reshape(-1, n, n), s, s)
-    kappa1 = 0.5 * (s @ sigma)
-    kappa2 = (np.sum(square) - np.einsum("an,an->a", s @ (c * c.T), s)) / 4.0
-    kappa3 = -(s @ linear - 2.0 * cubic) / 8.0
-    return kappa1, kappa2, kappa3
+    signs = 2.0 * occupation_patterns(n) - 1.0
+    cumulants = []
+    for size in range(2 * group_size, n + 1, group_size):  # size // group_size groups
+        cm, sm, s = c[:size, :size], sigma[:size], signs[: 2**size, :size]
+        d = np.diag(sm)
+        square = cm * cm
+        norms = square.sum(axis=1) + square.sum(axis=0)
+        # diag(C C^T C + C^T C C^T + C D C + C^T D C^T) + 2 D diag(C C^T + C^T C)
+        linear = np.diag(cm @ (cm.T + d) @ cm + cm.T @ (cm + d) @ cm.T) + 2.0 * sm * norms
+        # T[m, n, p] = Y[p, m] C[m, n] C[n, p], Y = C + 3 D
+        third = np.einsum("pm,mn,np->mnp", cm + 3.0 * d, cm, cm).reshape(size, -1)
+        cubic = (s[:, None] @ (s @ third).reshape(-1, size, size) @ s[:, :, None]).ravel()
+        kappa1 = 0.5 * (s @ sm)
+        kappa2 = (np.sum(square) - np.einsum("an,an->a", s @ (cm * cm.T), s)) / 4.0
+        kappa3 = -(s @ linear - 2.0 * cubic) / 8.0
+        cumulants.append((kappa1, kappa2, kappa3))
+    return modes, cumulants

@@ -136,11 +136,12 @@ def test_free_fermion_checks_need_no_eigh(monkeypatch):
         blocks.clear()
         spectrum_check(10, model, boundary)
         assert blocks and set(blocks) == {(np.dtype(float), (10, 10))}
-    for n_sites, n_groups in ((10, 2), (9, 3)):
+    # one svd of one group serves every group count and the degeneracy check
+    for n_sites, n_groups in ((10, 5), (10, 2), (9, 3)):
         blocks.clear()
         skewness_by_groups(n_sites, n_groups, model)
         size = n_sites // n_groups
-        assert blocks and set(blocks) == {(np.dtype(float), (size, size))}
+        assert blocks == [(np.dtype(float), (size, size))]
 
 
 @pytest.mark.parametrize("k_param, l_param", _ALL_COUPLINGS)
@@ -156,14 +157,18 @@ def test_open_spectrum_matches_dense(k_param, l_param):
 def test_cumulants_match_fock_product_states(k_param, l_param):
     # kappa_1, kappa_2 and kappa_3 are the mean, variance and third central
     # moment of w_a for every product of group Fock states, in the order of
-    # the occupation bits
+    # the occupation bits. Each count c read off the longer chain's cumulants
+    # is checked against a fresh chain of c groups
     model = _model(k_param, l_param)
-    for n_sites, group_size in ((4, 1), (6, 2), (6, 3), (8, 4)):
-        mean, var, m3 = _fock_reference_moments(n_sites, group_size, model)
-        k1, k2, k3 = product_cumulants(n_sites // group_size, group_size, model)
-        assert np.max(np.abs(k1 - mean)) <= 1e-10
-        assert np.max(np.abs(k2 - var)) <= 1e-10
-        assert np.max(np.abs(k3 - m3)) <= 1e-10
+    for n_sites, group_size in ((8, 1), (10, 2), (9, 3), (8, 4)):
+        n_groups = n_sites // group_size
+        modes, cumulants = product_cumulants(n_groups, group_size, model)
+        assert np.array_equal(modes, _fock_modes(group_size, model)[1])
+        assert len(cumulants) == n_groups - 1
+        for count, moments in enumerate(cumulants, start=2):
+            reference = _fock_reference_moments(count * group_size, group_size, model)
+            for ours, exact in zip(moments, reference):
+                assert np.max(np.abs(ours - exact)) <= 1e-10
 
 
 @pytest.mark.parametrize("k_param", [0.3, 10.0])

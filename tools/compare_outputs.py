@@ -94,11 +94,16 @@ FAILURES = (
     ("nmin", "harmonic", "--t-over-theta", "1", "--alpha", "inf"),
     ("sweep", "ising", "--tmin", "0.1", "--tmax", "10", "--points", "5", "--K", "2",
      "--alpha", "inf"),
+    # degenerate group modes (K = 0, an edge mode) and overflowing cumulants
+    ("oracle", "gaussian", "--sites", "8", "--groups", "4", "--K", "0", "--L", "0.5"),
+    ("oracle", "gaussian", "--sites", "10", "--groups", "2", "--K", "1e3", "--L", "1e3"),
+    ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "1e150", "--L", "0"),
 )
 
 
-# each oracle check at <= 8 sites, with the model given as K, L and as Jx, Jy,
-# and at L = 0, where moments also compares the junction width formula
+# each oracle check at <= 8 sites (gaussian up to 12), with the model given as
+# K, L and as Jx, Jy, and at L = 0, where moments also compares the junction
+# width formula
 ORACLE = tuple(
     cmd + model + ("--format", "json")
     for cmd in (
@@ -110,6 +115,9 @@ ORACLE = tuple(
         # the per-group svd at group sizes 3 and 5
         ("oracle", "gaussian", "--sites", "9", "--groups", "3"),
         ("oracle", "gaussian", "--sites", "10", "--groups", "2"),
+        # every group count read off one 12-site chain's cumulants
+        ("oracle", "gaussian", "--sites", "12", "--groups", "6"),
+        ("oracle", "gaussian", "--sites", "12", "--groups", "4"),
     )
     for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
                   ("--K", "0.3", "--L", "0"))
