@@ -601,7 +601,9 @@ def skewness_by_groups(
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
     _check_sites(n_sites)
-    # relative to the junction's Jx^2 + Jy^2, as the skewness is scale-free
+    # at B = 1, as H(B, K, L) = B H(1, K, L) and the skewness is scale-free;
+    # the zero width is relative to the junction's Jx^2 + Jy^2
+    model = IsingModel(1.0, model.k_param, model.l_param)
     zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     modes, cumulants = product_cumulants(n_groups, group_size, model)
     rows = []
@@ -614,7 +616,7 @@ def skewness_by_groups(
         rows.append(SkewnessRow(count, group_size * count, worst))
     # checked after the rows, so an overflow is reported as such
     gaps = np.diff(modes, prepend=-modes[0])  # 2 Lambda_0, then neighbours
-    if zero_width > 0.0 and np.min(gaps) <= _MODE_GAP * modes[-1]:
+    if (model.jx or model.jy) and np.min(gaps) <= _MODE_GAP * modes[-1]:
         raise ValueError(
             "gaussian check is undefined: a group's mode energies are degenerate"
             " (K = 0, or a strong-coupling edge mode), so its Fock states are not"

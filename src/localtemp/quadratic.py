@@ -9,16 +9,18 @@ Lambda_k are the mode energies and the levels are
 -1/2 sum_k (1 - 2 n_k) Lambda_k. A Fock state of a group's modes has the
 covariance whose even-odd block is sum_k (2 n_k - 1) u_k v_k^T, and a product
 state's is block diagonal. By Wick's theorem the w_a of such a state is a
-polynomial in the signs s_m = 2 n_m - 1 of the chain's modes, with
-coefficients over at most three modes, so no 2^n x 2^n matrix is formed. Split
-M = M_G + M_V into the blocks inside groups and the bonds between them. In
-the groups' modes M_G is diagonal (the sigma_m) and M_V is C, which has two
-rank-one blocks per junction: -Jx u_0 v_{g-1}^T below the diagonal and
--Jy u_{g-1} v_0^T above it, u_i and v_i row i of a group's U and V. So
-C_mm = 0, kappa_1 = 1/2 s.sigma, and the terms of order 0 and 1 in C of
-kappa_2 and kappa_3 cancel exactly and are left out rather than rounded into
-a width. The chain of the first c groups is C's leading (c g) x (c g) block,
-and its product states are the first 2^(c g).
+polynomial in the signs s_m = 2 n_m - 1 of the groups' modes, so no
+2^n x 2^n matrix is formed. In the groups' modes each junction's bonds are
+two rank-one blocks, -Jx u_0 v_{g-1}^T and -Jy u_{g-1} v_0^T, u_i and v_i row
+i of a group's U and V. The rows of U and V have unit norm,
+sum_k u_jk Lambda_k v_jk = M_jj = 2B, and an open chain's junctions form no
+three-cycle, so the cumulants are exact sums over the groups and the
+junctions (d, b), with z_i = s.(u_i v_i) of each group:
+  kappa_1 = sum_groups 1/2 s.Lambda,
+  kappa_2 = sum_junctions (Jx^2 + Jy^2)/4 - 1/2 Jx Jy z_0[b] z_{g-1}[d],
+  kappa_3 = sum_junctions t_{g-1}[d] + t_0[b],
+t_0 = -1/4 [s.(Lambda (Jx^2 u_0^2 + Jy^2 v_0^2)) - 4B Jx Jy z_0], t_{g-1} the
+same with u_{g-1}, v_{g-1} and Jx, Jy swapped: each group appends a junction.
 
 The ring adds the bond from site n - 1 to site 0, times -P, where
 P = prod sz_j = prod(-i a_2j a_2j+1) is the fermion parity, +1 for an even
@@ -89,29 +91,27 @@ def product_cumulants(
     (kappa_1, kappa_2, kappa_3) of w_a for every product state a of the open
     chain of c groups. Entry a is the state whose group g holds the occupation
     bits of (a >> group_size * g) mod 2^group_size."""
-    n = n_groups * group_size
     u, modes, v = _fock_modes(group_size, model)
-    # C = M_V in the groups' modes, one rank-one block each side of a junction
-    c = np.zeros((n_groups, group_size, n_groups, group_size))
-    left = np.arange(n_groups - 1)
-    c[left + 1, :, left] = np.outer(-model.jx * u[0], v[-1])
-    c[left, :, left + 1] = np.outer(-model.jy * u[-1], v[0])
-    c = c.reshape(n, n)
-    sigma = np.tile(modes, n_groups)
-    signs = 2.0 * occupation_patterns(n) - 1.0
+    signs = 2.0 * occupation_patterns(group_size) - 1.0
+    jx2, jy2, jxy = model.jx * model.jx, model.jy * model.jy, model.jx * model.jy
+    # z_0, z_{g-1}, and t_0, t_{g-1} times -4, of the module docstring
+    z_first, z_last = signs @ (u[0] * v[0]), signs @ (u[-1] * v[-1])
+    edge = 4.0 * model.b_field * jxy
+    t_first = signs @ (modes * (jx2 * u[0] ** 2 + jy2 * v[0] ** 2)) - edge * z_first
+    t_last = signs @ (modes * (jy2 * u[-1] ** 2 + jx2 * v[-1] ** 2)) - edge * z_last
+    eps = 0.5 * (signs @ modes)
+    # each junction's terms over [appended group b, previous last group d]
+    terms = (
+        eps[:, None],
+        (jx2 + jy2) / 4.0 - 0.5 * jxy * np.outer(z_first, z_last),
+        -(t_first[:, None] + t_last) / 4.0,
+    )
+    kappa = (eps, np.zeros_like(eps), np.zeros_like(eps))
     cumulants = []
-    for size in range(2 * group_size, n + 1, group_size):  # size // group_size groups
-        cm, sm, s = c[:size, :size], sigma[:size], signs[: 2**size, :size]
-        d = np.diag(sm)
-        square = cm * cm
-        norms = square.sum(axis=1) + square.sum(axis=0)
-        # diag(C C^T C + C^T C C^T + C D C + C^T D C^T) + 2 D diag(C C^T + C^T C)
-        linear = np.diag(cm @ (cm.T + d) @ cm + cm.T @ (cm + d) @ cm.T) + 2.0 * sm * norms
-        # T[m, n, p] = Y[p, m] C[m, n] C[n, p], Y = C + 3 D
-        third = np.einsum("pm,mn,np->mnp", cm + 3.0 * d, cm, cm).reshape(size, -1)
-        cubic = (s[:, None] @ (s @ third).reshape(-1, size, size) @ s[:, :, None]).ravel()
-        kappa1 = 0.5 * (s @ sm)
-        kappa2 = (np.sum(square) - np.einsum("an,an->a", s @ (cm * cm.T), s)) / 4.0
-        kappa3 = -(s @ linear - 2.0 * cubic) / 8.0
-        cumulants.append((kappa1, kappa2, kappa3))
+    for _ in range(n_groups - 1):  # append one group and its junction
+        kappa = tuple(
+            (k.reshape(2**group_size, -1) + t[:, :, None]).ravel()
+            for k, t in zip(kappa, terms)
+        )
+        cumulants.append(kappa)
     return modes, cumulants

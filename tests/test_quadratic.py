@@ -175,9 +175,10 @@ def test_cumulants_match_fock_product_states(k_param, l_param):
 @pytest.mark.parametrize("n_sites, n_groups", [(8, 2), (8, 4), (9, 3)])
 def test_skewness_does_not_depend_on_the_field(k_param, n_sites, n_groups):
     # at L = 0 the all-up and all-down products have zero width; scaling
-    # every coupling with B must neither unmask them nor move any row
+    # every coupling with B must neither unmask them nor move any row, not
+    # even where Jx^2 + Jy^2 underflows or the cumulants would overflow
     rows = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0))
-    for b_field in (1e-8, 1e2, 1e3):
+    for b_field in (1e-300, 1e-160, 1e-8, 1e2, 1e3, 1e200):
         scaled = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0, b_field))
         assert [(r.n_groups, r.sites) for r in scaled] == [
             (r.n_groups, r.sites) for r in rows
@@ -196,6 +197,10 @@ def test_skewness_needs_a_unique_fock_basis():
     # a strongly coupled group of 5 has an edge mode within roundoff of 0
     with pytest.raises(ValueError, match="mode energies are degenerate"):
         skewness_by_groups(10, 2, _model(1e3, 1e3))
+    # Jx = 1e-200, Jy = 0: the modes agree within roundoff, and the widths,
+    # of order Jx^2, underflow to 0; the basis, not the width, is reported
+    with pytest.raises(ValueError, match="mode energies are degenerate"):
+        skewness_by_groups(6, 3, _model(5e-201, 5e-201))
     # at K = 1e150 the modes also agree within roundoff, but the cumulants
     # overflow first, and that is what the check reports
     with np.errstate(all="ignore"), pytest.raises(OverflowError, match="is nan"):
@@ -224,3 +229,17 @@ def test_peak_memory_below_one_dense_array(check, args):
         tracemalloc.stop()
     assert peak < 8 * 4**10
 
+
+@pytest.mark.parametrize(
+    "n_sites, n_groups", [(10, 5), (10, 2), (12, 6), (12, 4), (12, 2)]
+)
+def test_gaussian_peak_memory_is_a_few_state_arrays(n_sites, n_groups):
+    # the cumulants are built one group at a time from 2^g vectors, so the
+    # peak is a few arrays over the 2^n product states, not 2^n x n ones
+    tracemalloc.start()
+    try:
+        skewness_by_groups(n_sites, n_groups, _model(0.3, 0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * 2**n_sites

@@ -98,6 +98,15 @@ FAILURES = (
     ("oracle", "gaussian", "--sites", "8", "--groups", "4", "--K", "0", "--L", "0.5"),
     ("oracle", "gaussian", "--sites", "10", "--groups", "2", "--K", "1e3", "--L", "1e3"),
     ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "1e150", "--L", "0"),
+    # the skewness does not depend on B, also where Jx^2 + Jy^2 underflows or
+    # the cumulants would overflow; Jx = 1e-200 leaves the modes degenerate
+    ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e-300"),
+    ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e-160"),
+    ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e200"),
+    ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--jx", "1e-200", "--jy", "0"),
 )
 
 
@@ -115,12 +124,19 @@ ORACLE = tuple(
         # the per-group svd at group sizes 3 and 5
         ("oracle", "gaussian", "--sites", "9", "--groups", "3"),
         ("oracle", "gaussian", "--sites", "10", "--groups", "2"),
-        # every group count read off one 12-site chain's cumulants
+        # every group count built junction by junction up to 12 sites
         ("oracle", "gaussian", "--sites", "12", "--groups", "6"),
         ("oracle", "gaussian", "--sites", "12", "--groups", "4"),
+        # group sizes 1 (a group's first and last site agree) and 6
+        ("oracle", "gaussian", "--sites", "8", "--groups", "8"),
+        ("oracle", "gaussian", "--sites", "12", "--groups", "2"),
     )
     for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
                   ("--K", "0.3", "--L", "0"))
+) + tuple(
+    # Jy = 0, where one of a junction's two blocks vanishes, and Jx = Jy
+    ("oracle", "gaussian", "--sites", "8", "--groups", "4") + model + ("--format", "json")
+    for model in (("--K", "0.5", "--L", "0.5"), ("--K", "1.5", "--L", "0"))
 ) + tuple(
     # rings whose two fermion-parity sectors compete for the ground state
     ("oracle", "spectrum", "--sites", sites, "--boundary", "periodic") + model
