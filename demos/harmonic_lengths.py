@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from localtemp.canonical import AccuracyParams
-from localtemp.harmonic import (
-    HarmonicModel,
-    asymptotic_nmin,
-    min_length,
-    nmin,
-)
+from localtemp.harmonic import asymptotic_nmin, nmin
 
 acc = AccuracyParams(alpha=10.0, delta=0.01)
 
@@ -47,9 +42,8 @@ materials = [
     ("silicon", 645.0, 2.4e-10, 1.0),
 ]
 for name, theta, a0, temp in materials:
-    model = HarmonicModel(theta=theta, a0=a0)
     t = temp / theta
-    l = min_length(t, acc, model)
+    l = nmin(t, acc).n_min * a0
     print(f"  {name:8s} at {temp:6.0f} K (T/Theta = {t:9.5f}):  l_min = {l:.4g} m")
 
 print()

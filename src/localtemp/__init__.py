@@ -10,7 +10,6 @@ from .canonical import (
     CriterionReport,
     GroupStatistics,
 )
-from .harmonic import HarmonicModel
 from .ising import CouplingCase, IsingModel, UnsupportedCouplingError
 
 __version__ = "0.1.0"
@@ -21,7 +20,6 @@ __all__ = [
     "CouplingCase",
     "CriterionReport",
     "GroupStatistics",
-    "HarmonicModel",
     "IsingModel",
     "UnsupportedCouplingError",
     "__version__",

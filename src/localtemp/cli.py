@@ -39,7 +39,6 @@ __all__ = [
     "entrypoint",
 ]
 
-_ANGSTROM = 1e-10
 # a 100,000-point sweep takes 11-15 s and about 100 MB (gapless Ising, 2-vCPU VM)
 _MAX_POINTS = 100_000
 
@@ -55,6 +54,11 @@ class MaterialRecord:
             raise ValueError("material name must be nonempty")
         if not self.theta_kelvin > 0 or not self.a0_angstrom > 0:
             raise ValueError(f"material {self.name!r} needs positive theta and a0")
+
+    @property
+    def a0_m(self) -> float:
+        """The lattice constant in metres: every l_min is n_min * a0_m."""
+        return self.a0_angstrom * 1e-10
 
 
 class _UsageError(Exception):
@@ -184,7 +188,7 @@ def cmd_nmin(args) -> int:
         t_label, t_value = "t_over_theta", args.t_over_theta
         if args.name:
             material = _material_by_name(_load_materials(args.file), args.name)
-            l_min = report.n_min * material.a0_angstrom * _ANGSTROM
+            l_min = report.n_min * material.a0_m
     else:
         model = _ising_from_args(args)
         report = ising.nmin(args.t_over_b, acc, model)
@@ -253,8 +257,7 @@ def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
     a0_m = None
     if args.chain == "harmonic" and args.name:
-        material = _material_by_name(_load_materials(args.file), args.name)
-        a0_m = material.a0_angstrom * _ANGSTROM
+        a0_m = _material_by_name(_load_materials(args.file), args.name).a0_m
     model = _ising_from_args(args) if args.chain == "ising" else None
 
     rows = []
@@ -372,7 +375,7 @@ def cmd_materials(args) -> int:
     acc = _acc_from_args(args)
     t = args.temp_kelvin / material.theta_kelvin
     report = harmonic.nmin(t, acc)
-    l_min = report.n_min * material.a0_angstrom * _ANGSTROM
+    l_min = report.n_min * material.a0_m
     payload = {
         **asdict(material),
         "temp_kelvin": args.temp_kelvin,

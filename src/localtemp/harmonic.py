@@ -6,8 +6,9 @@ The chain has nearest-neighbour springs and dispersion
 
 treated in the Debye approximation (linear branch omega = v k, v = omega0 a0)
 with per-site Debye temperature Theta = 2 omega0 in units hbar = k_B = 1.
-All temperatures enter as the ratio t = T / Theta; kelvin appears only at the
-CLI boundary. Reduced per-site energies are measured in units of k_B Theta:
+All temperatures enter as the ratio t = T / Theta, and sizes as site counts;
+kelvin, and the length l_min = n_min a0, appear only at the CLI boundary.
+Reduced per-site energies are measured in units of k_B Theta:
 
   e_bar(t) = t^2 * integral_0^{1/t} x / (e^x - 1) dx,   e_0 = 1/4.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,36 +43,16 @@ from .canonical import AccuracyParams, CriterionReport, build_report
 from .specfun import bose_integrand, in_chunks, integrate, min_integer_above
 
 __all__ = [
-    "HarmonicModel",
     "mean_energy_reduced",
     "cond_const_bound",
     "linearity_bound",
     "nmin",
     "asymptotic_nmin",
-    "min_length",
 ]
 
 # x/(e^x - 1) < 1e-300 beyond here; the dropped tail is far below quadrature
 # tolerance.
 _BOSE_CUTOFF = 700.0
-
-
-@dataclass(frozen=True)
-class HarmonicModel:
-    """Chain parameters: Theta in kelvin, a0 in meters. omega0 follows from
-    Theta = 2 omega0 (hbar = k_B = 1), so it is in kelvin too."""
-
-    theta: float
-    a0: float
-
-    def __post_init__(self) -> None:
-        if not (self.theta > 0 and self.a0 > 0):
-            raise ValueError("theta and a0 must be positive")
-
-    @property
-    def omega0(self) -> float:
-        """Theta / 2."""
-        return self.theta / 2.0
 
 
 def mean_energy_reduced(t_over_theta):
@@ -164,10 +144,3 @@ def asymptotic_nmin(t_over_theta: float, acc: AccuracyParams) -> float:
     if t_over_theta > 1.0:
         return 2.0 * acc.alpha / acc.delta
     return 3.0 * acc.alpha / (2.0 * math.pi**2) / t_over_theta**3
-
-
-def min_length(
-    t_over_theta: float, acc: AccuracyParams, model: HarmonicModel
-) -> float:
-    """Minimal chain length in meters carrying an intensive temperature."""
-    return nmin(t_over_theta, acc).n_min * model.a0

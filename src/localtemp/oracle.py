@@ -55,7 +55,6 @@ from dataclasses import InitVar, dataclass, fields
 import numpy as np
 
 from .canonical import GroupStatistics, rho_diag
-from .harmonic import HarmonicModel
 from .ising import (
     IsingModel,
     delta_sq,
@@ -80,7 +79,6 @@ __all__ = [
     "interaction_statistics",
     "rho_product_diag",
     "occupations_by_energy",
-    "harmonic_mode_check",
     "spectrum_check",
     "moments_check",
     "skewness_by_groups",
@@ -449,22 +447,6 @@ def occupations_by_energy(model: IsingModel, n: int) -> np.ndarray:
     return patterns[order]
 
 
-def harmonic_mode_check(n: int, model: HarmonicModel) -> float:
-    """Worst deviation between dynamical-matrix eigenvalues and the mode law.
-
-    The open-chain dynamical matrix (diagonal 2 omega0^2, off-diagonal
-    -omega0^2) must have eigenvalues 4 omega0^2 sin^2(pi l / (2(n+1))).
-    """
-    if not 1 <= n <= 64:
-        raise ValueError("n must be between 1 and 64")
-    w2 = model.omega0**2
-    dyn = 2.0 * w2 * np.eye(n) - w2 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    got = np.linalg.eigvalsh(dyn)
-    l = np.arange(1, n + 1)
-    expected = 4.0 * w2 * np.sin(math.pi * l / (2.0 * (n + 1))) ** 2
-    return float(np.max(np.abs(got - expected)))
-
-
 # ---------------------------------------------------------------------------
 # whole checks, one per `localtemp oracle` subcommand; field order is the
 # order of the printed rows
@@ -619,8 +601,8 @@ def skewness_by_groups(
     if (model.jx or model.jy) and np.min(gaps) <= _MODE_GAP * modes[-1]:
         raise ValueError(
             "gaussian check is undefined: a group's mode energies are degenerate"
-            " (K = 0, or a strong-coupling edge mode), so its Fock states are not"
-            " unique"
+            " (K = 0, a coupling too weak to split the modes, or a strong-coupling"
+            " edge mode), so its Fock states are not unique"
         )
     return tuple(rows)
 

@@ -180,6 +180,36 @@ def test_materials_listing_and_pipeline():
     assert code == 1  # --temp-kelvin required with --name
 
 
+@pytest.mark.parametrize(
+    "name,kelvin",
+    [("iron", "940"), ("carbon", "111.5"), ("silicon", "12.9")],  # t = 2, 0.05, 0.02
+)
+def test_every_command_prints_one_l_min(name, kelvin):
+    # nmin, materials and sweep at the same t all print n_min * a0 in metres,
+    # rounded the same way
+    code, out, _ = run_cli(
+        "materials", "--name", name, "--temp-kelvin", kelvin, "--format", "json"
+    )
+    assert code == 0
+    material = json.loads(out)
+    t = repr(material["t_over_theta"])
+    code, out, _ = run_cli(
+        "nmin", "harmonic", "--t-over-theta", t, "--name", name, "--format", "json"
+    )
+    assert code == 0
+    single = json.loads(out)
+    code, out, _ = run_cli(
+        "sweep", "harmonic", "--tmin", t, "--tmax", repr(2 * float(t)), "--points", "2",
+        "--name", name, "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)[0]
+    assert single["n_min"] == row["n_min"] == material["n_min"]
+    a0_m = material["a0_angstrom"] * 1e-10
+    assert single["l_min_m"] == row["l_min_m"] == material["l_min_m"]
+    assert material["l_min_m"] == material["n_min"] * a0_m
+
+
 def test_materials_file_round_trip(tmp_path):
     exported = tmp_path / "db.json"
     assert run_cli("materials", "--format", "json", "--out", str(exported))[0] == 0

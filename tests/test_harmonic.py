@@ -1,4 +1,4 @@
-"""Harmonic chain: reduced energies, both criteria, and lengths."""
+"""Harmonic chain: reduced energies and both criteria."""
 from __future__ import annotations
 
 import math
@@ -8,25 +8,15 @@ import pytest
 
 from localtemp.canonical import AccuracyParams, Binding
 from localtemp.harmonic import (
-    HarmonicModel,
     asymptotic_nmin,
     cond_const_bound,
     linearity_bound,
     mean_energy_reduced,
-    min_length,
     nmin,
 )
 from localtemp.specfun import min_integer_above
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
-
-
-def test_model_validation():
-    assert HarmonicModel(theta=470.0, a0=2.5e-10).omega0 == 235.0
-    with pytest.raises(ValueError):
-        HarmonicModel(theta=-1.0, a0=2.5e-10)
-    with pytest.raises(ValueError):
-        HarmonicModel(theta=470.0, a0=0.0)
 
 
 @pytest.mark.parametrize(
@@ -130,14 +120,6 @@ def test_bounds_scale_with_accuracy():
     )
     # cond bound grows with alpha too (more conservative window)
     assert cond_const_bound(0.1, tight) > cond_const_bound(0.1, ACC)
-
-
-def test_min_length_uses_lattice_constant():
-    model = HarmonicModel(theta=470.0, a0=2.5e-10)
-    report = nmin(10.0, ACC)
-    assert math.isclose(
-        min_length(10.0, ACC, model), report.n_min * 2.5e-10, rel_tol=1e-12
-    )
 
 
 def test_high_t_plateau_and_strict_integer():

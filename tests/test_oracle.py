@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from localtemp.canonical import AccuracyParams, rho_diag
-from localtemp.harmonic import HarmonicModel
 from localtemp.ising import (
     IsingModel,
     delta_sq,
@@ -30,7 +29,6 @@ from localtemp.oracle import (
     _w_a_moments,
     DenseThermalSystem,
     build_hamiltonian,
-    harmonic_mode_check,
     interaction_statistics,
     moments_check,
     occupations_by_energy,
@@ -236,23 +234,6 @@ def test_occupations_by_energy_ordering():
     # uncoupled chain is fully degenerate
     with pytest.raises(ValueError):
         occupations_by_energy(_model(0.0, 0.0), 2)
-
-
-def test_harmonic_mode_check_values():
-    model = HarmonicModel(theta=2.0, a0=1.0)
-    for n in (1, 3, 64):
-        assert harmonic_mode_check(n, model) <= 1e-10
-    # n=3 closed form: eigenvalues {2 - sqrt2, 2, 2 + sqrt2} times omega0^2
-    w2 = np.array([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
-    l = np.arange(1, 4)
-    assert np.allclose(4.0 * np.sin(math.pi * l / 8.0) ** 2, w2, atol=1e-12)
-    with pytest.raises(ValueError):
-        harmonic_mode_check(65, model)
-
-
-def test_harmonic_mode_check_scales_with_frequency():
-    model = HarmonicModel(theta=5.0, a0=1.0)
-    assert harmonic_mode_check(16, model) <= 1e-10 * 2.5**2
 
 
 # ---------------------------------------------------------------------------

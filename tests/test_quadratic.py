@@ -198,9 +198,11 @@ def test_skewness_needs_a_unique_fock_basis():
     with pytest.raises(ValueError, match="mode energies are degenerate"):
         skewness_by_groups(10, 2, _model(1e3, 1e3))
     # Jx = 1e-200, Jy = 0: the modes agree within roundoff, and the widths,
-    # of order Jx^2, underflow to 0; the basis, not the width, is reported
-    with pytest.raises(ValueError, match="mode energies are degenerate"):
+    # of order Jx^2, underflow to 0; the basis, not the width, is reported,
+    # and the message names the coupling as too weak
+    with pytest.raises(ValueError, match="mode energies are degenerate") as weak:
         skewness_by_groups(6, 3, _model(5e-201, 5e-201))
+    assert "a coupling too weak to split the modes" in str(weak.value)
     # at K = 1e150 the modes also agree within roundoff, but the cumulants
     # overflow first, and that is what the check reports
     with np.errstate(all="ignore"), pytest.raises(OverflowError, match="is nan"):

@@ -4,8 +4,9 @@ Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `localtemp` package (the `src/`
 of a checkout). The commands are the sweep catalog of
-`benchmarks/workloads.py`, a few longer grid sweeps and the four figures,
-each in csv, json and human format, then failure and range-edge commands
+`benchmarks/workloads.py`, a few longer grid sweeps, the four figures and
+single `nmin harmonic` and `materials` queries that print a length, each in
+csv, json and human format, then failure and range-edge commands
 (inputs that end in a named failure of the CLI, and inputs at the edge of
 the supported range, such as huge fields or couplings), then small oracle
 commands in json format, among them rings where the two fermion-parity
@@ -14,7 +15,7 @@ interpreter for each tree, and any difference in exit code, stdout or stderr
 is printed with a diff.
 
 Exit status: 1 when the change does not declare a difference in the stdout
-of a catalog or grid command, or a number of an oracle command that moved by
+of a catalog, grid, figure or single-query command, or a number of an oracle command that moved by
 more than ORACLE_RTOL relative plus ORACLE_ATOL absolute; 0 otherwise. BLAS
 threading and summation order can move an oracle number's roundoff-level
 digits from run to run, so those pass. A change that alters such output on
@@ -55,6 +56,16 @@ GRID_SWEEPS = (
 )
 
 FIGURES = tuple(("figure", fig) for fig in ("fig3", "fig4", "fig5", "fig6"))
+
+# Single queries that print a length l_min = n_min * a0, one per material,
+# at temperatures on both sides of the constant-condition crossover.
+SINGLE_QUERIES = (("materials",),) + tuple(
+    query
+    for name, theta_ratio, kelvin in (("iron", "2", "940"), ("carbon", "0.05", "111.5"),
+                                      ("silicon", "0.02", "12.9"))
+    for query in (("nmin", "harmonic", "--t-over-theta", theta_ratio, "--name", name),
+                  ("materials", "--name", name, "--temp-kelvin", kelvin))
+)
 
 EXPECTED = pathlib.Path(__file__).with_name("expected_output_changes.txt")
 
@@ -202,7 +213,8 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src = argv
     exact = [argv_ + ("--format", fmt)
-             for argv_ in [a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS) + list(FIGURES)
+             for argv_ in ([a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS) + list(FIGURES)
+                           + list(SINGLE_QUERIES))
              for fmt in ("csv", "json", "human")]
     commands = ([(c, "exact") for c in exact] + [(c, "failure") for c in FAILURES]
                 + [(c, "oracle") for c in ORACLE])
