@@ -406,8 +406,10 @@ def _oracle_report(args):
         return oracle.moments_check(args.sites, args.groups, model)
     if args.oracle_cmd == "gaussian":  # w_a does not depend on the temperature
         return oracle.skewness_by_groups(args.sites, args.groups, model)
-    beta = args.beta_b / model.b_field
-    return oracle.rho_diag_check(args.sites, args.groups, model, beta)
+    # rho depends on beta_B H(1, K, L) alone: hand over B = 1, so no
+    # beta_B / B is formed that could overflow or round
+    unit = IsingModel(1.0, model.k_param, model.l_param)
+    return oracle.rho_diag_check(args.sites, args.groups, unit, args.beta_b)
 
 
 def cmd_oracle(args) -> int:

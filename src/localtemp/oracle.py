@@ -4,13 +4,30 @@ Everything here is exact, built from the chain's structure. `spectrum`
 (open and periodic) and `gaussian` come from its free-fermion form
 (quadratic.py): `gaussian` over products of group Fock states, the periodic
 `spectrum` with each fermion-parity sector's own boundary condition.
-`moments` rotates the open chain's 2^n Hamiltonian, filled by bit arithmetic
-on basis indices, into the product basis of the group eigenstates a dense
-eigh picks; only `rho` diagonalizes the chain, one symmetry sector at a time.
-They measure the interaction mean and width, the moments of the energy
-distribution w_a and the thermal state's diagonal, each as one array over
-all product states. No Gaussian or thermodynamic-limit approximation enters,
-so any disagreement beyond numerical noise points at the formulas.
+`moments` and `rho` work in the product basis of the group eigenstates a
+dense eigh picks. They measure the interaction mean and width, the moments
+of the energy distribution w_a and the thermal state's diagonal, each as one
+array over all product states. No Gaussian or thermodynamic-limit
+approximation enters, so any disagreement beyond numerical noise points at
+the formulas.
+
+Interaction statistics: H - H_0 is the sum of the junction bonds
+J_j = sum_k P_k (x) Q_k, P_k on group j + 1 and Q_k on group j (the same
+d x d pairs at every junction, in the group eigenbasis). A product state
+|a> = |a_0 ... a_{G-1}> gives exactly
+  eps_a = sum_j m(a_{j+1}, a_j),              m = sum_k diag P_k (x) diag Q_k,
+  Delta_a^2 = sum_j (S - m^2)(a_{j+1}, a_j)
+            + sum_j [C - 2 m_j m_{j+1}](a_{j+2}, a_{j+1}, a_j),
+with S = sum_kl diag(P_k P_l) (x) diag(Q_k Q_l) the square of one junction
+and C = sum_kl diag P_l (x) diag(P_k Q_l + Q_l P_k) (x) diag Q_k the term of
+two junctions that share group j + 1; junctions further apart are
+uncorrelated in a product state. Every P_k and Q_k flips the parity of its
+group, so m and C vanish unless eigh mixes parities inside a degenerate
+group level. `moments` then compares two independent computations: these
+junction sums against the w_a moments read off the open chain's 2^n
+Hamiltonian rotated into the product basis, H_p = V^T H V, whose diagonal is
+<a|H|a> and whose off-diagonal row norms are the widths. Only `rho`
+diagonalizes the chain, one symmetry sector at a time.
 
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
@@ -19,8 +36,8 @@ value 0, with sigma^z = diag(1, -1), making the single-site Hamiltonian
 gives that element 1, and sigma^y sigma^y gives it -1 when the two bits agree
 and +1 when they differ, so every matrix stays real. The product basis is
 the Kronecker power of the group eigenvector matrix with group 0 on the low
-index bits. It is never formed: junction bonds are rotated into it one group
-at a time, and eigenvectors and H take its Kronecker factors one at a time.
+index bits. It is never formed: eigenvectors and H take its Kronecker
+factors one at a time, the eigenvectors one block of columns at a time.
 
 Sectors (`rho`): every bond flips two bits, so the fermion parity
 prod sigma^z (the parity of a basis index's bit count) commutes with H for
@@ -34,6 +51,9 @@ The four sector blocks are gathered from H by index arithmetic, diagonalized
 one by one, and their eigenvectors scattered back into site order, merged
 into ascending eigenvalue order. Group Hamiltonians are diagonalized whole,
 so the product basis is the one a full eigh of the group picks.
+Besides H and its eigenvectors, no dim x dim array is formed: each sector's
+matrix and vectors are freed once used, and the residual check and the
+overlaps <a|phi> run over blocks of columns.
 
 The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
@@ -50,7 +70,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,8 +109,16 @@ _MAX_SITES = 12
 # the periodic spectrum is O(n^3) in the ring's size, not 2^n
 _MAX_RING_SITES = 400
 
-# product states whose interaction width lies below this carry no w_a shape
+# product states whose interaction width lies below this, relative to the
+# junction's Jx^2 + Jy^2, carry no w_a shape
 _ZERO_WIDTH = 1e-12
+
+# eigenvector columns are processed dim // _COLUMN_BLOCKS at a time, so each
+# such temporary is a fixed fraction of a dim x dim array, but at least
+# _MIN_COLUMNS at a time, so small chains do not pay numpy's per-call cost
+# block after block
+_COLUMN_BLOCKS = 8
+_MIN_COLUMNS = 128
 
 # mode energies closer than this, relative to the largest, are degenerate
 # within roundoff: eigh cannot tell their vectors, or their Fock states, apart
@@ -130,45 +158,64 @@ def build_hamiltonian(n_sites: int, model: IsingModel) -> np.ndarray:
     return h
 
 
-def _parity_blocks(hamiltonian: np.ndarray) -> list:
-    """(indices, block) for the even and the odd bit-count sector."""
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary; nan if a holds one."""
+    return max(float(np.max(a, initial=0.0)), -float(np.min(a, initial=0.0)))
+
+
+def _column_blocks(n_cols: int, dim: int):
+    """Slices of n_cols columns, max(dim // _COLUMN_BLOCKS, _MIN_COLUMNS) at a
+    time."""
+    step = max(dim // _COLUMN_BLOCKS, _MIN_COLUMNS)
+    return (slice(start, start + step) for start in range(0, n_cols, step))
+
+
+def _gather_block(hamiltonian: np.ndarray, rows: np.ndarray, other: np.ndarray):
+    """hamiltonian[rows][:, rows], gathered one band of rows at a time, after
+    checking that no element of those rows lies in the columns other."""
+    block = np.empty((rows.size, rows.size))
+    for part in _column_blocks(rows.size, hamiltonian.shape[0]):
+        band = hamiltonian.take(rows[part], axis=0)
+        if np.any(band.take(other, axis=1)):
+            raise ValueError("hamiltonian mixes the fermion-parity sectors")
+        band.take(rows, axis=1, out=block[part])
+    return block
+
+
+def _parity_blocks(hamiltonian: np.ndarray):
+    """Yield (indices, block) for the even and the odd bit-count sector, each
+    gathered only when asked."""
     idx = np.arange(hamiltonian.shape[0])
     parity = np.zeros_like(idx)
     for j in range(idx.size.bit_length() - 1):
         parity ^= (idx >> j) & 1
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    blocks = []
     for r, other in ((even, odd), (odd, even)):
-        rows = hamiltonian.take(r, axis=0)
-        if np.any(rows.take(other, axis=1)):
-            raise ValueError("hamiltonian mixes the fermion-parity sectors")
         if r.size:
-            blocks.append((r, rows.take(r, axis=1)))
-    return blocks
+            yield r, _gather_block(hamiltonian, r, other)
 
 
-def _sectors(n_sites: int, blocks: list) -> list:
+def _sectors(n_sites: int, blocks):
     """Split each parity block by the site reflection R: j -> n - 1 - j.
 
-    Returns (block, rows, mirrors, sign, coef) per nonempty sector. Its basis
-    vector k is coef_k (|rows_k> + sign |mirrors_k>), with mirrors_k =
-    R(rows_k): coef 1/sqrt2 for a mirror pair, and 1/2 for a palindrome
-    (rows_k = mirrors_k, sign +1, which gives |rows_k> itself). block is H in
-    that basis, gathered from the parity block. Rejects a block that does not
-    commute with R.
+    Yields (block, rows, mirrors, sign, coef) per nonempty sector, building
+    each only when asked. Its basis vector k is coef_k (|rows_k> + sign
+    |mirrors_k>), with mirrors_k = R(rows_k): coef 1/sqrt2 for a mirror pair,
+    and 1/2 for a palindrome (rows_k = mirrors_k, sign +1, which gives
+    |rows_k> itself). block is H in that basis, gathered from the parity
+    block. Rejects a block that does not commute with R.
     """
     idx = np.arange(2**n_sites)
     mirror = np.zeros_like(idx)
     for j in range(n_sites):
         mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
-    sectors = []
     for rows, block in blocks:
         local = np.searchsorted(rows, mirror[rows])  # R keeps the bit count
-        scale = max(1.0, float(np.max(np.abs(block))))
         asym = block.take(local, axis=0).take(local, axis=1)
         asym -= block
-        if np.max(np.abs(asym, out=asym)) > 1e-12 * scale:
+        if _max_abs(asym) > 1e-12 * max(1.0, _max_abs(block)):
             raise ValueError("hamiltonian breaks the site-reflection symmetry")
+        del asym
         k = np.arange(rows.size)
         for sign, r in ((1.0, k[k <= local]), (-1.0, k[k < local])):
             if not r.size:
@@ -177,11 +224,25 @@ def _sectors(n_sites: int, blocks: list) -> list:
             coef = np.where(lone, 0.5, math.sqrt(0.5))
             # [H, R] = 0 gives <k|H|l> = 2 coef_k coef_l (H[r_k, r_l] + sign
             # H[r_k, R r_l]); 2 coef_k coef_l is 1, 1/sqrt2 or exactly 1/2
-            weight = np.exp2(-0.5 * np.add.outer(lone, lone))
-            sub = block[r]
-            sector = (sub[:, r] + sign * sub[:, local[r]]) * weight
-            sectors.append((sector, rows[r], rows[local[r]], sign, coef))
-    return sectors
+            sub = block.take(r, axis=0)
+            sector = sub.take(local[r], axis=1)
+            sector *= sign
+            sector += sub.take(r, axis=1)
+            del sub
+            sector *= np.exp2(-0.5 * np.add.outer(lone, lone))
+            yield sector, rows[r], rows[local[r]], sign, coef
+
+
+def _worst_residual(block, rows, cols, sys) -> float:
+    """Largest |block v - lambda v| over the eigenpairs cols of sys, with v
+    restricted to the block's rows, formed a block of columns at a time."""
+    worst = 0.0
+    for part in _column_blocks(cols.size, sys.eigenvectors.shape[0]):
+        v = sys.eigenvectors[np.ix_(rows, cols[part])]
+        residual = block @ v
+        residual -= v * sys.eigenvalues[cols[part]]
+        worst = np.max(np.linalg.norm(residual, axis=0), initial=worst)
+    return float(worst)
 
 
 @dataclass(eq=False)
@@ -191,8 +252,9 @@ class DenseThermalSystem:
     Construction checks that every eigenvector has unit norm, then symmetry
     and the eigenpair residual per fermion-parity block: no element of H and
     no eigenvector may straddle two blocks, and a non-finite (overflowed)
-    residual raises OverflowError. blocks is _parity_blocks(hamiltonian) when
-    the caller already split it.
+    residual raises OverflowError. One parity block is held at a time and
+    the residual is formed over blocks of columns, so the checks add no
+    dim x dim array.
 
     The temperature enters only through thermal_state. Treat instances as
     immutable after construction; all queries only read.
@@ -201,9 +263,8 @@ class DenseThermalSystem:
     hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    blocks: InitVar[list | None] = None
 
-    def __post_init__(self, blocks) -> None:
+    def __post_init__(self) -> None:
         dim = self.hamiltonian.shape[0]
         if self.hamiltonian.shape != (dim, dim):
             raise ValueError("hamiltonian must be square")
@@ -212,21 +273,20 @@ class DenseThermalSystem:
         lengths = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
         if not np.max(np.abs(lengths - 1.0), initial=0.0) <= 1e-10:
             raise ValueError("eigenvectors must have unit norm")
-        if blocks is None:
-            blocks = _parity_blocks(self.hamiltonian)
-        scale = max(1.0, *(float(np.max(np.abs(block))) for _, block in blocks))
-        blocks_touched = np.zeros(dim, dtype=int)
-        norms = []
-        for rows, block in blocks:
-            if np.max(np.abs(block - block.T)) > 1e-12 * scale:
-                raise ValueError("hamiltonian must be symmetric")
-            cols = np.any(self.eigenvectors[rows], axis=0)
-            blocks_touched += cols
-            v = self.eigenvectors[np.ix_(rows, np.flatnonzero(cols))]
-            norms.append(np.linalg.norm(block @ v - v * self.eigenvalues[cols], axis=0))
-        if np.any(blocks_touched > 1):
+        scale = max(1.0, _max_abs(self.hamiltonian))
+        support = vecs != 0.0  # the columns each parity block touches
+        touched, residuals = [], []
+        for rows, block in _parity_blocks(self.hamiltonian):
+            for part in _column_blocks(rows.size, dim):
+                if _max_abs(block[part] - block[:, part].T) > 1e-12 * scale:
+                    raise ValueError("hamiltonian must be symmetric")
+            touched.append(np.any(support[rows], axis=0))
+            residuals.append(_worst_residual(block, rows, np.flatnonzero(touched[-1]), self))
+            del block  # before the next one is gathered
+        if np.any(np.sum(touched, axis=0) > 1):
             raise ValueError("eigenvector mixes the fermion-parity sectors")
-        worst = float(np.max(np.concatenate(norms), initial=0.0))
+        # np.max, unlike max(), carries a nan residual along
+        worst = float(np.max(residuals, initial=0.0))
         if not math.isfinite(worst):
             raise OverflowError(f"eigendecomposition residual is {worst!r}")
         norm = max(1.0, float(np.max(np.abs(self.eigenvalues))))
@@ -244,20 +304,24 @@ class DenseThermalSystem:
         if 2**n_sites != dim:
             raise ValueError("hamiltonian dimension must be a power of two")
         _check_sites(n_sites)
-        blocks = _parity_blocks(hamiltonian)
-        sectors = _sectors(n_sites, blocks)
-        solved = [np.linalg.eigh(sector[0]) for sector in sectors]
-        vals = np.concatenate([w for w, _ in solved])
+        # each parity block and sector matrix is built when needed and freed
+        # once used
+        sectors = _sectors(n_sites, _parity_blocks(hamiltonian))
+        solved = [(np.linalg.eigh(sector), basis) for sector, *basis in sectors]
+        vals = np.concatenate([w for (w, _), _ in solved])
         order = np.argsort(vals, kind="stable")
         column = np.empty(vals.size, dtype=int)
         column[order] = np.arange(vals.size)
         vecs = np.zeros((dim, dim))
         start = 0
-        for (_, rows, mirrors, sign, coef), (w, v) in zip(sectors, solved):
+        solved.reverse()
+        while solved:  # each sector's vectors are freed after the scatter
+            (w, v), (rows, mirrors, sign, coef) = solved.pop()
             cols = column[start : start + w.size]
             v *= coef[:, None]
             vecs[rows[:, None], cols] = v
-            vecs[mirrors[:, None], cols] += sign * v  # palindrome: 1/2 + 1/2
+            v *= sign
+            vecs[mirrors[:, None], cols] += v  # palindrome: 1/2 + 1/2
             start += w.size
         # sectors round differently, so a level shared by two of them can
         # come out split by a few ulps of max|E|; at large beta max|E| that
@@ -266,7 +330,7 @@ class DenseThermalSystem:
         tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > tol)
         vals = np.repeat(vals[starts], np.diff(starts, append=vals.size))
-        return cls(hamiltonian, vals, vecs, blocks)
+        return cls(hamiltonian, vals, vecs)
 
 
 @dataclass(eq=False)
@@ -276,19 +340,34 @@ class ProductBasisData:
     The n_groups groups are congruent, so they share one eigenbasis, the
     columns of group_vecs. Product state a is the Kronecker product of the
     columns that the base-2^group_size digits of a select (group 0 lowest);
-    E_a = product_energies[a] sums their eigenvalues, and interaction_matrix
-    is I = H - H_0 in the product basis.
+    E_a = product_energies[a] sums their eigenvalues. The interaction
+    I = H - H_0 is the sum over junctions of sum_k P_k (x) Q_k, P_k on the
+    upper and Q_k on the lower group of the junction; junction_pairs holds
+    the d x d pairs (P_k, Q_k) in the group eigenbasis, the same at every
+    junction. interaction_statistics reads eps_a and Delta_a^2 off them.
     """
 
     n_groups: int
     group_vecs: np.ndarray
     product_energies: np.ndarray
-    interaction_matrix: np.ndarray
+    junction_pairs: list
 
     def __post_init__(self) -> None:
         gram = self.group_vecs.T @ self.group_vecs
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-12:
             raise ValueError("group eigenbasis not orthonormal")
+
+    @functools.cached_property
+    def _transpose_factors(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """_basis_transpose_apply's Kronecker factors V^T (x) ... (x) V^T of
+        the upper half of the groups (at least one) and of the rest (None if
+        none), built once per product basis."""
+        vt = self.group_vecs.T
+        n_upper = max(1, self.n_groups // 2)
+        upper = functools.reduce(np.kron, [vt] * n_upper)
+        if self.n_groups == n_upper:
+            return upper, None
+        return upper, functools.reduce(np.kron, [vt] * (self.n_groups - n_upper))
 
 
 def _group_digits(n_groups: int, group_size: int) -> list[np.ndarray]:
@@ -322,23 +401,12 @@ def _junction_pairs(vecs: np.ndarray, model: IsingModel) -> list:
     ]
 
 
-def _add_junction(inter: np.ndarray, n_groups: int, lower: int, pairs) -> None:
-    """inter += sum_k 1 (x) P_k (x) Q_k (x) 1, P_k on group lower + 1 and
-    Q_k on group lower, added block by block through a diagonal view."""
-    d = pairs[0][0].shape[0]
-    hi, lo = d ** (n_groups - 2 - lower), d**lower
-    view = inter.reshape(hi, d, d, lo, hi, d, d, lo)
-    blocks = np.einsum("hpqlhrsl->hlpqrs", view)  # writable view into inter
-    for p, q in pairs:
-        blocks += np.multiply.outer(p, q).transpose(0, 2, 1, 3)
-
-
 def product_basis(n_sites: int, group_size: int, model: IsingModel) -> ProductBasisData:
     """Partition the open chain into equal groups and set up the product basis.
 
-    H - H_0 is exactly the bonds between groups, so the interaction is those
-    junction bonds, each rotated into the group eigenbasis one group at a
-    time and added into the product basis block by block.
+    H - H_0 is exactly the bonds between groups, so the interaction is kept
+    as one junction's bond rotated into the group eigenbasis; no operator on
+    the whole chain is formed.
     """
     _check_sites(n_sites)
     if n_sites % group_size != 0:
@@ -349,12 +417,7 @@ def product_basis(n_sites: int, group_size: int, model: IsingModel) -> ProductBa
     energies = np.zeros(2**n_sites)
     for digits in _group_digits(n_groups, group_size):
         energies += vals[digits]
-
-    interaction = np.zeros((energies.size, energies.size))
-    pairs = _junction_pairs(vecs, model)
-    for lower in range(n_groups - 1):
-        _add_junction(interaction, n_groups, lower, pairs)
-    return ProductBasisData(n_groups, vecs, energies, interaction)
+    return ProductBasisData(n_groups, vecs, energies, _junction_pairs(vecs, model))
 
 
 def _basis_transpose_apply(pb: ProductBasisData, x: np.ndarray) -> np.ndarray:
@@ -365,12 +428,9 @@ def _basis_transpose_apply(pb: ProductBasisData, x: np.ndarray) -> np.ndarray:
     place through one block buffer: dim * cols * (d_hi + d_lo) operations
     instead of dim^2 * cols, and no array of x's size besides the result.
     """
-    vt = pb.group_vecs.T
-    n_lower = pb.n_groups // 2
-    upper = functools.reduce(np.kron, [vt] * (pb.n_groups - n_lower))
+    upper, lower = pb._transpose_factors
     out = upper @ x.reshape(upper.shape[0], -1)
-    if n_lower:
-        lower = functools.reduce(np.kron, [vt] * n_lower)
+    if lower is not None:
         blocks = out.reshape(upper.shape[0], lower.shape[0], -1)
         buf = np.empty(blocks.shape[1:])
         for block in blocks:
@@ -391,18 +451,44 @@ def thermal_state(sys: DenseThermalSystem, beta: float) -> tuple[float, np.ndarr
 
 
 def interaction_statistics(pb: ProductBasisData) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (eps_a, delta_sq_a) of the interaction for every product state a:
-    the diagonal of I and the squared row norm minus its square."""
-    inter = pb.interaction_matrix
-    eps = np.diag(inter).copy()
-    return eps, np.einsum("ab,ab->a", inter, inter) - eps * eps
+    """Exact (eps_a, delta_sq_a) = (<a|I|a>, <a|I^2|a> - <a|I|a>^2) of the
+    interaction for every product state a, as the junction sums of the module
+    docstring: each junction's d x d term, and each shared group's
+    d x d x d term, is added over the other groups by broadcasting."""
+    d = pb.group_vecs.shape[0]
+    ps = np.array([p for p, _ in pb.junction_pairs])
+    qs = np.array([q for _, q in pb.junction_pairs])
+    p, q = np.einsum("kii->ki", ps), np.einsum("kii->ki", qs)
+
+    def diag_products(xs, ys):  # [k, l] = diag(X_k Y_l)
+        return np.einsum("kij,lji->kli", xs, ys)
+
+    m = p.T @ q  # [upper, lower]
+    square = np.einsum("klx,kly->xy", diag_products(ps, ps), diag_products(qs, qs))
+    square -= m * m
+    eps, dsq = np.zeros(d**pb.n_groups), np.zeros(d**pb.n_groups)
+    for j in range(pb.n_groups - 1):  # junction j joins groups j and j + 1
+        for total, term in ((eps, m), (dsq, square)):
+            view = total.reshape(-1, d, d, d**j)
+            view += term[:, :, None]
+    if pb.n_groups > 2:
+        sym = diag_products(ps, qs) + diag_products(qs, ps).transpose(1, 0, 2)
+        shared = np.einsum("lx,kly,kz->xyz", p, sym, q)
+        shared -= 2.0 * m[:, :, None] * m
+        for j in range(pb.n_groups - 2):  # junctions j and j + 1 share group j + 1
+            view = dsq.reshape(-1, d, d, d, d**j)
+            view += shared[:, :, :, None]
+    return eps, dsq
 
 
-def _overlap_sq(sys: DenseThermalSystem, pb: ProductBasisData) -> np.ndarray:
-    """|<a|phi>|^2: product states a by eigenstates phi."""
-    probs = _basis_transpose_apply(pb, sys.eigenvectors)
-    probs *= probs
-    return probs
+def _overlap_blocks(sys: DenseThermalSystem, pb: ProductBasisData):
+    """(cols, |<a|phi>|^2) for product states a and the eigenstates phi of
+    each block cols of eigenvector columns."""
+    vecs = sys.eigenvectors
+    for cols in _column_blocks(vecs.shape[1], vecs.shape[0]):
+        probs = _basis_transpose_apply(pb, vecs[:, cols])
+        probs *= probs
+        yield cols, probs
 
 
 def _w_a_moments(
@@ -426,7 +512,7 @@ def rho_product_diag(
     """Exact diagonal <a|rho|a> of the thermal state at inverse temperature
     beta in the product basis."""
     _, weights = thermal_state(sys, beta)
-    return _overlap_sq(sys, pb) @ weights
+    return sum(probs @ weights[cols] for cols, probs in _overlap_blocks(sys, pb))
 
 
 def occupations_by_energy(model: IsingModel, n: int) -> np.ndarray:
@@ -613,20 +699,32 @@ def rho_diag_check(
     """Gaussian-weight formula for ln <a|rho|a> against the exact diagonal,
     over the product states of nonzero interaction width.
 
-    Raises OverflowError when an exact diagonal entry underflows to 0 (large
-    beta), since its logarithm is then not finite.
+    rho depends on beta H(B, K, L) = beta B H(1, K, L) alone, so the check
+    runs at B = 1 with beta B, and a width is zero below _ZERO_WIDTH times
+    the junction's Jx^2 + Jy^2. Raises ValueError when no product state has
+    a nonzero width, and OverflowError when an exact diagonal entry
+    underflows to 0 (large beta), since its logarithm is then not finite.
     """
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("rho check needs at least two groups")
-    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
+    beta *= model.b_field
+    model = IsingModel(1.0, model.k_param, model.l_param)
+    zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     pb = product_basis(n_sites, group_size, model)
+    eps, dsq = interaction_statistics(pb)
+    # a non-finite statistic is an overflow, which the report must carry
+    states = np.flatnonzero((dsq > zero_width) | ~np.isfinite(dsq) | ~np.isfinite(eps))
+    if not states.size:
+        raise ValueError(
+            "rho check is undefined: no product state has a nonzero interaction"
+            " width (Jx = Jy = 0, or couplings too weak to resolve)"
+        )
+    sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
     log_z, _ = thermal_state(sys, beta)
     dense = rho_product_diag(sys, pb, beta)
     e0 = float(np.min(sys.eigenvalues))
     e1 = float(np.max(sys.eigenvalues))
-    eps, dsq = interaction_statistics(pb)
-    states = np.flatnonzero(dsq >= _ZERO_WIDTH)
     exact = dense[states]
     if not np.all(exact):
         a = states[exact == 0.0][0]

@@ -527,6 +527,35 @@ def test_oracle_non_finite_report_exit_two(argv, field):
     assert field in err
 
 
+_RHO_6_3 = ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+            "--format", "json")
+
+
+def _rho_deviation(*extra):
+    code, out, err = run_cli(*_RHO_6_3, *extra)
+    assert (code, err) == (0, "")
+    return {row["quantity"]: row["value"] for row in json.loads(out)}["max_abs_log_deviation"]
+
+
+@pytest.mark.parametrize("b_field", ["1e-150", "1e-300", "5e-324", "1e200"])
+def test_oracle_rho_does_not_depend_on_the_field(b_field):
+    # rho depends on beta_B H(1, K, L) alone; a tiny B once put every width
+    # below an absolute floor (0.0 over zero states), a huge one overflowed H
+    unit = _rho_deviation()
+    assert unit == pytest.approx(0.85107633456976, rel=1e-12)
+    assert _rho_deviation("--B", b_field) == unit
+
+
+@pytest.mark.parametrize(
+    "model", [("--jx", "0", "--jy", "0"), ("--K", "1e-300"), ("--K", "0", "--L", "0")]
+)
+def test_oracle_rho_without_any_width_exit_one(model):
+    # no product state has a width to compare the Gaussian weight with
+    code, out, err = run_cli("oracle", "rho", "--sites", "6", "--groups", "3", *model)
+    assert (code, out) == (1, "")
+    assert "no product state has a nonzero interaction width" in err
+
+
 def test_oracle_moments_degenerate_group_exit_one():
     # L = 0 groups of 4 sites have degenerate formula energies; the benchmark
     # counts this message as a known failure

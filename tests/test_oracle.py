@@ -25,7 +25,7 @@ from localtemp.ising import (
 from localtemp.oracle import (
     Boundary,
     _basis_transpose_apply,
-    _overlap_sq,
+    _overlap_blocks,
     _w_a_moments,
     DenseThermalSystem,
     build_hamiltonian,
@@ -152,6 +152,16 @@ def test_rho_diag_formula_tracks_dense():
         assert report.per_junction == report.max_abs_log_deviation / (n_groups - 1)
         per_junction.append(report.per_junction)
     assert all(b < a for a, b in zip(per_junction, per_junction[1:]))
+
+
+def test_rho_diag_check_depends_on_beta_b_alone():
+    # H(B, K, L) = B H(1, K, L): a field that would overflow H, or put every
+    # width below an absolute floor, gives the B = 1 deviation
+    unit = rho_diag_check(6, 3, _model(0.3, 0.2), 0.7).max_abs_log_deviation
+    assert unit > 0.1
+    for b_field in (1e-150, 1e200):
+        report = rho_diag_check(6, 3, _model(0.3, 0.2, b_field), 0.7 / b_field)
+        assert math.isclose(report.max_abs_log_deviation, unit, rel_tol=1e-12)
 
 
 _CHECKS = {
@@ -342,16 +352,25 @@ def test_periodic_spectrum_at_four_hundred_sites(k_param, l_param, bound):
 @pytest.mark.parametrize("boundary", [Boundary.OPEN])
 @pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
 def test_interaction_is_full_minus_decoupled_hamiltonian(boundary, k_param, l_param):
-    # junction bonds alone must equal H - H_0 with H_0 the Kronecker sum of
-    # the open group Hamiltonians, and the group-by-group rotation must
-    # match the explicit Kronecker power. Group sizes 1-4
+    # the junction sums must give the diagonal and the squared off-diagonal
+    # row norms of H - H_0, with H_0 the Kronecker sum of the open group
+    # Hamiltonians, and the group-by-group rotation must match the explicit
+    # Kronecker power. Group sizes 1-5; at L = 0, groups of 4 and 5 sites
+    # have degenerate levels, where eigh may mix parities and the term of two
+    # junctions sharing a group is nonzero; (4, 4) is one group alone
     model = _model(k_param, l_param)
     rng = np.random.default_rng(7)
-    partitions = ((4, 2), (6, 3), (6, 2), (3, 3), (2, 1), (4, 1), (8, 4), (8, 2))
+    partitions = (
+        (4, 2), (6, 3), (6, 2), (3, 3), (2, 1), (4, 1), (8, 4), (8, 2), (10, 5), (4, 4)
+    )
     for n_sites, group_size in partitions:
         pb = product_basis(n_sites, group_size, model)
         basis, reference = _reference_interaction(n_sites, group_size, model, boundary)
-        assert np.max(np.abs(pb.interaction_matrix - reference)) <= 1e-13
+        eps, dsq = interaction_statistics(pb)
+        ref_eps = np.diag(reference).copy()
+        np.fill_diagonal(reference, 0.0)
+        assert np.max(np.abs(eps - ref_eps)) <= 1e-13
+        assert np.max(np.abs(dsq - np.einsum("ab,ab->a", reference, reference))) <= 1e-13
         x = rng.standard_normal((2**n_sites, 5))
         assert np.max(np.abs(_basis_transpose_apply(pb, x) - basis.T @ x)) <= 1e-13
 
@@ -411,12 +430,18 @@ def test_junction_covariance_matches_kronecker_reference(n_sites, group_size, bo
 
 @pytest.mark.parametrize("k_param, l_param", _COUPLINGS)
 def test_w_a_distribution_matches_kronecker_reference(k_param, l_param):
-    # the weights |<a|phi>|^2 that every w_a moment and rho_aa are summed from
+    # the weights |<a|phi>|^2 that every w_a moment and rho_aa are summed
+    # from, at 8 sites, where they come in two blocks of eigenvector columns
     model = _model(k_param, l_param)
-    sys = _system(6, model)
-    pb = product_basis(6, 2, model)
+    sys = _system(8, model)
+    pb = product_basis(8, 2, model)
     probs = (_kron_power(pb).T @ sys.eigenvectors) ** 2
-    got = _overlap_sq(sys, pb)
+    # every column exactly once, block by block
+    got = np.full_like(probs, np.nan)
+    for cols, block in _overlap_blocks(sys, pb):
+        assert block.shape[1] < probs.shape[1]
+        assert np.all(np.isnan(got[:, cols]))
+        got[:, cols] = block
     assert np.max(np.abs(got - probs)) <= 1e-13
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -640,15 +665,16 @@ def test_thermal_state_log_z_at_large_beta():
 def test_peak_memory_in_dense_arrays(n_groups):
     # tracemalloc sees numpy's allocations. Peaks are counted in dim x dim
     # float64 arrays at 10 sites; the 0.1 margin covers the length-dim
-    # vectors. A formed 2^n x 2^n product basis adds one array to each
+    # vectors. rho holds H and its eigenvectors, moments H and H_p, each
+    # with blocked temporaries; any further dim x dim array fails
     model = _model(0.3, 0.0)
     unit = 8 * 4**10
     calls = [
-        (product_basis, (10, 10 // n_groups, model), 2),
-        (rho_diag_check, (10, n_groups, model, 1.0), 4),
+        (product_basis, (10, 10 // n_groups, model), 0.1),
+        (rho_diag_check, (10, n_groups, model, 1.0), 3.0),
     ]
     if n_groups == 5:  # 2 groups of 5 sites at L = 0 exit before any array
-        calls.append((moments_check, (10, n_groups, model), 4))
+        calls.append((moments_check, (10, n_groups, model), 2.1))
     for fn, args, limit in calls:
         tracemalloc.start()
         try:

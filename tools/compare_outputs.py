@@ -118,10 +118,20 @@ FAILURES = (
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
      "--B", "1e200"),
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--jx", "1e-200", "--jy", "0"),
+    # rho depends on beta B alone, also where every width would fall below an
+    # absolute floor or H would overflow; no width at all exits 1
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e-150"),
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e-300"),
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "1e200"),
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--jx", "0", "--jy", "0"),
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1e-300"),
 )
 
 
-# each oracle check at <= 8 sites (gaussian up to 12), with the model given as
+# each oracle check at <= 10 sites (gaussian up to 12), with the model given as
 # K, L and as Jx, Jy, and at L = 0, where moments also compares the junction
 # width formula
 ORACLE = tuple(
@@ -141,6 +151,14 @@ ORACLE = tuple(
         # group sizes 1 (a group's first and last site agree) and 6
         ("oracle", "gaussian", "--sites", "8", "--groups", "8"),
         ("oracle", "gaussian", "--sites", "12", "--groups", "2"),
+    ) + tuple(
+        # the junction sums, the blocked overlaps and the eigensystem check
+        # at 10 sites, at group sizes 1 and 3, and at L = 0 in groups of 4,
+        # whose degenerate levels eigh may mix across parities
+        ("oracle", cmd, "--sites", sites, "--groups", groups)
+        + (("--beta-b", "1.3") if cmd == "rho" else ())
+        for cmd in ("rho", "moments")
+        for sites, groups in (("10", "5"), ("8", "2"), ("8", "8"), ("9", "3"))
     )
     for model in (("--K", "0.3", "--L", "0.2"), ("--jx", "0.4", "--jy", "0.2"),
                   ("--K", "0.3", "--L", "0"))
