@@ -541,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCouplingError as exc:
         print(f"localtemp: unsupported coupling: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, OverflowError) as exc:
+    # LinAlgError (an eigensolver that does not converge) is a ValueError
+    except (QuadratureError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"localtemp: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

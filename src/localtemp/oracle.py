@@ -50,10 +50,12 @@ a block that does not commute with R is rejected.
 The four sector blocks are gathered from H by index arithmetic, diagonalized
 one by one, and their eigenvectors scattered back into site order, merged
 into ascending eigenvalue order. Group Hamiltonians are diagonalized whole,
-so the product basis is the one a full eigh of the group picks.
-Besides H and its eigenvectors, no dim x dim array is formed: each sector's
-matrix and vectors are freed once used, and the residual check and the
-overlaps <a|phi> run over blocks of columns.
+so the product basis is the one a full eigh of the group picks. Each eigh,
+of a sector or of a group, is checked where it is computed: unit vectors
+and a small residual against the matrix it was given. Besides H and its
+eigenvectors, no dim x dim array is formed: each sector's matrix and
+vectors are freed once used, and the overlaps <a|phi> run over blocks of
+columns.
 
 The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
@@ -233,81 +235,54 @@ def _sectors(n_sites: int, blocks):
             yield sector, rows[r], rows[local[r]], sign, coef
 
 
-def _worst_residual(block, rows, cols, sys) -> float:
-    """Largest |block v - lambda v| over the eigenpairs cols of sys, with v
-    restricted to the block's rows, formed a block of columns at a time."""
-    worst = 0.0
-    for part in _column_blocks(cols.size, sys.eigenvectors.shape[0]):
-        v = sys.eigenvectors[np.ix_(rows, cols[part])]
-        residual = block @ v
-        residual -= v * sys.eigenvalues[cols[part]]
-        worst = np.max(np.linalg.norm(residual, axis=0), initial=worst)
-    return float(worst)
+def _checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(matrix), checked: every eigenvector must have unit norm
+    and a small residual |matrix v - lambda v| against the whole matrix, so
+    an asymmetric matrix fails too (eigh reads only one triangle). A
+    non-finite (overflowed) residual raises OverflowError."""
+    vals, vecs = np.linalg.eigh(matrix)
+    # the residual cannot see scale: 2 v or 0 would pass it
+    lengths = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    if not np.max(np.abs(lengths - 1.0), initial=0.0) <= 1e-10:
+        raise ValueError("eigenvectors must have unit norm")
+    residual = matrix @ vecs
+    residual -= vecs * vals
+    # np.max, unlike max(), carries a nan residual along
+    worst = float(np.max(np.linalg.norm(residual, axis=0), initial=0.0))
+    if not math.isfinite(worst):
+        raise OverflowError(f"eigendecomposition residual is {worst!r}")
+    if worst > 1e-9 * max(1.0, float(np.max(np.abs(vals), initial=0.0))):
+        raise ValueError(f"eigendecomposition residual too large: {worst:g}")
+    return vals, vecs
 
 
 @dataclass(eq=False)
 class DenseThermalSystem:
-    """Exactly diagonalized chain: H, its eigenvalues and eigenvectors.
-
-    Construction checks that every eigenvector has unit norm, then symmetry
-    and the eigenpair residual per fermion-parity block: no element of H and
-    no eigenvector may straddle two blocks, and a non-finite (overflowed)
-    residual raises OverflowError. One parity block is held at a time and
-    the residual is formed over blocks of columns, so the checks add no
-    dim x dim array.
-
-    The temperature enters only through thermal_state. Treat instances as
-    immutable after construction; all queries only read.
+    """Exactly diagonalized chain: H, its eigenvalues and eigenvectors, as
+    solve returns them. The temperature enters only through thermal_state;
+    all queries only read.
     """
 
     hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __post_init__(self) -> None:
-        dim = self.hamiltonian.shape[0]
-        if self.hamiltonian.shape != (dim, dim):
-            raise ValueError("hamiltonian must be square")
-        # the residual cannot see scale: 2 * V or 0 would pass it
-        vecs = self.eigenvectors
-        lengths = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
-        if not np.max(np.abs(lengths - 1.0), initial=0.0) <= 1e-10:
-            raise ValueError("eigenvectors must have unit norm")
-        scale = max(1.0, _max_abs(self.hamiltonian))
-        support = vecs != 0.0  # the columns each parity block touches
-        touched, residuals = [], []
-        for rows, block in _parity_blocks(self.hamiltonian):
-            for part in _column_blocks(rows.size, dim):
-                if _max_abs(block[part] - block[:, part].T) > 1e-12 * scale:
-                    raise ValueError("hamiltonian must be symmetric")
-            touched.append(np.any(support[rows], axis=0))
-            residuals.append(_worst_residual(block, rows, np.flatnonzero(touched[-1]), self))
-            del block  # before the next one is gathered
-        if np.any(np.sum(touched, axis=0) > 1):
-            raise ValueError("eigenvector mixes the fermion-parity sectors")
-        # np.max, unlike max(), carries a nan residual along
-        worst = float(np.max(residuals, initial=0.0))
-        if not math.isfinite(worst):
-            raise OverflowError(f"eigendecomposition residual is {worst!r}")
-        norm = max(1.0, float(np.max(np.abs(self.eigenvalues))))
-        if worst > 1e-9 * norm:
-            raise ValueError(f"eigendecomposition residual too large: {worst:g}")
-
     @classmethod
     def solve(cls, hamiltonian: np.ndarray) -> "DenseThermalSystem":
         """Diagonalize sector by sector (parity x site reflection), eigenpairs
         merged into ascending eigenvalue order; eigenvalues closer than
         8 eps max|E| are set to the lowest of them. Rejects a matrix that
-        mixes parities or breaks the reflection symmetry."""
+        mixes parities or breaks the reflection symmetry, and each sector's
+        eigenpairs as _checked_eigh does."""
         dim = hamiltonian.shape[0]
         n_sites = int(round(math.log2(dim)))
-        if 2**n_sites != dim:
-            raise ValueError("hamiltonian dimension must be a power of two")
+        if hamiltonian.shape != (dim, dim) or 2**n_sites != dim:
+            raise ValueError("hamiltonian must be square, of power-of-two dimension")
         _check_sites(n_sites)
         # each parity block and sector matrix is built when needed and freed
         # once used
         sectors = _sectors(n_sites, _parity_blocks(hamiltonian))
-        solved = [(np.linalg.eigh(sector), basis) for sector, *basis in sectors]
+        solved = [(_checked_eigh(sector), basis) for sector, *basis in sectors]
         vals = np.concatenate([w for (w, _), _ in solved])
         order = np.argsort(vals, kind="stable")
         column = np.empty(vals.size, dtype=int)
@@ -351,11 +326,6 @@ class ProductBasisData:
     group_vecs: np.ndarray
     product_energies: np.ndarray
     junction_pairs: list
-
-    def __post_init__(self) -> None:
-        gram = self.group_vecs.T @ self.group_vecs
-        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-12:
-            raise ValueError("group eigenbasis not orthonormal")
 
     @functools.cached_property
     def _transpose_factors(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -412,7 +382,7 @@ def product_basis(n_sites: int, group_size: int, model: IsingModel) -> ProductBa
     if n_sites % group_size != 0:
         raise ValueError("group_size must divide n_sites")
     n_groups = n_sites // group_size
-    vals, vecs = np.linalg.eigh(build_hamiltonian(group_size, model))
+    vals, vecs = _checked_eigh(build_hamiltonian(group_size, model))
 
     energies = np.zeros(2**n_sites)
     for digits in _group_digits(n_groups, group_size):
@@ -507,11 +477,10 @@ def _w_a_moments(
 
 
 def rho_product_diag(
-    sys: DenseThermalSystem, pb: ProductBasisData, beta: float
+    sys: DenseThermalSystem, pb: ProductBasisData, weights: np.ndarray
 ) -> np.ndarray:
-    """Exact diagonal <a|rho|a> of the thermal state at inverse temperature
-    beta in the product basis."""
-    _, weights = thermal_state(sys, beta)
+    """Exact diagonal <a|rho|a> in the product basis of the state with the
+    given weights over the eigenstates (thermal_state's)."""
     return sum(probs @ weights[cols] for cols, probs in _overlap_blocks(sys, pb))
 
 
@@ -721,8 +690,8 @@ def rho_diag_check(
             " width (Jx = Jy = 0, or couplings too weak to resolve)"
         )
     sys = DenseThermalSystem.solve(build_hamiltonian(n_sites, model))
-    log_z, _ = thermal_state(sys, beta)
-    dense = rho_product_diag(sys, pb, beta)
+    log_z, weights = thermal_state(sys, beta)
+    dense = rho_product_diag(sys, pb, weights)
     e0 = float(np.min(sys.eigenvalues))
     e1 = float(np.max(sys.eigenvalues))
     exact = dense[states]

@@ -527,6 +527,16 @@ def test_oracle_non_finite_report_exit_two(argv, field):
     assert field in err
 
 
+def test_oracle_non_converging_eigensolver_exit_two():
+    # H overflows to inf and nan here, so eigh raises LinAlgError, which is
+    # a ValueError but a numerical failure
+    code, out, err = run_cli("oracle", "rho", "--sites", "6", "--groups", "3",
+                             "--K", "1.7e308", "--L", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "localtemp: numerical failure: Eigenvalues did not converge\n"
+
+
 _RHO_6_3 = ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
             "--format", "json")
 

@@ -198,7 +198,8 @@ def test_rho_product_diag_sums_to_one():
     model = _model(0.4, 0.9)
     sys = _system(6, model)
     pb = product_basis(6, 2, model)
-    assert math.isclose(float(np.sum(rho_product_diag(sys, pb, 0.7))), 1.0, rel_tol=1e-12)
+    weights = thermal_state(sys, 0.7)[1]
+    assert math.isclose(float(np.sum(rho_product_diag(sys, pb, weights))), 1.0, rel_tol=1e-12)
 
 
 def test_periodic_ground_energy_approaches_integral():
@@ -231,7 +232,15 @@ def test_dense_system_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         DenseThermalSystem.solve(bad)
     with pytest.raises(ValueError, match="square"):
-        DenseThermalSystem(np.zeros((2, 3)), np.zeros(2), np.eye(2))
+        DenseThermalSystem.solve(np.zeros((4, 5)))
+    # parity-pure and reflection-symmetric, but not symmetric: eigh reads one
+    # triangle, and the residual against the whole sector sees the other
+    h = build_hamiltonian(4, _model(0.3, 0.2))
+    for i, j in ((3, 5), (12, 10)):  # two even pairs, mirrors of each other
+        h[i, j] += 1e-3
+        h[j, i] -= 1e-3
+    with pytest.raises(ValueError, match="residual too large"):
+        DenseThermalSystem.solve(h)
 
 
 def test_occupations_by_energy_ordering():
@@ -603,46 +612,30 @@ def test_solve_rejects_cross_parity_entries():
 
 def test_thermal_state_rejects_non_finite_or_negative_beta():
     sys = _system(2, _model(0.3, 0.0))
-    pb = product_basis(2, 1, _model(0.3, 0.0))
     for beta in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ValueError, match="^beta must be finite and nonnegative"):
             thermal_state(sys, beta)
-        with pytest.raises(ValueError, match="^beta must be finite and nonnegative"):
-            rho_product_diag(sys, pb, beta)
     assert thermal_state(sys, 0.0)[0] == math.log(4.0)
 
 
-def test_dense_system_checks_each_parity_block():
-    # a field-free site: any rotation of its two zero levels is an
-    # eigenbasis, but only a parity-pure one is accepted
-    h = np.zeros((2, 2))
-    DenseThermalSystem(h, np.zeros(2), np.eye(2))
-    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    with pytest.raises(ValueError, match="eigenvector mixes"):
-        DenseThermalSystem(h, np.zeros(2), rotation)
-    # an element between the blocks is rejected even with the exact eigh
-    mixing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    vals, vecs = np.linalg.eigh(mixing)
-    with pytest.raises(ValueError, match="hamiltonian mixes"):
-        DenseThermalSystem(mixing, vals, vecs)
-    # each block must be symmetric
-    skew = np.zeros((4, 4))
-    skew[0, 3] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        DenseThermalSystem(skew, np.zeros(4), np.eye(4))
-    # a wrong eigenvalue still fails the per-block residual
-    field = np.diag([-1.0, 1.0])
-    with pytest.raises(ValueError, match="residual too large"):
-        DenseThermalSystem(field, np.array([-1.0, 2.0]), np.eye(2))
-
-
-def test_dense_system_rejects_non_unit_eigenvectors():
-    # the residual cannot see scale, so a scaled or zero eigenvector matrix
-    # passes it; the norm check must catch both
-    field = np.diag([-1.0, 1.0])
-    for vecs in (2.0 * np.eye(2), np.zeros((2, 2))):
-        with pytest.raises(ValueError, match="unit norm"):
-            DenseThermalSystem(field, np.array([-1.0, 1.0]), vecs)
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda vals, vecs: (vals + 0.5, vecs), "residual too large"),
+        (lambda vals, vecs: (vals, 2.0 * vecs), "unit norm"),
+    ],
+)
+def test_each_eigh_is_checked_where_it_is_computed(monkeypatch, spoil, message):
+    # a wrong eigenvalue fails the residual; a scaled eigenvector passes the
+    # residual, so the norm check must catch it, for the sector and the group
+    # eigh alike
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: spoil(*original(a)))
+    model = _model(0.3, 0.2)
+    with pytest.raises(ValueError, match=message):
+        DenseThermalSystem.solve(build_hamiltonian(4, model))
+    with pytest.raises(ValueError, match=message):
+        product_basis(4, 2, model)
 
 
 def test_thermal_state_log_z_at_large_beta():
@@ -671,7 +664,7 @@ def test_peak_memory_in_dense_arrays(n_groups):
     unit = 8 * 4**10
     calls = [
         (product_basis, (10, 10 // n_groups, model), 0.1),
-        (rho_diag_check, (10, n_groups, model, 1.0), 3.0),
+        (rho_diag_check, (10, n_groups, model, 1.0), 2.5),
     ]
     if n_groups == 5:  # 2 groups of 5 sites at L = 0 exit before any array
         calls.append((moments_check, (10, n_groups, model), 2.1))

@@ -128,6 +128,10 @@ FAILURES = (
      "--B", "1e200"),
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--jx", "0", "--jy", "0"),
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1e-300"),
+    # an eigenpair residual that overflows, and an eigensolver that does not
+    # converge on an overflowed H: both numerical failures
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1e300"),
+    ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1.7e308"),
 )
 
 
