@@ -1,7 +1,8 @@
 """The three tractable coupling cases of the transverse-field chain.
 
 The symmetric and antisymmetric coupling combinations K = (Jx+Jy)/2B and
-L = (Jx-Jy)/2B select which criterion decides the minimal group size:
+L = (Jx-Jy)/2B select which criterion decides the minimal group size (B is
+the unit of energy, so a model is K and L alone and temperatures are T/B):
 
   ConstWidth (|K| = |L|)      the junction width is occupation independent,
                               only the constant condition matters;
@@ -38,33 +39,33 @@ def sweep(model, label, grid):
 
 
 sweep(
-    IsingModel(1.0, 0.1, 0.1),
+    IsingModel(0.1, 0.1),
     "K = L = 0.1 (weak, constant width)",
     np.geomspace(0.1, 10.0, 5),
 )
 sweep(
-    IsingModel(1.0, 10.0, 10.0),
+    IsingModel(10.0, 10.0),
     "K = L = 10 (strong, constant width; threshold moves up with coupling)",
     np.geomspace(1.0, 100.0, 5),
 )
 sweep(
-    IsingModel(1.0, 0.0, 10.0),
+    IsingModel(0.0, 10.0),
     "K = 0, L = 10 (fully anisotropic; linearity bound ~ 1/T)",
     np.geomspace(0.1, 10.0, 5),
 )
 sweep(
-    IsingModel(1.0, 0.1, 0.0),
+    IsingModel(0.1, 0.0),
     "K = 0.1, L = 0 (isotropic below the critical ratio)",
     np.geomspace(1e-3, 1.0, 4),
 )
 sweep(
-    IsingModel(1.0, 10.0, 0.0),
+    IsingModel(10.0, 0.0),
     "K = 10, L = 0 (isotropic above the critical ratio; n_min ~ T^-3)",
     np.geomspace(1e-3, 1.0, 4),
 )
 
 print("a coupling outside the three cases is refused:")
 try:
-    nmin(1.0, acc, IsingModel(1.0, 2.0, 3.0))
+    nmin(1.0, acc, IsingModel(2.0, 3.0))
 except UnsupportedCouplingError as exc:
     print(f"  UnsupportedCouplingError: {exc}")

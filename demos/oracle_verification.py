@@ -5,6 +5,8 @@ compared with the closed forms the criteria are built from: the free-mode
 group spectrum, the interaction mean and width per product state, the
 Gaussian shape of the energy distribution w_a (from the chain's free-fermion
 form), and the error-function formula for the thermal diagonal <a|rho|a>.
+Energies are in units of the field B, so a model is K and L alone and the
+inverse temperature is beta B.
 
 Run:  python3 demos/oracle_verification.py
 """
@@ -18,7 +20,7 @@ from localtemp.oracle import (
     spectrum_check,
 )
 
-model = IsingModel(1.0, 0.3, 0.0)
+model = IsingModel(k_param=0.3, l_param=0.0)
 
 print("1. open-group spectrum vs the mode formula (exact at L = 0)")
 for n in (2, 3, 4):

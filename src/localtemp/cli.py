@@ -3,8 +3,9 @@
 Subcommands: nmin (single-point criteria query), sweep (temperature sweep as
 CSV), figure (fixed parameter sets behind the standard log-log plots),
 materials (Debye-temperature database and minimal physical lengths), oracle
-(exact verification drivers). Kelvin and angstrom are converted here, once;
-everything below the argument layer works in dimensionless ratios.
+(exact verification drivers). Kelvin, angstrom and the field B are converted
+here, once (--jx/--jy into K and L); everything below the argument layer works
+in dimensionless ratios, with spin-chain energies in units of B.
 
 Exit codes: 0 success, 1 invalid parameters or files, 2 numerical failure
 (quadrature, or a quantity that overflows or underflows the float range),
@@ -136,7 +137,11 @@ def _ising_from_args(args) -> IsingModel:
         raise ValueError("give either --K/--L or --jx/--jy, not both")
     if j_given:
         return IsingModel.from_couplings(args.b_field, args.jx or 0.0, args.jy or 0.0)
-    return IsingModel(args.b_field, args.k_param or 0.0, args.l_param or 0.0)
+    if not math.isfinite(args.b_field):
+        raise ValueError(f"b_field must be finite, got {args.b_field!r}")
+    if not args.b_field > 0:
+        raise ValueError("b_field must be positive")
+    return IsingModel(args.k_param or 0.0, args.l_param or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,7 @@ def cmd_sweep(args) -> int:
     ]
     if model is not None:
         comments.append(
-            f"B={_fmt(model.b_field)} K={_fmt(model.k_param)} L={_fmt(model.l_param)}"
+            f"B={_fmt(args.b_field)} K={_fmt(model.k_param)} L={_fmt(model.l_param)}"
             f" case={model.coupling_case.value}"
         )
     return _emit(args, rows, comments, header=header)
@@ -305,7 +310,7 @@ _BOUNDS = {
 }
 
 # figure id -> (temperature column, grid ends, curves); each curve is
-# (column, (K, L) of an Ising model at B = 1 or None for the harmonic chain,
+# (column, (K, L) of an Ising model or None for the harmonic chain,
 # bound), evaluated on 200 log-spaced temperatures
 _FIGURES = {
     "fig3": ("t_over_theta", (1e-4, 1e2), (
@@ -330,7 +335,7 @@ def cmd_figure(args) -> int:
     acc = AccuracyParams(alpha=10.0, delta=0.01)
     t_label, ends, curves = _FIGURES[args.id]
     grid = np.geomspace(*ends, 200)
-    models = {kl: None if kl is None else IsingModel(1.0, *kl) for _, kl, _ in curves}
+    models = {kl: None if kl is None else IsingModel(*kl) for _, kl, _ in curves}
     e_bars = {kl: _mean_energies(grid, acc, m) for kl, m in models.items()}
     rows = [
         {t_label: t, **{name: _BOUNDS[bound](t, acc, models[kl], e_bars[kl][i])
@@ -406,10 +411,7 @@ def _oracle_report(args):
         return oracle.moments_check(args.sites, args.groups, model)
     if args.oracle_cmd == "gaussian":  # w_a does not depend on the temperature
         return oracle.skewness_by_groups(args.sites, args.groups, model)
-    # rho depends on beta_B H(1, K, L) alone: hand over B = 1, so no
-    # beta_B / B is formed that could overflow or round
-    unit = IsingModel(1.0, model.k_param, model.l_param)
-    return oracle.rho_diag_check(args.sites, args.groups, unit, args.beta_b)
+    return oracle.rho_diag_check(args.sites, args.groups, model, args.beta_b)
 
 
 def cmd_oracle(args) -> int:

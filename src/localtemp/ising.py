@@ -5,34 +5,36 @@ sigma^y sigma^y (J_y) in a field B > 0, summarized by the dimensionless
 
   K = (J_x + J_y) / 2B,   L = (J_x - J_y) / 2B.
 
-After the fermionization the periodic chain has quasiparticle energies
+H(B, K, L) = B H(1, K, L), so energies are in units of B, squared widths in
+units of B^2, and temperatures enter as t = T/B. After the fermionization
+the periodic chain has quasiparticle energies
 
-  omega_k = 2B sqrt((1 - K cos k)^2 + (L sin k)^2),
+  omega_k = 2 sqrt((1 - K cos k)^2 + (L sin k)^2),
 
 while an open group of n spins carries modes at k = pi l / (n + 1) with the
-signed energies 2B (1 - K cos k). A product state assigns each mode a bit
+signed energies 2 (1 - K cos k). A product state assigns each mode a bit
 n_k, 1 meaning occupied: entry l - 1 along the last axis of a bit array is
 mode l, and the functions below broadcast over leading axes. The group
-energy is 2B sum_k (1 - K cos k)(n_k - 1/2) and the junction interaction to
+energy is 2 sum_k (1 - K cos k)(n_k - 1/2) and the junction interaction to
 the next group has width
 
-  Delta^2 = B^2 (K^2 + L^2) / 2 - 2 B^2 (K^2 - L^2) S_mu S_{mu+1},
+  Delta^2 = (K^2 + L^2) / 2 - 2 (K^2 - L^2) S_mu S_{mu+1},
   S = (2/(n+1)) sum_k sin^2(k) (n_k - 1/2),
 
-which stays inside [B^2 min(K^2, L^2), B^2 max(K^2, L^2)] for every
+which stays inside [min(K^2, L^2), max(K^2, L^2)] for every
 occupation pair. The two group-size criteria are evaluated per coupling
 case: equal |K| and |L| make the width constant (only the constant condition
 matters), K = 0 and L = 0 use the generic pair of bounds, and mixed
 couplings with K != +-L are rejected since the width then depends on the
 state in a way none of the closed-form bounds covers.
 
-Temperatures enter as t = T/B. Thermal k-integrals are done by uniform
-trapezoid sums when the dispersion is gapped (spectrally accurate for smooth
-periodic integrands) and by a geometric cell ladder anchored at the gapless
-point otherwise; at low T the Fermi weight is supported on a width ~ T/|w'|
-that uniform grids miss entirely. A gapless ground energy per site is a
+Thermal k-integrals are done by uniform trapezoid sums when the dispersion
+is gapped (spectrally accurate for smooth periodic integrands) and by a
+geometric cell ladder anchored at the gapless point otherwise; at low T the
+Fermi weight is supported on a width ~ T/|w'| that uniform grids miss
+entirely. A gapless ground energy per site is a
 closed form (Lieb, Schultz and Mattis): the group minimum per site at L = 0,
-and -(2B/pi)(|L| + g) at K = +-1, with c = sqrt(|L^2 - 1|) and g = asinh(c)/c
+and -(2/pi)(|L| + g) at K = +-1, with c = sqrt(|L^2 - 1|) and g = asinh(c)/c
 above |L| = 1, atan2(c, |L|)/c below.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
@@ -41,9 +43,9 @@ up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
 and its dispersion (read-only arrays), the ground energy and the group
 energy and width ranges are computed once per model.
 
-The constant condition reads e_bar only if B hypot(1 + |K|, L)(1 + 1e-9) / alpha
+The constant condition reads e_bar only if hypot(1 + |K|, L)(1 + 1e-9) / alpha
 reaches the window edge e_min - e_0 at the group minimum, as each integrand value
-w / (e^{beta w} + 1) is at most w/2 <= B hypot(1 + |K|, L) and the quadrature weights
+w / (e^{beta w} + 1) is at most w/2 <= hypot(1 + |K|, L) and the quadrature weights
 are positive. Elsewhere (K = L = 1, or K = 0 and large L) the edge gives the bound.
 """
 from __future__ import annotations
@@ -109,34 +111,34 @@ def _classify(k_param: float, l_param: float) -> CouplingCase:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Field B and couplings K, L of one chain; Jx = B(K + L), Jy = B(K - L)
-    and the coupling case are derived. from_couplings builds one from Jx, Jy."""
+    """Couplings K, L of one chain, in units of the field B; Jx = K + L,
+    Jy = K - L and the coupling case are derived. from_couplings builds one
+    from Jx, Jy in a field B."""
 
-    b_field: float
     k_param: float
     l_param: float
 
     def __post_init__(self) -> None:
-        for name in ("b_field", "jx", "jy", "k_param", "l_param"):
+        for name in ("jx", "jy", "k_param", "l_param"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.b_field > 0:
-            raise ValueError("b_field must be positive")
 
     @classmethod
     def from_couplings(cls, b_field: float, jx: float, jy: float) -> "IsingModel":
         if not b_field > 0:
             raise ValueError("b_field must be positive")
-        return cls(b_field, (jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field))
+        if b_field == math.inf:
+            raise ValueError(f"b_field must be finite, got {b_field!r}")
+        return cls((jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field))
 
     @property
     def jx(self) -> float:
-        return self.b_field * (self.k_param + self.l_param)
+        return self.k_param + self.l_param
 
     @property
     def jy(self) -> float:
-        return self.b_field * (self.k_param - self.l_param)
+        return self.k_param - self.l_param
 
     @functools.cached_property
     def coupling_case(self) -> CouplingCase:
@@ -162,7 +164,7 @@ def dispersion_periodic(k, model: IsingModel):
         np.abs(c, out=c)
     else:
         np.hypot(c, model.l_param * np.sin(k), out=c)
-    c *= 2.0 * model.b_field
+    c *= 2.0
     return c if c.ndim else c[()]
 
 
@@ -183,17 +185,17 @@ def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
     Returns (k0, kind, scale) with kind "linear" (scale = |d omega/dk|) or
     "quadratic" (scale = d^2 omega/dk^2); None when the spectrum is gapped.
     """
-    K, L, B = model.k_param, model.l_param, model.b_field
+    K, L = model.k_param, model.l_param
     if abs(L) <= _CASE_TOL:
         if abs(abs(K) - 1.0) <= _CASE_TOL:
-            return (0.0 if K > 0 else math.pi, "quadratic", 2.0 * B)
+            return (0.0 if K > 0 else math.pi, "quadratic", 2.0)
         if abs(K) > 1.0:
-            return (math.acos(1.0 / K), "linear", 2.0 * B * math.sqrt(K * K - 1.0))
+            return (math.acos(1.0 / K), "linear", 2.0 * math.sqrt(K * K - 1.0))
         return None
     if abs(K - 1.0) <= _CASE_TOL:
-        return (0.0, "linear", 2.0 * B * abs(L))
+        return (0.0, "linear", 2.0 * abs(L))
     if abs(K + 1.0) <= _CASE_TOL:
-        return (math.pi, "linear", 2.0 * B * abs(L))
+        return (math.pi, "linear", 2.0 * abs(L))
     return None
 
 
@@ -300,17 +302,17 @@ def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
 def mean_energy_per_site(beta_b, model: IsingModel):
     """Thermal energy per site above the ground state, (1/2pi) int omega f(omega).
 
-    beta_b is B/T: a float, or an array giving an array. Gapped spectra use
-    a 4096-panel trapezoid sum over [0, pi]; a gapless spectrum concentrates
-    the integrand on a thermal width around the node, resolved by the cell
-    ladders.
+    beta_b is B/T = 1/t: a float, or an array giving an array. Gapped
+    spectra use a 4096-panel trapezoid sum over [0, pi]; a gapless spectrum
+    concentrates the integrand on a thermal width around the node, resolved
+    by the cell ladders.
     """
     betas = np.asarray(beta_b, dtype=float)
     if not (betas > 0).all():
         raise ValueError("beta_b must be positive")
     # inf and nan stay silent, as in float arithmetic; the criteria name them
     with np.errstate(all="ignore"):
-        beta = betas.ravel() / model.b_field
+        beta = betas.ravel()
         if (node := _gap_node(model)) is None:
             k, w = _trapezoid_grid(model)
             rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
@@ -335,13 +337,13 @@ def ground_energy_per_site(model: IsingModel) -> float:
     a = abs(model.l_param)
     c = math.sqrt(abs(a - 1.0)) * math.sqrt(a + 1.0)  # no overflow of a^2
     g = 1.0 if c == 0.0 else (math.asinh(c) if a > 1.0 else math.atan2(c, a)) / c
-    return -2.0 * model.b_field / math.pi * (a + g)
+    return -2.0 / math.pi * (a + g)
 
 
 def _window_edge(model: IsingModel, acc: AccuracyParams) -> tuple[float, bool]:
     """The window edge e_min - e_0, and whether e_bar / alpha can reach it (nan can)."""
     edge = model._site_energy_range[0] - ground_energy_per_site(model)
-    reach = model.b_field * math.hypot(1.0 + abs(model.k_param), model.l_param)
+    reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
     return edge, not reach * (1.0 + 1e-9) / acc.alpha < edge
 
 
@@ -371,9 +373,9 @@ def occupation_patterns(n: int) -> np.ndarray:
 
 
 def group_energy(bits, model: IsingModel):
-    """Energy 2B sum_k (1 - K cos k)(n_k - 1/2) of open groups."""
+    """Energy 2 sum_k (1 - K cos k)(n_k - 1/2) of open groups."""
     k = group_k_values(np.shape(bits)[-1])
-    coeff = 2.0 * model.b_field * (1.0 - model.k_param * np.cos(k))
+    coeff = 2.0 * (1.0 - model.k_param * np.cos(k))
     return np.sum(coeff * (np.asarray(bits, dtype=float) - 0.5), axis=-1)
 
 
@@ -384,36 +386,25 @@ def _s_sum(bits):
     return 2.0 / (k.size + 1) * np.sum(weight, axis=-1)
 
 
-def _squared_couplings(model: IsingModel, field: bool = True) -> tuple[float, ...]:
-    """(B^2, K^2, L^2) of the junction width, (K^2, L^2) without the field; an
-    overflowing square, or a B^2 under the normal range, raises OverflowError."""
-    squares = []
-    couplings = (("B", model.b_field), ("K", model.k_param), ("L", model.l_param))
-    for name, value in couplings if field else couplings[1:]:
-        try:
-            squares.append(value**2)
-        except OverflowError:
-            raise OverflowError(
-                f"junction width overflows: {name}^2 at {name}={value!r}"
-            ) from None
-    if field and squares[0] < np.finfo(float).tiny:
-        raise OverflowError(f"junction width underflows: B^2 at B={model.b_field!r}"
-                            f" underflows to {squares[0]!r}")
-    return tuple(squares)
+def _squared_couplings(model: IsingModel) -> tuple[float, float]:
+    """(K^2, L^2) of the junction width; an overflowing square raises
+    OverflowError."""
+    for name, value in (("K", model.k_param), ("L", model.l_param)):
+        if value * value == math.inf:
+            raise OverflowError(f"junction width overflows: {name}^2 at {name}={value!r}")
+    return model.k_param**2, model.l_param**2
 
 
 def delta_sq(bits_mu, bits_next, model: IsingModel):
     """Junction interaction width between neighbouring groups."""
     if np.shape(bits_mu)[-1] != np.shape(bits_next)[-1]:
         raise ValueError("groups must have equal size")
-    b_sq, k_sq, l_sq = _squared_couplings(model)
-    return 0.5 * b_sq * (k_sq + l_sq) - 2.0 * b_sq * (k_sq - l_sq) * _s_sum(
-        bits_mu
-    ) * _s_sum(bits_next)
+    k_sq, l_sq = _squared_couplings(model)
+    return 0.5 * (k_sq + l_sq) - 2.0 * (k_sq - l_sq) * _s_sum(bits_mu) * _s_sum(bits_next)
 
 
 def _extreme_coefficient(k_param: float) -> float:
-    """Per-site bound on |group energy| over B: 1 for |K| <= 1, else
+    """Per-site bound on |group energy|: 1 for |K| <= 1, else
     (2/pi)(sqrt(K^2 - 1) + arcsin(1/|K|))."""
     a = abs(k_param)
     if a <= 1.0:
@@ -425,14 +416,14 @@ def e_mu_extremes(model: IsingModel, n: int) -> tuple[float, float]:
     """Smallest and largest group energy attainable with n sites."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bound = n * model.b_field * _extreme_coefficient(model.k_param)
+    bound = n * _extreme_coefficient(model.k_param)
     return (-bound, bound)
 
 
 def delta_sq_extremes(model: IsingModel) -> tuple[float, float]:
     """Range of the junction width over all occupation pairs."""
-    b_sq, k_sq, l_sq = _squared_couplings(model)
-    return (b_sq * min(k_sq, l_sq), b_sq * max(k_sq, l_sq))
+    k_sq, l_sq = _squared_couplings(model)
+    return (min(k_sq, l_sq), max(k_sq, l_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +432,7 @@ def delta_sq_extremes(model: IsingModel) -> tuple[float, float]:
 
 def _underflow_is_overflow(bound):
     """Raise OverflowError, not ZeroDivisionError, from a raw bound whose
-    divisor (t B, t (1 - |K|) or an energy gap) underflows to 0: the bound
+    divisor (t (1 - |K|), or a zero window edge) underflows to 0: the bound
     then exceeds every float, which min_integer_above reports the same way."""
 
     @functools.wraps(bound)
@@ -465,28 +456,28 @@ def cond_const_bound(
 
     e_min is the lower edge of the thermal window per site: the attainable
     group minimum or e_bar/alpha above the ground energy, whichever is
-    higher. The denominator is positive at every t > 0. e_bar is the caller's
-    mean_energy_per_site(1 / t_over_b, model), or computed where it can pass the edge.
+    higher; it is 0 where the edge rounds to 0 (K = L = 0) and e_bar/alpha
+    underflows. e_bar is the caller's mean_energy_per_site(1 / t_over_b,
+    model), or computed where it can pass the edge.
     """
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
     if t_over_b == math.inf:
         raise ValueError("t_over_b must be finite, got inf")
-    beta = 1.0 / (t_over_b * model.b_field)
+    beta = 1.0 / t_over_b
     # e_min - e_0 computed without the cancellation e_min ~ e_0 at low T
     edge, reached = _window_edge(model, acc)
     if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
-        e_bar = mean_energy_per_site(1.0 / t_over_b, model) if reached else 0.0
+        e_bar = mean_energy_per_site(beta, model) if reached else 0.0
     gap = max(edge, e_bar / acc.alpha)
     return beta * model._width_range[1] / gap
 
 
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
-    """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span.
-    B cancels from it, so it is evaluated at B = 1, in B = 1's operation order."""
+    """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span."""
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
-    k_sq, l_sq = _squared_couplings(model, field=False)
+    k_sq, l_sq = _squared_couplings(model)
     if k_sq == l_sq:  # constant width; beta / 2 delta may overflow, and inf * 0 is nan
         return 0.0
     span = 2.0 * _extreme_coefficient(model.k_param)
@@ -495,7 +486,7 @@ def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> 
 
 @_underflow_is_overflow
 def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
-    """Raw bound 2 B beta K^2 / (1 - |K|) for isotropic coupling below the
+    """Raw bound 2 beta K^2 / (1 - |K|) for isotropic coupling below the
     critical field ratio; needs no accuracy parameters because it covers
     every state but the ground state."""
     if not t_over_b > 0:

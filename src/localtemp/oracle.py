@@ -9,7 +9,8 @@ dense eigh picks. They measure the interaction mean and width, the moments
 of the energy distribution w_a and the thermal state's diagonal, each as one
 array over all product states. No Gaussian or thermodynamic-limit
 approximation enters, so any disagreement beyond numerical noise points at
-the formulas.
+the formulas. Energies are in units of the field B, squared widths in units
+of B^2, and beta is B/T.
 
 Interaction statistics: H - H_0 is the sum of the junction bonds
 J_j = sum_k P_k (x) Q_k, P_k on group j + 1 and Q_k on group j (the same
@@ -32,7 +33,7 @@ diagonalizes the chain, one symmetry sector at a time.
 Basis conventions (fixed so golden vectors are reproducible): site j maps to
 bit j of the basis index, so site 0 is the lowest-order bit; spin-up is bit
 value 0, with sigma^z = diag(1, -1), making the single-site Hamiltonian
--B sigma^z = diag(-B, +B). A bond (i, j) flips bits i and j: sigma^x sigma^x
+-sigma^z = diag(-1, +1). A bond (i, j) flips bits i and j: sigma^x sigma^x
 gives that element 1, and sigma^y sigma^y gives it -1 when the two bits agree
 and +1 when they differ, so every matrix stays real. The product basis is
 the Kronecker power of the group eigenvector matrix with group 0 on the low
@@ -145,7 +146,7 @@ def _group_size(n_sites: int, n_groups: int) -> int:
 
 
 def build_hamiltonian(n_sites: int, model: IsingModel) -> np.ndarray:
-    """Dense open-chain Hamiltonian sum_i -B sz_i - (Jx/2) sx sx - (Jy/2) sy sy."""
+    """Dense open-chain Hamiltonian sum_i -sz_i - (Jx/2) sx sx - (Jy/2) sy sy."""
     _check_sites(n_sites)
     idx = np.arange(2**n_sites)
     h = np.zeros((idx.size, idx.size))
@@ -155,7 +156,7 @@ def build_hamiltonian(n_sites: int, model: IsingModel) -> np.ndarray:
         h[idx ^ (3 << i), idx] = np.where(equal, xx + yy, xx - yy)
     diag = np.zeros(idx.size)
     for j in range(n_sites):
-        diag -= np.where((idx >> j) & 1, -model.b_field, model.b_field)
+        diag -= np.where((idx >> j) & 1, -1.0, 1.0)
     h[idx, idx] = diag
     return h
 
@@ -638,9 +639,7 @@ def skewness_by_groups(
     if n_groups < 2:
         raise ValueError("gaussian check needs at least two groups")
     _check_sites(n_sites)
-    # at B = 1, as H(B, K, L) = B H(1, K, L) and the skewness is scale-free;
     # the zero width is relative to the junction's Jx^2 + Jy^2
-    model = IsingModel(1.0, model.k_param, model.l_param)
     zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     modes, cumulants = product_cumulants(n_groups, group_size, model)
     rows = []
@@ -668,17 +667,14 @@ def rho_diag_check(
     """Gaussian-weight formula for ln <a|rho|a> against the exact diagonal,
     over the product states of nonzero interaction width.
 
-    rho depends on beta H(B, K, L) = beta B H(1, K, L) alone, so the check
-    runs at B = 1 with beta B, and a width is zero below _ZERO_WIDTH times
-    the junction's Jx^2 + Jy^2. Raises ValueError when no product state has
-    a nonzero width, and OverflowError when an exact diagonal entry
-    underflows to 0 (large beta), since its logarithm is then not finite.
+    beta is B/T, and a width is zero below _ZERO_WIDTH times the junction's
+    Jx^2 + Jy^2. Raises ValueError when no product state has a nonzero
+    width, and OverflowError when an exact diagonal entry underflows to 0
+    (large beta), since its logarithm is then not finite.
     """
     group_size = _group_size(n_sites, n_groups)
     if n_groups < 2:
         raise ValueError("rho check needs at least two groups")
-    beta *= model.b_field
-    model = IsingModel(1.0, model.k_param, model.l_param)
     zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     pb = product_basis(n_sites, group_size, model)
     eps, dsq = interaction_statistics(pb)

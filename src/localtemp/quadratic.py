@@ -2,7 +2,8 @@
 
 In the Majoranas a_2j = S_j sx_j and a_2j+1 = S_j sy_j, S_j = prod_{l<j} sz_l,
 the open chain is H = 1/4 a^T (iA) a with A real antisymmetric, for every K
-and L (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)). Every bond and the
+and L (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)). Energies are in
+units of the field B, so Jx = K + L and Jy = K - L. Every bond and the
 field join an even Majorana to an odd one, so A is 0 outside its n x n block
 M = A[0::2, 1::2] and that block's transpose. With M = U diag(Lambda) V^T, the
 Lambda_k are the mode energies and the levels are
@@ -13,13 +14,13 @@ polynomial in the signs s_m = 2 n_m - 1 of the groups' modes, so no
 2^n x 2^n matrix is formed. In the groups' modes each junction's bonds are
 two rank-one blocks, -Jx u_0 v_{g-1}^T and -Jy u_{g-1} v_0^T, u_i and v_i row
 i of a group's U and V. The rows of U and V have unit norm,
-sum_k u_jk Lambda_k v_jk = M_jj = 2B, and an open chain's junctions form no
+sum_k u_jk Lambda_k v_jk = M_jj = 2, and an open chain's junctions form no
 three-cycle, so the cumulants are exact sums over the groups and the
 junctions (d, b), with z_i = s.(u_i v_i) of each group:
   kappa_1 = sum_groups 1/2 s.Lambda,
   kappa_2 = sum_junctions (Jx^2 + Jy^2)/4 - 1/2 Jx Jy z_0[b] z_{g-1}[d],
   kappa_3 = sum_junctions t_{g-1}[d] + t_0[b],
-t_0 = -1/4 [s.(Lambda (Jx^2 u_0^2 + Jy^2 v_0^2)) - 4B Jx Jy z_0], t_{g-1} the
+t_0 = -1/4 [s.(Lambda (Jx^2 u_0^2 + Jy^2 v_0^2)) - 4 Jx Jy z_0], t_{g-1} the
 same with u_{g-1}, v_{g-1} and Jx, Jy swapped: each group appends a junction.
 
 The ring adds the bond from site n - 1 to site 0, times -P, where
@@ -41,11 +42,11 @@ __all__ = ["open_spectrum", "periodic_ground_energy", "product_cumulants"]
 
 
 def _chiral_matrix(n_sites: int, model: IsingModel, ring: float = 0.0) -> np.ndarray:
-    """The block M = A[0::2, 1::2] of the chain: 2B on the diagonal, -Jx below
+    """The block M = A[0::2, 1::2] of the chain: 2 on the diagonal, -Jx below
     it and -Jy above it, and the bond from site n - 1 to site 0 with weight
     ring (none on a single site). It is added, so a two-site ring doubles its
     bond."""
-    m = np.diag(np.full(n_sites, 2.0 * model.b_field))
+    m = np.diag(np.full(n_sites, 2.0))
     bond = np.arange(n_sites - 1)
     m[bond + 1, bond] = -model.jx
     m[bond, bond + 1] = -model.jy
@@ -96,7 +97,7 @@ def product_cumulants(
     jx2, jy2, jxy = model.jx * model.jx, model.jy * model.jy, model.jx * model.jy
     # z_0, z_{g-1}, and t_0, t_{g-1} times -4, of the module docstring
     z_first, z_last = signs @ (u[0] * v[0]), signs @ (u[-1] * v[-1])
-    edge = 4.0 * model.b_field * jxy
+    edge = 4.0 * jxy
     t_first = signs @ (modes * (jx2 * u[0] ** 2 + jy2 * v[0] ** 2)) - edge * z_first
     t_last = signs @ (modes * (jy2 * u[-1] ** 2 + jx2 * v[-1] ** 2)) - edge * z_last
     eps = 0.5 * (signs @ modes)

@@ -112,7 +112,7 @@ def test_criterion_05_ising_const_width_thresholds():
     grid = np.geomspace(0.1, 100.0, 200)
     thresholds = {}
     for coupling in (0.1, 10.0):
-        model = IsingModel(1.0, coupling, coupling)
+        model = IsingModel(coupling, coupling)
         start = time.perf_counter()
         n_values = [ising_nmin(float(t), ACC, model).n_min for t in grid]
         assert time.perf_counter() - start < 2.0
@@ -130,7 +130,7 @@ def test_criterion_05_ising_const_width_thresholds():
 
 
 def test_criterion_06_ising_isotropic_low_t_slope():
-    model = IsingModel(1.0, 10.0, 0.0)
+    model = IsingModel(10.0, 0.0)
     grid = np.geomspace(1e-3, 1e-2, 6)
     n_values = [ising_nmin(float(t), ACC, model).n_min for t in grid]
     slope, _ = np.polyfit(np.log(grid), np.log(np.array(n_values, float)), 1)
@@ -138,7 +138,7 @@ def test_criterion_06_ising_isotropic_low_t_slope():
 
 
 def test_criterion_07_ising_linearity_exact_integer():
-    model = IsingModel(1.0, 0.0, 10.0)
+    model = IsingModel(0.0, 10.0)
     assert ising_nmin(1.0, ACC, model).n_linearity == 2501
 
 
@@ -146,14 +146,14 @@ def test_criterion_08_oracle_exact_at_zero_anisotropy():
     start = time.perf_counter()
     # open-group spectra as multisets
     for k_param in (0.3, 1.7):
-        model = IsingModel(1.0, k_param, 0.0)
+        model = IsingModel(k_param, 0.0)
         for n in (2, 3, 4):
             dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(n, model)))
             formula = np.sort(group_energy(occupation_patterns(n), model))
             assert float(np.max(np.abs(dense - formula))) <= 1e-10
 
     # interaction means and widths on an 8-site chain split into pairs
-    model = IsingModel(1.0, 0.3, 0.0)
+    model = IsingModel(0.3, 0.0)
     eps, dsq = interaction_statistics(product_basis(8, 2, model))
     assert np.max(np.abs(eps)) <= 1e-10
     occs = occupations_by_energy(model, 2)
@@ -167,7 +167,7 @@ def test_criterion_08_oracle_exact_at_zero_anisotropy():
 def test_criterion_09_oracle_moment_identities():
     for k_param in (0.0, 0.3, 1.2):
         for l_param in (0.0, 0.4, 2.0):
-            model = IsingModel(1.0, k_param, l_param)
+            model = IsingModel(k_param, l_param)
             pb = product_basis(8, 2, model)
             eps, dsq = interaction_statistics(pb)
             mean, var = _w_a_moments(8, model, pb)
@@ -177,7 +177,7 @@ def test_criterion_09_oracle_moment_identities():
 
 def test_criterion_10_clt_skewness_trend():
     start = time.perf_counter()
-    model = IsingModel(1.0, 0.3, 0.0)
+    model = IsingModel(0.3, 0.0)
     # the check skips zero-width product states: a point distribution has no shape
     rows = skewness_by_groups(10, 5, model)
     maxima = [row.max_abs_skewness for row in rows if row.n_groups >= 3]
@@ -188,7 +188,7 @@ def test_criterion_10_clt_skewness_trend():
 
 
 def test_criterion_11_anisotropy_spectrum_deviation():
-    model = IsingModel(1.0, 0.0, 1.0)
+    model = IsingModel(0.0, 1.0)
     dense = np.sort(np.linalg.eigvalsh(build_hamiltonian(2, model)))
     formula = np.sort(group_energy(occupation_patterns(2), model))
     deviation = float(np.max(np.abs(dense - formula)))

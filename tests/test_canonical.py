@@ -222,7 +222,7 @@ def test_nmin_integers_follow_the_raw_bound_rule(k, l):
                     else min_integer_above(harmonic.cond_const_bound(t, acc)))
             lin = min_integer_above(harmonic.linearity_bound(t, acc))
         else:
-            model = ising.IsingModel(1.0, k, l)
+            model = ising.IsingModel(k, l)
             report = ising.nmin(t, acc, model)
             weak = l == 0.0 and abs(k) < 1.0
             raw = (ising.isotropic_weak_bound(t, model) if weak

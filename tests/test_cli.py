@@ -425,6 +425,12 @@ def test_cli_import_leaves_scipy_out():
          "must be finite"),
         (("oracle", "spectrum", "--sites", "4", "--K", "nan"), "must be finite"),
         (("nmin", "ising", "--t-over-b", "1", "--B", "0", "--jx", "1"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "nan", "--K", "0.5"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "0", "--K", "0.5"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "-1", "--K", "0.5"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "-1", "--jx", "1"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "inf", "--jx", "1"), "must be finite"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "nan", "--jx", "1"), "must be positive"),
     ],
 )
 def test_ising_rejects_invalid_field_and_couplings(argv, message):
@@ -484,12 +490,10 @@ def test_negative_values_in_scientific_notation_are_values():
 @pytest.mark.parametrize(
     "argv",
     [
-        # 1 / (t B) underflows in the constant-condition bound
-        ("--t-over-b=5e-324", "--K=0.5", "--L=0.5", "--B=1e-5"),
         # t (1 - |K|) underflows in the isotropic weak-coupling bound
         ("--t-over-b=5e-324", "--K=0.5", "--L=0"),
-        # the energy gap underflows with the field
-        ("--t-over-b=1", "--K=0", "--L=2", "--B=5e-324"),
+        # the window edge is 0 at K = L = 0, and e_bar / alpha underflows
+        ("--t-over-b=1e-3", "--K=0", "--L=0", "--alpha=1e300"),
     ],
 )
 def test_ising_bound_underflow_exit_two(argv):
@@ -807,16 +811,6 @@ def test_const_width_tiny_delta_is_not_nan(argv):
     assert json.loads(out)["n_linearity"] == 1
 
 
-@pytest.mark.parametrize("b,square", [("1e-200", "0.0"), ("1e-160", "1e-320")])
-def test_junction_width_underflow_names_field(b, square):
-    # B = 1e-200 used to print n_min = 1 (B = 1 gives 4), and B = 1e-160 a
-    # c1_estimate off by 1e-5 relative
-    code, out, err = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "1", "--L", "1", "--B", b)
-    assert (code, out) == (2, "")
-    assert err == ("localtemp: numerical failure: junction width underflows:"
-                   f" B^2 at B={b} underflows to {square}\n")
-
-
 def test_const_width_low_temperature_overflow_is_named():
     # e_bar is skipped at K = L = 1, so the bound itself overflows to inf
     code, out, err = run_cli("nmin", "ising", "--t-over-b", "1e-308", "--K", "1", "--L", "1")
@@ -859,16 +853,18 @@ def test_infinite_alpha_is_rejected(argv):
     assert err == "localtemp: error: alpha must be finite and exceed 1\n"
 
 
-@pytest.mark.parametrize("kl", [("1", "0"), ("1", "1"), ("-1", "1"), ("2", "0"), ("-1.6", "0")])
+@pytest.mark.parametrize("kl", [("1", "0"), ("1", "1"), ("-1", "1"), ("2", "0"), ("-1.6", "0"),
+                                ("1.5", "1.5"), ("0", "0.5"), ("0.5", "0")])
 def test_gapless_nmin_does_not_depend_on_field(kl):
-    # every gapless ground energy is a closed form, so the integers at fixed
-    # (t, K, L) are the same at every B; an absolute quadrature tolerance
-    # used to fail at B = 1e5
-    rows = set()
-    for b in ("1e-8", "1", "1e5", "1e8"):
-        code, out, err = run_cli("nmin", "ising", "--t-over-b", "0.5", "--K", kl[0],
-                                 "--L", kl[1], "--B", b, "--format", "json")
-        assert (code, err) == (0, "")
-        report = json.loads(out)
-        rows.add(tuple(report[f] for f in ("n_cond_const", "n_linearity", "n_min", "binding")))
-    assert len(rows) == 1
+    # B is the unit of energy, so the whole report at fixed (t, K, L) is the
+    # same at every B, gapless or not, one coupling per case. An absolute
+    # quadrature tolerance used to move K = 2 at t = 0.01 by 3,647 below
+    # B = 1e-2, and a B^2 that underflowed or overflowed used to exit 2
+    for t in ("0.01", "0.5"):
+        outputs = set()
+        for b in ("5e-324", "1e-300", "1e-8", "1e-4", "0.3", "1", "1e8", "1e300"):
+            code, out, err = run_cli("nmin", "ising", "--t-over-b", t, "--K", kl[0],
+                                     "--L", kl[1], "--B", b, "--format", "json")
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert len(outputs) == 1

@@ -33,8 +33,8 @@ from localtemp.ising import (
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
 
 
-def _model(k, l, b=1.0):
-    return IsingModel(b, k, l)
+def _model(k, l):
+    return IsingModel(k, l)
 
 
 def test_coupling_classification():
@@ -47,11 +47,14 @@ def test_coupling_classification():
 
 
 def test_model_coupling_consistency():
+    # Jx = 1.2 and Jy = 0.8 in a field B = 2 are 0.6 and 0.4 in units of B
     m = IsingModel.from_couplings(2.0, 1.2, 0.8)
     assert math.isclose(m.k_param, 0.5, rel_tol=1e-12)
     assert math.isclose(m.l_param, 0.1, rel_tol=1e-12)
+    assert math.isclose(m.jx, 0.6, rel_tol=1e-12)
+    assert math.isclose(m.jy, 0.4, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        IsingModel(0.0, 0.1, 0.1)
+        IsingModel.from_couplings(0.0, 0.1, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -60,28 +63,29 @@ def test_model_coupling_consistency():
      (7.0, 1e-9, 2.5), (1.0, 0.0, 0.0)],
 )
 def test_derived_couplings_reproduce_the_inputs(b, jx, jy):
-    # Jx = B(K + L) and Jy = B(K - L) are derived, so they may differ from the
-    # typed couplings by roundoff, but by no more than a few ulps
+    # Jx = K + L and Jy = K - L are derived in units of B, so B times them may
+    # differ from the typed couplings by roundoff, but by no more than a few ulps
     m = IsingModel.from_couplings(b, jx, jy)
     tol = 4.0 * math.ulp(max(abs(jx), abs(jy)))
-    assert abs(m.jx - jx) <= tol and abs(m.jy - jy) <= tol
+    assert abs(b * m.jx - jx) <= tol and abs(b * m.jy - jy) <= tol
 
 
 def test_non_finite_derived_coupling_is_named():
-    # K and L are finite, but B(K + L) overflows
+    # K and L are finite, but K + L overflows
     with pytest.raises(ValueError, match="^jx must be finite, got inf"):
-        IsingModel(1.0, 1e308, 1e308)
+        IsingModel(1e308, 1e308)
     with pytest.raises(ValueError, match="^jy must be finite, got inf"):
-        IsingModel(1.0, 1e308, -1e308)
+        IsingModel(1e308, -1e308)
 
 
 def test_dispersion_periodic_band_edges():
-    m = _model(0.4, 0.0, b=2.0)
-    assert math.isclose(dispersion_periodic(0.0, m), 2 * 2.0 * 0.6, rel_tol=1e-12)
-    assert math.isclose(dispersion_periodic(math.pi, m), 2 * 2.0 * 1.4, rel_tol=1e-12)
+    # omega_k = 2 |1 - K cos k| at L = 0, in units of B
+    m = _model(0.4, 0.0)
+    assert math.isclose(dispersion_periodic(0.0, m), 2 * 0.6, rel_tol=1e-12)
+    assert math.isclose(dispersion_periodic(math.pi, m), 2 * 1.4, rel_tol=1e-12)
     # at the critical ratio the node survives anisotropy but turns linear
-    # with slope 2B|L|
-    critical = _model(1.0, 0.5, b=1.0)
+    # with slope 2|L|
+    critical = _model(1.0, 0.5)
     assert dispersion_periodic(0.0, critical) == 0.0
     assert math.isclose(dispersion_periodic(1e-7, critical) / 1e-7, 1.0, rel_tol=1e-9)
 
@@ -181,13 +185,11 @@ def test_mean_energy_gapless_leading_order():
 
 
 def test_mean_energy_uncoupled_closed_form():
-    # K = L = 0: independent sites, flat band at 2B
-    m = _model(0.0, 0.0, b=1.5)
-    for beta in (0.2, 1.0, 4.0):
-        expected = 2.0 * 1.5 / (math.exp(2.0 * beta * 1.5) + 1.0)
-        assert math.isclose(
-            mean_energy_per_site(beta * 1.5, m), expected, rel_tol=1e-10
-        )
+    # K = L = 0: independent sites, flat band at 2 (in units of B)
+    m = _model(0.0, 0.0)
+    for beta in (0.3, 1.5, 6.0):
+        expected = 2.0 / (math.exp(2.0 * beta) + 1.0)
+        assert math.isclose(mean_energy_per_site(beta, m), expected, rel_tol=1e-10)
 
 
 def test_mean_energy_increasing_in_t():
@@ -281,13 +283,16 @@ def test_linearity_bound_frozen():
                 (0.7, 0.0, 0.5)]
 )
 def test_linearity_bound_does_not_depend_on_field(t, k, l):
-    # B cancels from the bound; at t = 0.5, K = 1, L = 0 it is 50 exactly,
-    # which B = 0.7 used to round to 49.99999999999999 and n_linearity to 50
+    # B enters only where Jx, Jy in a field B are turned into K and L; here
+    # that conversion is exact, and the bound is the same. At t = 0.5, K = 1,
+    # L = 0 it is 50 exactly, which B = 0.7 used to round to 49.99999999999999
+    # and n_linearity to 50
     bound = linearity_bound(t, ACC, _model(k, l))
     n_lin = nmin(t, ACC, _model(k, l)).n_linearity
     for b in (1e-40, 1e-12, 0.7, 1.0, 1e12, 1e40):
-        assert linearity_bound(t, ACC, _model(k, l, b=b)) == bound
-        assert nmin(t, ACC, _model(k, l, b=b)).n_linearity == n_lin
+        model = IsingModel.from_couplings(b, b * (k + l), b * (k - l))
+        assert linearity_bound(t, ACC, model) == bound
+        assert nmin(t, ACC, model).n_linearity == n_lin
 
 
 def test_const_width_thresholds():
@@ -399,24 +404,23 @@ def test_tightest_golden_ising_integer():
     assert nmin(t, ACC, model, grid_e_bar).n_cond_const == 214881706020
 
 
-@pytest.mark.parametrize("k", [2.0, 1.0])
-def test_underflowed_beta_divides_by_zero(k):
-    # B/T = 1e-300 over B = 1e30 underflows to 0, so the node's thermal
-    # width is 1/0: a ZeroDivisionError, which the criteria report as a
-    # bound that is not finite, not a ladder with an infinite cell width
-    model = _model(k, 0.0, b=1e30)
+@pytest.mark.parametrize("k, l", [(1.000001, 0.0), (1.0, 0.1)])
+def test_underflowed_beta_divides_by_zero(k, l):
+    # beta = 5e-324 times a linear node's slope (2 sqrt(K^2 - 1), 2|L| at
+    # K = 1) below 1/2 underflows to 0, so the node's thermal width is 1/0:
+    # a ZeroDivisionError, which the criteria report as a bound that is not
+    # finite, not a ladder with an infinite cell width
+    model = _model(k, l)
     with pytest.raises(ZeroDivisionError):
-        mean_energy_per_site(1e-300, model)
+        mean_energy_per_site(5e-324, model)
     with pytest.raises(ZeroDivisionError):
-        mean_energy_per_site(np.array([1.0, 1e-300]), model)
+        mean_energy_per_site(np.array([1.0, 5e-324]), model)
 
 
 @pytest.mark.parametrize("points", [37, 150])
-@pytest.mark.parametrize(
-    "kl", [(0.0, 0.5, 1.0), (1.5, 1.5, 2.0), (2.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
-)
+@pytest.mark.parametrize("kl", [(0.0, 0.5), (1.5, 1.5), (2.0, 0.0), (1.0, 0.0)])
 def test_grid_matches_one_call_per_point(kl, points):
-    # gapped (K=0, L=0.5; K=L=1.5, B=2: chunks of 16 rows), the linear node
+    # gapped (K=0, L=0.5; K=L=1.5: chunks of 16 rows), the linear node
     # at K=2 and the quadratic node at K=1 (chunks of up to 64 ladders):
     # 37 and 150 points cross several chunks of unequal length, and every
     # point keeps the bits of a call of its own
@@ -427,21 +431,22 @@ def test_grid_matches_one_call_per_point(kl, points):
 
 
 def test_gapped_grid_beta_overflow_is_silent():
-    # B/T = 1e300 over B = 1e-10 overflows beta to inf, and beta = 1e308
-    # overflows beta * omega; both clip to the Fermi factor's exp(700)
-    # without a numpy warning, as float arithmetic would
+    # beta = inf, and beta = 1e308, which overflows beta * omega, both clip
+    # to the Fermi factor's exp(700) without a numpy warning, as float
+    # arithmetic would
     import warnings
 
+    model = _model(0.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for model, huge in [(_model(0.0, 0.5, b=1e-10), 1e300), (_model(0.0, 0.5), 1e308)]:
+        for huge in (math.inf, 1e308):
             grid = mean_energy_per_site(np.array([1.0, huge]), model)
             assert grid[1] == mean_energy_per_site(huge, model)
             assert 0.0 <= grid[1] < 1e-300
 
 
-_SKIP_MODELS = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.5, 1.5, 2.0), (0.3, -0.3, 1.0),
-                (10.0, 10.0, 1.0), (0.0, 0.5, 1.0), (0.0, 10.0, 1.0), (0.0, 2.0, 0.7)]
+_SKIP_MODELS = [(1.0, 1.0), (-1.0, 1.0), (1.5, 1.5), (0.3, -0.3), (10.0, 10.0), (0.0, 0.5),
+                (0.0, 10.0), (0.0, 2.0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -468,13 +473,12 @@ def test_e_bar_skip_depends_on_model_and_alpha():
     assert mean_energy_per_site(1e-4, weak) / 17.0 > edge and e_bar_can_bind(weak, acc)
 
 
-@pytest.mark.parametrize("kl", _SKIP_MODELS + [(1.0, 0.0, 1.0), (2.0, 0.0, 0.5),
-                                               (-1.6, 0.0, 1.0), (1.0, 0.3, 1.0)])
+@pytest.mark.parametrize("kl", _SKIP_MODELS + [(1.0, 0.0), (2.0, 0.0), (-1.6, 0.0), (1.0, 0.3)])
 def test_e_bar_stays_below_the_skip_bound(kl):
     # at beta -> 0 every Fermi factor is 1/2 and e_bar is the mean of omega / 2,
-    # within 6% of B hypot(1 + |K|, L) at K = 0, L = 0.5; gapped and gapless
+    # within 6% of hypot(1 + |K|, L) at K = 0, L = 0.5; gapped and gapless
     model = _model(*kl)
-    reach = model.b_field * math.hypot(1.0 + abs(model.k_param), model.l_param)
+    reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
     e_bar = mean_energy_per_site(np.array([1e-12, 1e-6, 1e-3, 1.0]), model)
     assert (e_bar <= reach).all()
     assert e_bar[0] > 0.45 * reach
@@ -485,17 +489,6 @@ def test_const_width_linearity_bound_is_zero(t, delta):
     # |K| = |L| leaves the width no range, so the bound is +0.0 even where
     # beta / 2 delta overflows; inf * 0 used to make it nan
     acc = AccuracyParams(alpha=10.0, delta=delta)
-    for model in (_model(1.0, 1.0), _model(1.5, -1.5, 2.0)):
+    for model in (_model(1.0, 1.0), _model(1.5, -1.5)):
         bound = linearity_bound(t, acc, model)
         assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
-
-
-@pytest.mark.parametrize("b", [1e-200, 1e-160, 1e-155, 5e-324])
-def test_field_square_underflow_is_named(b):
-    # B^2 below the normal range would scale every width to 0 or to a few
-    # digits; the smallest B accepted is about 1.5e-154, and 1e-150 squares
-    # to a normal float
-    model = _model(1.0, 1.0, b=b)
-    with pytest.raises(OverflowError, match=f"junction width underflows: B\\^2 at B={b!r}"):
-        delta_sq_extremes(model)
-    assert delta_sq_extremes(_model(1.0, 1.0, b=1e-150))[1] == 1e-150**2

@@ -42,8 +42,8 @@ from localtemp.oracle import (
 from localtemp.quadratic import _fock_modes, periodic_ground_energy, product_cumulants
 
 
-def _model(k, l, b=1.0):
-    return IsingModel(b, k, l)
+def _model(k, l):
+    return IsingModel(k, l)
 
 
 def _system(n_sites, model):
@@ -51,8 +51,9 @@ def _system(n_sites, model):
 
 
 def test_single_site_hamiltonian():
-    h = build_hamiltonian(1, _model(0.5, 0.2, b=3.0))
-    assert np.allclose(h, np.diag([-3.0, 3.0]))
+    # -sigma^z in units of B, whatever the couplings
+    h = build_hamiltonian(1, _model(0.5, 0.2))
+    assert np.array_equal(h, np.diag([-1.0, 1.0]))
 
 
 def test_build_hamiltonian_size_limits():
@@ -152,16 +153,6 @@ def test_rho_diag_formula_tracks_dense():
         assert report.per_junction == report.max_abs_log_deviation / (n_groups - 1)
         per_junction.append(report.per_junction)
     assert all(b < a for a, b in zip(per_junction, per_junction[1:]))
-
-
-def test_rho_diag_check_depends_on_beta_b_alone():
-    # H(B, K, L) = B H(1, K, L): a field that would overflow H, or put every
-    # width below an absolute floor, gives the B = 1 deviation
-    unit = rho_diag_check(6, 3, _model(0.3, 0.2), 0.7).max_abs_log_deviation
-    assert unit > 0.1
-    for b_field in (1e-150, 1e200):
-        report = rho_diag_check(6, 3, _model(0.3, 0.2, b_field), 0.7 / b_field)
-        assert math.isclose(report.max_abs_log_deviation, unit, rel_tol=1e-12)
 
 
 _CHECKS = {
@@ -284,7 +275,7 @@ def _reference_terms(n, boundary):
 
 def _reference_hamiltonian(n, model, boundary=Boundary.OPEN):
     field, xx, yy = _reference_terms(n, boundary)
-    return -model.b_field * field - 0.5 * model.jx * xx - 0.5 * model.jy * yy
+    return -field - 0.5 * model.jx * xx - 0.5 * model.jy * yy
 
 
 def _kron_power(pb):
@@ -333,13 +324,12 @@ _RING_COUPLINGS = _COUPLINGS + (
 def test_periodic_ground_energy_matches_kronecker_reference(k_param, l_param):
     # the lower of the two parity sectors, each with its own fermion boundary
     # condition, is the ground level of the ring's 2^n x 2^n Hamiltonian
-    for b_field in (0.3, 1.0, 5.0):
-        model = _model(k_param, l_param, b_field)
-        for n in range(1, 11):
-            ring = _reference_hamiltonian(n, model, Boundary.PERIODIC)
-            dense = np.linalg.eigvalsh(ring)
-            scale = max(1.0, float(np.max(np.abs(dense))))
-            assert abs(periodic_ground_energy(n, model) - dense[0]) <= 1e-12 * scale
+    model = _model(k_param, l_param)
+    for n in range(1, 11):
+        ring = _reference_hamiltonian(n, model, Boundary.PERIODIC)
+        dense = np.linalg.eigvalsh(ring)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert abs(periodic_ground_energy(n, model) - dense[0]) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from test_oracle import (
     _reference_hamiltonian,
 )
 
+from localtemp.ising import IsingModel
 from localtemp.oracle import (
     Boundary,
     build_hamiltonian,
@@ -174,12 +175,15 @@ def test_cumulants_match_fock_product_states(k_param, l_param):
 @pytest.mark.parametrize("k_param", [0.3, 10.0])
 @pytest.mark.parametrize("n_sites, n_groups", [(8, 2), (8, 4), (9, 3)])
 def test_skewness_does_not_depend_on_the_field(k_param, n_sites, n_groups):
-    # at L = 0 the all-up and all-down products have zero width; scaling
-    # every coupling with B must neither unmask them nor move any row, not
-    # even where Jx^2 + Jy^2 underflows or the cumulants would overflow
+    # at L = 0 the all-up and all-down products have zero width; Jx = Jy
+    # given in a field B and converted to K in units of B must neither unmask
+    # them nor move any row, at any B
     rows = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0))
     for b_field in (1e-300, 1e-160, 1e-8, 1e2, 1e3, 1e200):
-        scaled = skewness_by_groups(n_sites, n_groups, _model(k_param, 0.0, b_field))
+        jx = b_field * k_param
+        scaled = skewness_by_groups(
+            n_sites, n_groups, IsingModel.from_couplings(b_field, jx, jx)
+        )
         assert [(r.n_groups, r.sites) for r in scaled] == [
             (r.n_groups, r.sites) for r in rows
         ]

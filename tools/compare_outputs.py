@@ -109,8 +109,8 @@ FAILURES = (
     ("oracle", "gaussian", "--sites", "8", "--groups", "4", "--K", "0", "--L", "0.5"),
     ("oracle", "gaussian", "--sites", "10", "--groups", "2", "--K", "1e3", "--L", "1e3"),
     ("oracle", "gaussian", "--sites", "4", "--groups", "2", "--K", "1e150", "--L", "0"),
-    # the skewness does not depend on B, also where Jx^2 + Jy^2 underflows or
-    # the cumulants would overflow; Jx = 1e-200 leaves the modes degenerate
+    # B is the unit of energy, so these print the B = 1 rows; Jx = 1e-200
+    # leaves the modes degenerate
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
      "--B", "1e-300"),
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
@@ -118,8 +118,8 @@ FAILURES = (
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
      "--B", "1e200"),
     ("oracle", "gaussian", "--sites", "6", "--groups", "3", "--jx", "1e-200", "--jy", "0"),
-    # rho depends on beta B alone, also where every width would fall below an
-    # absolute floor or H would overflow; no width at all exits 1
+    # rho depends on beta B alone, so these print the B = 1 deviation; no
+    # width at all exits 1
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
      "--B", "1e-150"),
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
@@ -132,6 +132,13 @@ FAILURES = (
     # converge on an overflowed H: both numerical failures
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1e300"),
     ("oracle", "rho", "--sites", "6", "--groups", "3", "--K", "1.7e308"),
+    # the integers at every B are those of B = 1, and oracle energies are in
+    # units of B
+    ("nmin", "ising", "--t-over-b", "0.01", "--K", "2", "--L", "0", "--B", "1e-8"),
+    ("oracle", "spectrum", "--sites", "6", "--boundary", "periodic", "--K", "0.3", "--L",
+     "0.2", "--B", "2"),
+    ("oracle", "moments", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
+     "--B", "2"),
 )
 
 
