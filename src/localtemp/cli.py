@@ -249,7 +249,7 @@ def _mean_energies(grid: np.ndarray, acc: AccuracyParams, model=None) -> list:
     try:
         if model is None:
             return harmonic.mean_energy_reduced(grid).tolist()
-        if not (ising.uses_mean_energy(model) and ising.e_bar_can_bind(model, acc)):
+        if not ising.e_bar_can_bind(model, acc):
             return [None] * grid.size
         beta_b = [1.0 / t for t in grid.tolist()]
         return ising.mean_energy_per_site(beta_b, model).tolist()

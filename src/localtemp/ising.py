@@ -40,13 +40,15 @@ above |L| = 1, atan2(c, |L|)/c below.
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
 up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
-and its dispersion (read-only arrays), the ground energy and the group
-energy and width ranges are computed once per model.
+and its dispersion (read-only arrays) and the ground energy are computed once
+per model; the group minimum -_extreme_coefficient(K) per site and the width
+range (K^2, L^2) are closed forms, read where they are used.
 
-The constant condition reads e_bar only if hypot(1 + |K|, L)(1 + 1e-9) / alpha
-reaches the window edge e_min - e_0 at the group minimum, as each integrand value
-w / (e^{beta w} + 1) is at most w/2 <= hypot(1 + |K|, L) and the quadrature weights
-are positive. Elsewhere (K = L = 1, or K = 0 and large L) the edge gives the bound.
+e_bar_can_bind is the one gate on e_bar: nmin reads it only in the constant
+condition, and only if hypot(1 + |K|, L)(1 + 1e-9) / alpha reaches the window
+edge e_min - e_0 at the group minimum, as each integrand value w / (e^{beta w} + 1)
+is at most w/2 <= hypot(1 + |K|, L) and the quadrature weights are positive.
+Elsewhere (K = L = 1, or K = 0 and large L) the edge gives the bound.
 """
 from __future__ import annotations
 
@@ -69,12 +71,9 @@ __all__ = [
     "occupation_patterns",
     "mean_energy_per_site",
     "ground_energy_per_site",
-    "uses_mean_energy",
     "e_bar_can_bind",
     "group_energy",
     "delta_sq",
-    "e_mu_extremes",
-    "delta_sq_extremes",
     "cond_const_bound",
     "linearity_bound",
     "isotropic_weak_bound",
@@ -143,14 +142,6 @@ class IsingModel:
     @functools.cached_property
     def coupling_case(self) -> CouplingCase:
         return _classify(self.k_param, self.l_param)
-
-    @functools.cached_property
-    def _site_energy_range(self) -> tuple[float, float]:
-        return e_mu_extremes(self, 1)  # computed once per model
-
-    @functools.cached_property
-    def _width_range(self) -> tuple[float, float]:
-        return delta_sq_extremes(self)  # an OverflowError recurs on every use
 
 
 def dispersion_periodic(k, model: IsingModel):
@@ -333,7 +324,7 @@ def ground_energy_per_site(model: IsingModel) -> float:
         k, w = _trapezoid_grid(model)
         return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
-        return model._site_energy_range[0]
+        return -_extreme_coefficient(model.k_param)
     a = abs(model.l_param)
     c = math.sqrt(abs(a - 1.0)) * math.sqrt(a + 1.0)  # no overflow of a^2
     g = 1.0 if c == 0.0 else (math.asinh(c) if a > 1.0 else math.atan2(c, a)) / c
@@ -342,12 +333,12 @@ def ground_energy_per_site(model: IsingModel) -> float:
 
 def _window_edge(model: IsingModel, acc: AccuracyParams) -> tuple[float, bool]:
     """The window edge e_min - e_0, and whether e_bar / alpha can reach it (nan can)."""
-    edge = model._site_energy_range[0] - ground_energy_per_site(model)
+    edge = -_extreme_coefficient(model.k_param) - ground_energy_per_site(model)
     reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
     return edge, not reach * (1.0 + 1e-9) / acc.alpha < edge
 
 
-def uses_mean_energy(model: IsingModel) -> bool:
+def _uses_mean_energy(model: IsingModel) -> bool:
     """Whether nmin reads the thermal energy e_bar of this model: the
     constant condition does; the all-states bound of isotropic coupling below
     |K| = 1 and the unsupported general case do not."""
@@ -358,8 +349,9 @@ def uses_mean_energy(model: IsingModel) -> bool:
 
 
 def e_bar_can_bind(model: IsingModel, acc: AccuracyParams) -> bool:
-    """Whether e_bar / alpha can reach the constant condition's window edge at some T."""
-    return _window_edge(model, acc)[1]
+    """Whether nmin at acc reads e_bar at some T: the model's criteria read it,
+    and e_bar / alpha can reach the constant condition's window edge."""
+    return _uses_mean_energy(model) and _window_edge(model, acc)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +404,6 @@ def _extreme_coefficient(k_param: float) -> float:
     return 2.0 / math.pi * (math.sqrt(a * a - 1.0) + math.asin(1.0 / a))
 
 
-def e_mu_extremes(model: IsingModel, n: int) -> tuple[float, float]:
-    """Smallest and largest group energy attainable with n sites."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bound = n * _extreme_coefficient(model.k_param)
-    return (-bound, bound)
-
-
-def delta_sq_extremes(model: IsingModel) -> tuple[float, float]:
-    """Range of the junction width over all occupation pairs."""
-    k_sq, l_sq = _squared_couplings(model)
-    return (min(k_sq, l_sq), max(k_sq, l_sq))
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -470,7 +448,7 @@ def cond_const_bound(
     if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
         e_bar = mean_energy_per_site(beta, model) if reached else 0.0
     gap = max(edge, e_bar / acc.alpha)
-    return beta * model._width_range[1] / gap
+    return beta * max(_squared_couplings(model)) / gap
 
 
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
@@ -513,7 +491,7 @@ def nmin(
         raise UnsupportedCouplingError(
             "no criterion covers K and L both nonzero with K != +-L"
         )
-    if uses_mean_energy(model):
+    if _uses_mean_energy(model):
         n_cond = min_integer_above(cond_const_bound(t_over_b, acc, model, e_bar))
     else:
         n_cond = min_integer_above(isotropic_weak_bound(t_over_b, model))

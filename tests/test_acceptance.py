@@ -13,10 +13,9 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
-import pytest
 
 from localtemp import cli
-from localtemp.canonical import AccuracyParams, GroupStatistics, rho_diag
+from localtemp.canonical import AccuracyParams
 from localtemp.harmonic import asymptotic_nmin
 from localtemp.harmonic import nmin as harmonic_nmin
 from localtemp.ising import (
@@ -27,14 +26,12 @@ from localtemp.ising import (
 )
 from localtemp.ising import nmin as ising_nmin
 from localtemp.oracle import (
-    Boundary,
     _w_a_moments,
     build_hamiltonian,
     interaction_statistics,
     occupations_by_energy,
     product_basis,
     skewness_by_groups,
-    thermal_state,
 )
 from localtemp.specfun import bose_integrand, erfcx, integrate, min_integer_above
 

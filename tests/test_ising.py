@@ -13,12 +13,12 @@ from localtemp.ising import (
     CouplingCase,
     IsingModel,
     UnsupportedCouplingError,
+    _extreme_coefficient,
+    _squared_couplings,
     cond_const_bound,
     delta_sq,
-    delta_sq_extremes,
     dispersion_periodic,
     e_bar_can_bind,
-    e_mu_extremes,
     ground_energy_per_site,
     group_energy,
     group_k_values,
@@ -27,7 +27,6 @@ from localtemp.ising import (
     mean_energy_per_site,
     nmin,
     occupation_patterns,
-    uses_mean_energy,
 )
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
@@ -201,8 +200,6 @@ def test_mean_energy_increasing_in_t():
 
 def test_group_energy_and_s_range():
     m = _model(0.3, 0.0)
-    lo, hi = e_mu_extremes(m, 4)
-    assert lo == -hi
     # single site: k = pi/2, energy +-B exactly
     assert math.isclose(group_energy([1], m), 1.0, rel_tol=1e-12)
     assert math.isclose(group_energy([0], m), -1.0, rel_tol=1e-12)
@@ -212,8 +209,7 @@ def test_group_energy_within_extremes():
     m = _model(0.8, 0.0)
     for n in range(1, 13):
         e = group_energy(occupation_patterns(n), m)
-        lo, hi = e_mu_extremes(m, n)
-        assert np.all((lo - 1e-12 <= e) & (e <= hi + 1e-12))
+        assert np.all(np.abs(e) <= n * _extreme_coefficient(m.k_param) + 1e-12)
 
 
 def test_group_energy_complement_antisymmetry():
@@ -227,7 +223,7 @@ def test_group_energy_complement_antisymmetry():
 
 def test_delta_sq_within_extremes():
     m = _model(0.6, 0.9)
-    lo, hi = delta_sq_extremes(m)
+    lo, hi = sorted(_squared_couplings(m))
     for n in range(1, 9):
         bits = occupation_patterns(n)
         val = delta_sq(bits[:, None], bits[None, :], m)
@@ -250,7 +246,7 @@ def test_delta_sq_saturates_extremes():
     n = 201  # S -> +-1/2 at large n
     up = np.ones(n, dtype=int)
     down = np.zeros(n, dtype=int)
-    lo, hi = delta_sq_extremes(m)
+    lo, hi = sorted(_squared_couplings(m))
     assert abs(delta_sq(up, down, m) - hi) / hi < 0.02
     assert delta_sq(up, up, m) < lo + 0.02 * hi
 
@@ -463,13 +459,18 @@ def test_skipped_e_bar_keeps_the_bound_to_the_bit(kl, alpha, log_t):
 
 def test_e_bar_skip_depends_on_model_and_alpha():
     strong, weak = _model(1.0, 1.0), _model(0.0, 0.5)
-    assert uses_mean_energy(strong) and not e_bar_can_bind(strong, ACC)
+    assert not e_bar_can_bind(strong, ACC)
     assert e_bar_can_bind(strong, AccuracyParams(alpha=2.0, delta=0.01))
     assert e_bar_can_bind(weak, ACC) and not e_bar_can_bind(_model(0.0, 10.0), ACC)
+    # nmin never reads e_bar below |K| = 1 at L = 0 (the all-states bound) or
+    # for general couplings (rejected), whatever alpha
+    loose = AccuracyParams(alpha=1.01, delta=0.01)
+    for model in (_model(0.5, 0.0), _model(0.5, 0.2)):
+        assert not e_bar_can_bind(model, ACC) and not e_bar_can_bind(model, loose)
     # the rule is tight: at K = 0, L = 0.5 and alpha = 17 the hot e_bar / alpha
     # passes the edge, though B hypot(1, L) / alpha is only 6% above it
     acc = AccuracyParams(alpha=17.0, delta=0.01)
-    edge = e_mu_extremes(weak, 1)[0] - ground_energy_per_site(weak)
+    edge = -_extreme_coefficient(0.0) - ground_energy_per_site(weak)
     assert mean_energy_per_site(1e-4, weak) / 17.0 > edge and e_bar_can_bind(weak, acc)
 
 

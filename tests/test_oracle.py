@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localtemp.canonical import AccuracyParams, rho_diag
+from localtemp.canonical import rho_diag
 from localtemp.ising import (
     IsingModel,
     delta_sq,

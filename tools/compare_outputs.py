@@ -105,6 +105,9 @@ FAILURES = (
     ("nmin", "harmonic", "--t-over-theta", "1", "--alpha", "inf"),
     ("sweep", "ising", "--tmin", "0.1", "--tmax", "10", "--points", "5", "--K", "2",
      "--alpha", "inf"),
+    # general couplings: rejected at the first point, with no e_bar computed
+    ("sweep", "ising", "--tmin", "0.1", "--tmax", "1", "--points", "5", "--K", "0.5",
+     "--L", "0.2"),
     # degenerate group modes (K = 0, an edge mode) and overflowing cumulants
     ("oracle", "gaussian", "--sites", "8", "--groups", "4", "--K", "0", "--L", "0.5"),
     ("oracle", "gaussian", "--sites", "10", "--groups", "2", "--K", "1e3", "--L", "1e3"),
