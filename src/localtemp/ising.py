@@ -232,12 +232,13 @@ def _ladder_integral(f, k0: float, ends, delta) -> np.ndarray:
     (the scale on which f varies next to k0); each further cell doubles. f
     takes a pair (k, p). All cells go through one adaptive pass, each ladder
     with a tolerance split evenly over its cells after a midpoint pre-pass.
-    A delta that is not positive and finite raises QuadratureError: a zero
-    width (the node slope overflowed) never reaches k_end, and an infinite
-    one means the thermal scale at the node was lost.
+    A delta that is not positive (zero when the node slope overflowed, or
+    nan) raises QuadratureError, as its ladder never reaches k_end. An
+    infinite delta (beta times the slope underflowed, far above the band) is
+    one cell: the beta -> 0 limit.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    bad = ~((0.0 < delta) & (delta < math.inf))
+    bad = ~(delta > 0.0)
     if bad.any():
         raise QuadratureError(f"ladder cell width {float(delta[bad][0])!r}"
                               " is not positive and finite")
@@ -273,9 +274,6 @@ def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
     """Gapless mean_energy_per_site at the inverse temperatures beta."""
     k0, kind, scale = node
     thermal = beta * scale if kind == "linear" else np.sqrt(beta * scale / 2.0)
-    if not thermal.all():
-        # beta underflowed: the thermal width is lost, as 1/0 is in float math
-        raise ZeroDivisionError("float division by zero")
     delta = 1.0 / thermal
 
     def integrand(k_point):
@@ -407,26 +405,12 @@ def _extreme_coefficient(k_param: float) -> float:
 # ---------------------------------------------------------------------------
 # criteria
 
-
-def _underflow_is_overflow(bound):
-    """Raise OverflowError, not ZeroDivisionError, from a raw bound whose
-    divisor (t (1 - |K|), or a zero window edge) underflows to 0: the bound
-    then exceeds every float, which min_integer_above reports the same way."""
-
-    @functools.wraps(bound)
-    def checked(t_over_b: float, *args):
-        try:
-            return bound(t_over_b, *args)
-        except ZeroDivisionError:
-            raise OverflowError(
-                f"{bound.__name__} divides by a quantity that underflows to 0"
-                f" at t_over_b={t_over_b!r}; the bound is not finite"
-            ) from None
-
-    return checked
+# a raw bound whose divisor underflows to 0 exceeds every float, which
+# min_integer_above reports the same way
+_UNDERFLOW = ("{} divides by a quantity that underflows to 0 at t_over_b={!r};"
+              " the bound is not finite")
 
 
-@_underflow_is_overflow
 def cond_const_bound(
     t_over_b: float, acc: AccuracyParams, model: IsingModel, e_bar: float | None = None
 ) -> float:
@@ -435,8 +419,9 @@ def cond_const_bound(
     e_min is the lower edge of the thermal window per site: the attainable
     group minimum or e_bar/alpha above the ground energy, whichever is
     higher; it is 0 where the edge rounds to 0 (K = L = 0) and e_bar/alpha
-    underflows. e_bar is the caller's mean_energy_per_site(1 / t_over_b,
-    model), or computed where it can pass the edge.
+    underflows, and that divisor of 0 raises OverflowError. e_bar is the
+    caller's mean_energy_per_site(1 / t_over_b, model), or computed where it
+    can pass the edge.
     """
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
@@ -448,6 +433,8 @@ def cond_const_bound(
     if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
         e_bar = mean_energy_per_site(beta, model) if reached else 0.0
     gap = max(edge, e_bar / acc.alpha)
+    if gap == 0.0:
+        raise OverflowError(_UNDERFLOW.format("cond_const_bound", t_over_b))
     return beta * max(_squared_couplings(model)) / gap
 
 
@@ -462,11 +449,11 @@ def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> 
     return 1.0 / t_over_b / (2.0 * acc.delta) * abs(k_sq - l_sq) / span
 
 
-@_underflow_is_overflow
 def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
     """Raw bound 2 beta K^2 / (1 - |K|) for isotropic coupling below the
     critical field ratio; needs no accuracy parameters because it covers
-    every state but the ground state."""
+    every state but the ground state. A divisor t (1 - |K|) that underflows
+    to 0 raises OverflowError."""
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
     if abs(model.l_param) > _CASE_TOL:
@@ -474,7 +461,10 @@ def isotropic_weak_bound(t_over_b: float, model: IsingModel) -> float:
     a = abs(model.k_param)
     if a >= 1.0:
         raise ValueError("isotropic bound needs |K| < 1")
-    return 2.0 * model.k_param**2 / (t_over_b * (1.0 - a))
+    divisor = t_over_b * (1.0 - a)
+    if divisor == 0.0:
+        raise OverflowError(_UNDERFLOW.format("isotropic_weak_bound", t_over_b))
+    return 2.0 * model.k_param**2 / divisor
 
 
 def nmin(

@@ -65,8 +65,9 @@ pairs those labels with the dense eigenstates by sorting both by energy.
 Rings: the periodic `spectrum` is the exact ground energy of the finite
 ring, with each parity sector's fermion boundary condition tracked
 (quadratic.periodic_ground_energy); only its comparison with the k-integral
-of the infinite chain carries an O(1/n) finite-size term. Product bases are
-built on open chains only.
+of the infinite chain carries a finite-size term, O(1/n^2) for a gapless
+chain and roundoff for a gapped one. Product bases are built on open chains
+only.
 """
 from __future__ import annotations
 

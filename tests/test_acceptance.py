@@ -76,11 +76,13 @@ def test_criterion_03_material_length_scales():
     assert 0.05 <= l_si <= 0.2
 
     # iron golden follows the plateau estimator, not the full pipeline (whose
-    # l_min_m, 4.885e-7, is 2.3% below it)
+    # l_min_m, 4.885e-7, is 2.3% below it); the shipped value is pinned too
     iron = _material_length("iron", 5000.0)
     n_fe = min_integer_above(asymptotic_nmin(iron["t_over_theta"], ACC))
     l_fe = n_fe * iron["a0_angstrom"] * 1e-10
     assert abs(l_fe - 5.0e-7) / 5.0e-7 <= 0.02
+    assert iron["n_min"] == 1954
+    assert abs(iron["l_min_m"] - 4.885e-7) / 4.885e-7 <= 1e-12
 
     l_c = _material_length("carbon", 270.0)["l_min_m"]
     assert abs(l_c - 1.3e-7) / 1.3e-7 <= 0.05

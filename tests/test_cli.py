@@ -504,6 +504,25 @@ def test_ising_bound_underflow_exit_two(argv):
     assert "underflows to 0" in err
 
 
+def test_gapless_chain_far_above_the_band():
+    # beta times the node slope leaves the float range at t = 1e308: each
+    # ladder is one cell, and the group needs one site, as a gapped chain does
+    code, out, err = run_cli(
+        "nmin", "ising", "--t-over-b", "1e308", "--K", "1.01", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_min"] == 1
+
+    code, out, err = run_cli(
+        "sweep", "ising", "--tmin", "1", "--tmax", "1e308", "--points", "3", "--log",
+        "--K", "1.01", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert rows[-1]["t_ratio"] == 1e308
+    assert rows[-1]["n_min"] == 1
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [

@@ -1,7 +1,9 @@
 """Transverse-field chain: spectra, k-integrals, widths, and criteria."""
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -369,26 +371,39 @@ def test_trapezoid_grid_is_shared_and_read_only():
             array[0] = 1.0
 
 
-@pytest.mark.parametrize("delta", [0.0, math.inf, math.nan, -1.0])
-def test_ladder_rejects_degenerate_cell_width(delta):
-    import signal
-
-    from localtemp.ising import _ladder_integral
-    from localtemp.specfun import QuadratureError
-
-    # without the check, delta <= 0 loops forever while the cell list grows;
-    # a one-second alarm turns that into a failure before memory runs out
+@contextlib.contextmanager
+def _one_second_alarm():
+    # a ladder that never reaches its end loops while the cell list grows; a
+    # one-second alarm turns that into a failure before memory runs out
     def timed_out(signum, frame):
         raise TimeoutError("ladder did not terminate")
 
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        with pytest.raises(QuadratureError):
-            _ladder_integral(lambda kp: np.cos(kp[0]), 0.0, (math.pi,), delta)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("delta", [0.0, math.nan, -1.0])
+def test_ladder_rejects_degenerate_cell_width(delta):
+    from localtemp.ising import _ladder_integral
+    from localtemp.specfun import QuadratureError
+
+    with _one_second_alarm(), pytest.raises(QuadratureError):
+        _ladder_integral(lambda kp: np.cos(kp[0]), 0.0, (math.pi,), delta)
+
+
+def test_ladder_infinite_cell_width_is_one_cell():
+    from localtemp.ising import _ladder_integral
+
+    # beta times the node slope underflowed: each ladder is one cell
+    with _one_second_alarm():
+        value = _ladder_integral(lambda kp: np.cos(kp[0]), 0.0, (math.pi / 2,), math.inf)
+    assert value.shape == (1, 1)
+    assert value[0, 0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_tightest_golden_ising_integer():
@@ -404,13 +419,13 @@ def test_tightest_golden_ising_integer():
 def test_underflowed_beta_divides_by_zero(k, l):
     # beta = 5e-324 times a linear node's slope (2 sqrt(K^2 - 1), 2|L| at
     # K = 1) below 1/2 underflows to 0, so the node's thermal width is 1/0:
-    # a ZeroDivisionError, which the criteria report as a bound that is not
-    # finite, not a ladder with an infinite cell width
+    # one cell per ladder, the beta -> 0 limit, where every mode is half
+    # occupied and e_bar is minus the ground energy
     model = _model(k, l)
-    with pytest.raises(ZeroDivisionError):
-        mean_energy_per_site(5e-324, model)
-    with pytest.raises(ZeroDivisionError):
-        mean_energy_per_site(np.array([1.0, 5e-324]), model)
+    limit = -ground_energy_per_site(model)
+    assert mean_energy_per_site(5e-324, model) == pytest.approx(limit, rel=1e-9)
+    grid = mean_energy_per_site(np.array([1.0, 5e-324]), model)
+    assert grid[1] == pytest.approx(limit, rel=1e-9)
 
 
 @pytest.mark.parametrize("points", [37, 150])

@@ -142,6 +142,19 @@ FAILURES = (
      "0.2", "--B", "2"),
     ("oracle", "moments", "--sites", "6", "--groups", "3", "--K", "0.3", "--L", "0.2",
      "--B", "2"),
+    # a gapless chain where beta times the node slope leaves the float range:
+    # one ladder cell, the beta -> 0 limit
+    ("nmin", "ising", "--t-over-b", "1e308", "--K", "1.01"),
+    ("sweep", "ising", "--tmin", "1", "--tmax", "1e308", "--points", "3", "--log",
+     "--K", "1.01"),
+    # a window gap of 0 in the constant condition
+    ("nmin", "ising", "--t-over-b", "1e-3", "--K", "0", "--L", "0", "--alpha", "1e300"),
+    # the erfcx branch of canonical._log_erfc_difference, at the dense
+    # rounding floor (ROADMAP item 5)
+    ("oracle", "rho", "--sites", "6", "--groups", "2", "--K", "0.3", "--L", "0.2",
+     "--beta-b", "30"),
+    # weak coupling: the window edge rounds to 0 and e_bar / alpha sets the gap
+    ("nmin", "ising", "--t-over-b", "1e-3", "--K", "1e-9", "--L", "1e-9"),
 )
 
 
