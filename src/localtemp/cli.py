@@ -243,16 +243,18 @@ def _sweep_grid(args) -> np.ndarray:
 
 def _mean_energies(grid: np.ndarray, acc: AccuracyParams, model=None) -> list:
     """e_bar of the harmonic chain (model None) or of an Ising model at every
-    grid point, from one quadrature pass; None throughout where the criteria
-    at acc do not read it, or where the pass fails at some point: each point
-    then computes what it needs, so the first failing one names the error."""
+    grid point, from one quadrature pass over the points where the criteria
+    at acc can read it and 0.0 elsewhere, which gives the same bounds; None
+    throughout where the pass fails at some point: each point then computes
+    what it needs, so the first failing one names the error."""
     try:
         if model is None:
             return harmonic.mean_energy_reduced(grid).tolist()
-        if not ising.e_bar_can_bind(model, acc):
-            return [None] * grid.size
-        beta_b = [1.0 / t for t in grid.tolist()]
-        return ising.mean_energy_per_site(beta_b, model).tolist()
+        beta_b = np.array([1.0 / t for t in grid.tolist()])
+        e_bar = np.zeros(grid.size)
+        if (binds := ising.e_bar_can_bind(model, acc, beta_b)).any():
+            e_bar[binds] = ising.mean_energy_per_site(beta_b[binds], model)
+        return e_bar.tolist()
     except (ValueError, ArithmeticError, QuadratureError):
         return [None] * grid.size
 

@@ -39,16 +39,17 @@ above |L| = 1, atan2(c, |L|)/c below.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
-up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
-and its dispersion (read-only arrays) and the ground energy are computed once
-per model; the group minimum -_extreme_coefficient(K) per site and the width
-range (K^2, L^2) are closed forms, read where they are used.
+up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid,
+its dispersion (read-only arrays) and their extremes, the ground energy and a
+gapped window edge at |K| <= 1 are computed once per model; the group minimum
+-_extreme_coefficient(K) per site and the width range (K^2, L^2) are closed
+forms, read where they are used.
 
-e_bar_can_bind is the one gate on e_bar: nmin reads it only in the constant
-condition, and only if hypot(1 + |K|, L)(1 + 1e-9) / alpha reaches the window
-edge e_min - e_0 at the group minimum, as each integrand value w / (e^{beta w} + 1)
-is at most w/2 <= hypot(1 + |K|, L) and the quadrature weights are positive.
-Elsewhere (K = L = 1, or K = 0 and large L) the edge gives the bound.
+e_bar_can_bind is the one gate on e_bar, one answer per temperature: nmin
+reads e_bar only in the constant condition, and only where a bound on it
+divided by alpha can reach the window edge e_min - e_0 at the group minimum.
+Elsewhere the edge is the window, and e_bar is passed as 0.0: the same max().
+A gapped edge at |K| <= 1 is formed without the cancellation -1 - e_0.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,15 +192,22 @@ def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
     return None
 
 
+class _Grid(NamedTuple):
+    k: np.ndarray  # trapezoid nodes on [0, pi], read-only
+    w: np.ndarray  # omega_k there, read-only
+    w_min: float
+    w_max: float
+
+
 @functools.lru_cache(maxsize=16)
-def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes on [0, pi] and omega_k there, shared by every
-    temperature of one model; both arrays are read-only."""
+def _trapezoid_grid(model: IsingModel) -> _Grid:
+    """The trapezoid grid of a gapped chain and the extremes of omega_k on
+    it, shared by every temperature of one model."""
     k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
     w = dispersion_periodic(k, model)
     k.flags.writeable = False
     w.flags.writeable = False
-    return k, w
+    return _Grid(k, w, float(w.min()), float(w.max()))
 
 
 def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
@@ -303,7 +312,7 @@ def mean_energy_per_site(beta_b, model: IsingModel):
     with np.errstate(all="ignore"):
         beta = betas.ravel()
         if (node := _gap_node(model)) is None:
-            k, w = _trapezoid_grid(model)
+            k, w = _trapezoid_grid(model)[:2]
             rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
             y, s, dk = np.empty((rows, k.size)), np.empty((rows, k.size - 1)), np.diff(k)
             energy = in_chunks(_trapezoid_energy, beta, w, dk, y, s, size=_TRAPEZOID_ROWS)
@@ -319,7 +328,7 @@ def ground_energy_per_site(model: IsingModel) -> float:
     _extreme_coefficient(K); at K = +-1, u = cos(k/2) makes it elementary, and
     atan2 keeps the digits that asin(c) loses at small |L|."""
     if _gap_node(model) is None:
-        k, w = _trapezoid_grid(model)
+        k, w = _trapezoid_grid(model)[:2]
         return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
         return -_extreme_coefficient(model.k_param)
@@ -329,11 +338,46 @@ def ground_energy_per_site(model: IsingModel) -> float:
     return -2.0 / math.pi * (a + g)
 
 
-def _window_edge(model: IsingModel, acc: AccuracyParams) -> tuple[float, bool]:
-    """The window edge e_min - e_0, and whether e_bar / alpha can reach it (nan can)."""
-    edge = -_extreme_coefficient(model.k_param) - ground_energy_per_site(model)
+@functools.lru_cache(maxsize=16)
+def _gapped_window_edge(model: IsingModel) -> float:
+    """e_min - e_0 of a gapped chain at |K| <= 1, where e_min = -1 is
+    -(1/pi) int_0^pi (1 - K cos k) dk: (1/2pi) int_0^pi (omega - m) dk with
+    m = 2 (1 - K cos k) >= 0, summed on the trapezoid grid as
+    4 (L sin k)^2 / (omega + m), which does not cancel. -1 - e_0 rounds an
+    edge below e_0's roundoff to 0 (K = L = 1e-9: 2.5e-19); an overflowing
+    L^2 gives inf."""
+    k, w = _trapezoid_grid(model)[:2]
+    ls = model.l_param * np.sin(k)
+    with np.errstate(over="ignore"):
+        lift = 4.0 * ls * ls / (w + 2.0 * (1.0 - model.k_param * np.cos(k)))
+    return float(np.trapezoid(lift, k) / (2.0 * math.pi))
+
+
+def _window_edge(model: IsingModel) -> float:
+    """The window edge e_min - e_0 at the group minimum."""
+    if abs(model.k_param) <= 1.0 and _gap_node(model) is None:
+        return _gapped_window_edge(model)
+    return -_extreme_coefficient(model.k_param) - ground_energy_per_site(model)
+
+
+def _e_bar_reach(model: IsingModel, beta: np.ndarray) -> np.ndarray:
+    """The bound on mean_energy_per_site at each entry of beta that
+    e_bar_can_bind describes."""
     reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
-    return edge, not reach * (1.0 + 1e-9) / acc.alpha < edge
+    if _gap_node(model) is not None:
+        return np.full(beta.shape, reach)
+    _, _, w_min, w_max = _trapezoid_grid(model)
+    with np.errstate(all="ignore"):  # nan and inf beta keep reach
+        x = beta * w_min
+        cold = np.maximum(w_min * np.exp(-np.minimum(x, _EXP_CLIP)),
+                          w_max * math.exp(-_EXP_CLIP))
+    return np.where(x >= 1.0, cold, reach)
+
+
+def _reaches(edge: float, model: IsingModel, acc: AccuracyParams, beta) -> np.ndarray:
+    """Whether e_bar / alpha at beta can reach the window edge (nan can)."""
+    return ~(_e_bar_reach(model, np.asarray(beta, dtype=float)) * (1.0 + 1e-9) / acc.alpha
+             < edge)
 
 
 def _uses_mean_energy(model: IsingModel) -> bool:
@@ -346,10 +390,25 @@ def _uses_mean_energy(model: IsingModel) -> bool:
     return not (case is CouplingCase.ISOTROPIC and abs(model.k_param) < 1.0)
 
 
-def e_bar_can_bind(model: IsingModel, acc: AccuracyParams) -> bool:
-    """Whether nmin at acc reads e_bar at some T: the model's criteria read it,
-    and e_bar / alpha can reach the constant condition's window edge."""
-    return _uses_mean_energy(model) and _window_edge(model, acc)[1]
+def e_bar_can_bind(model: IsingModel, acc: AccuracyParams, beta_b=0.0):
+    """Whether nmin at acc reads e_bar at beta_b = B/T (a float, or an array
+    giving an array): the model's criteria read it, and a bound U on e_bar
+    reaches the constant condition's window edge there, U (1 + 1e-9) / alpha
+    >= e_min - e_0.
+
+    Each integrand value w / (e^{beta w} + 1) is at most w/2 <=
+    hypot(1 + |K|, L) and the quadrature weights are positive, so U =
+    hypot(1 + |K|, L) at every beta; it holds at every T, so beta_b = 0 gives
+    the model's answer. On a gapped chain, once beta w_min >= 1 (w_min, w_max
+    the extremes of omega on the trapezoid nodes), w e^{-beta w} falls with w
+    and the Fermi factor is clipped at e^{-700}, so no node value, and no
+    trapezoid mean, exceeds U(beta) = max(w_min e^{-min(beta w_min, 700)},
+    w_max e^{-700}).
+    """
+    beta = np.asarray(beta_b, dtype=float)
+    if not _uses_mean_energy(model):
+        return np.zeros(beta.shape, dtype=bool)[()]
+    return _reaches(_window_edge(model), model, acc, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +488,9 @@ def cond_const_bound(
         raise ValueError("t_over_b must be finite, got inf")
     beta = 1.0 / t_over_b
     # e_min - e_0 computed without the cancellation e_min ~ e_0 at low T
-    edge, reached = _window_edge(model, acc)
+    edge = _window_edge(model)
     if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
-        e_bar = mean_energy_per_site(beta, model) if reached else 0.0
+        e_bar = mean_energy_per_site(beta, model) if _reaches(edge, model, acc, beta) else 0.0
     gap = max(edge, e_bar / acc.alpha)
     if gap == 0.0:
         raise OverflowError(_UNDERFLOW.format("cond_const_bound", t_over_b))

@@ -6,6 +6,8 @@ splits, and adds the accepted panels of all intervals with one weighted
 bincount in depth-first order; in_chunks to feed a grid to a batched kernel
 in bounded passes; the Bose occupation integrand x/(e^x - 1) with its
 removable singularity filled in; and integer extraction for n > bound.
+The integrator counts each interval's splits only once a budget can run out:
+d levels split an interval at most 2^d - 1 times, so not before level 13.
 Floats hold to a few ulps across platforms, not to the bit: the integrands'
 exp, expm1 and hypot come from numpy, whose SIMD loops can differ from the
 platform's libm in the last bit.
@@ -136,7 +138,8 @@ def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
     panels = np.empty((16, live.size))
     panels[:9] = [whole, live, x0, xm, x1, f0, fm, f1, tol[live]]
     accepted = []  # per level, rows 0-2 (value, interval, left edge) of its accepted panels
-    splits, count = 0, None  # over all intervals; per interval
+    count = None  # splits per interval
+    depth = 0  # levels done: no interval has split more than 2^depth - 1 times
     failed = n  # the first interval over its budget
     while panels.shape[1]:
         quarter, fq, halves = panels[9:11], panels[11:13], panels[13:15]
@@ -160,8 +163,8 @@ def _refine(f, a, b, tol, indexed: bool) -> np.ndarray:
         panels = np.empty((16, 2, split.shape[1]))
         np.take(split, _CHILDREN, axis=0, out=panels[:9], mode="clip")
         panels = panels.reshape(16, -1)
-        splits += split.shape[1]
-        if splits <= _MAX_SUBDIVISIONS:
+        depth += 1
+        if 2**depth <= _MAX_SUBDIVISIONS:
             continue  # no interval can be over its budget yet
         if count is None:  # an interval has split (accepted + live - 1) times
             seen = np.concatenate([level[1] for level in accepted] + [panels[1]])

@@ -659,7 +659,11 @@ def test_sweep_failure_names_first_failing_point(argv, message):
     ],
 )
 def test_junction_width_overflow_names_coupling(argv, square):
-    code, out, err = run_cli(*argv)
+    # L^2 overflows in the window edge too, silently: no numpy warning (an
+    # error here) comes before the named failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert f"numerical failure: junction width overflows: {square}" in err
 
@@ -856,6 +860,32 @@ def test_const_width_sweep_computes_no_e_bar(monkeypatch):
     assert calls == []
     assert run_cli(*argv, "--K", "0", "--L", "0.5")[0] == 0
     assert len(calls) == 1
+
+
+def test_sweep_integrates_only_the_rows_the_gate_admits(monkeypatch):
+    # a gapped chain's e_bar falls as e^{-beta w_min}: the cold rows of the
+    # grid cannot reach the window edge, and the one pass skips them
+    import numpy as np
+
+    from localtemp import ising
+    from localtemp.canonical import AccuracyParams
+
+    passed = []
+    real = ising.mean_energy_per_site
+
+    def recorded(beta_b, model):
+        passed.append(np.array(beta_b))
+        return real(beta_b, model)
+
+    monkeypatch.setattr(ising, "mean_energy_per_site", recorded)
+    code, out, _ = run_cli("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3",
+                           "--points", "100", "--log", "--K", "0", "--L", "0.5")
+    assert code == 0
+    beta_b = np.array([1.0 / t for t in np.geomspace(1e-3, 1e3, 100).tolist()])
+    binds = ising.e_bar_can_bind(ising.IsingModel(0.0, 0.5),
+                                 AccuracyParams(alpha=10.0, delta=0.01), beta_b)
+    assert len(passed) == 1 and passed[0].tolist() == beta_b[binds].tolist()
+    assert 0 < binds.sum() < binds.size and binds[-1] and not binds[0]
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,12 @@ from localtemp.ising import (
     CouplingCase,
     IsingModel,
     UnsupportedCouplingError,
+    _e_bar_reach,
     _extreme_coefficient,
+    _gap_node,
     _squared_couplings,
+    _trapezoid_grid,
+    _window_edge,
     cond_const_bound,
     delta_sq,
     dispersion_periodic,
@@ -360,11 +364,10 @@ def test_mean_energy_per_site_bitwise(kl):
 
 
 def test_trapezoid_grid_is_shared_and_read_only():
-    from localtemp.ising import _trapezoid_grid
-
     model = _model(0.0, 0.5)
-    k, w = _trapezoid_grid(model)
+    k, w, w_min, w_max = _trapezoid_grid(model)
     assert _trapezoid_grid(model)[0] is k
+    assert (w_min, w_max) == (w.min(), w.max())
     for array in (k, w):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -457,7 +460,7 @@ def test_gapped_grid_beta_overflow_is_silent():
 
 
 _SKIP_MODELS = [(1.0, 1.0), (-1.0, 1.0), (1.5, 1.5), (0.3, -0.3), (10.0, 10.0), (0.0, 0.5),
-                (0.0, 10.0), (0.0, 2.0)]
+                (0.0, 10.0), (0.0, 2.0), (0.1, 0.1), (-0.7, 0.7)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -465,11 +468,46 @@ _SKIP_MODELS = [(1.0, 1.0), (-1.0, 1.0), (1.5, 1.5), (0.3, -0.3), (10.0, 10.0), 
        alpha=st.sampled_from([1.01, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 8.0, 10.0, 17.0, 100.0]),
        log_t=st.floats(-4.0, 4.0))
 def test_skipped_e_bar_keeps_the_bound_to_the_bit(kl, alpha, log_t):
-    # where e_bar / alpha cannot reach the window edge, the bound computed
-    # without e_bar equals the one given the explicit e_bar, bit for bit
+    # where e_bar / alpha cannot reach the window edge at this temperature,
+    # the bound computed without e_bar equals the one given the explicit
+    # e_bar, bit for bit
     model, acc, t = _model(*kl), AccuracyParams(alpha=alpha, delta=0.01), 10.0**log_t
     e_bar = mean_energy_per_site(1.0 / t, model)
+    if not e_bar_can_bind(model, acc, 1.0 / t):
+        assert e_bar / alpha < _window_edge(model)
     assert cond_const_bound(t, acc, model) == cond_const_bound(t, acc, model, e_bar)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 10.0, 100.0])
+@pytest.mark.parametrize("kl", [(0.1, 0.1), (-0.7, 0.7), (0.0, 0.5), (1.5, 1.5)])
+def test_cold_gapped_points_skip_e_bar_to_the_bit(kl, alpha):
+    # on a gapped chain the bound on e_bar falls as e^{-beta w_min} once
+    # beta w_min >= 1, so cold points skip e_bar where the model's gate
+    # (beta = 0) would compute it, and keep the bound's bits
+    model, acc = _model(*kl), AccuracyParams(alpha=alpha, delta=0.01)
+    grid = np.geomspace(1e-3, 1e3, 61).tolist()
+    binds = [bool(e_bar_can_bind(model, acc, 1.0 / t)) for t in grid]
+    e_bar = mean_energy_per_site(np.array([1.0 / t for t in grid]), model)
+    for t, e, bind in zip(grid, e_bar.tolist(), binds):
+        assert bind or e / alpha < _window_edge(model)
+        assert cond_const_bound(t, acc, model) == cond_const_bound(t, acc, model, e)
+    assert e_bar_can_bind(model, acc, 0.0) == e_bar_can_bind(model, acc) == any(binds)
+    if any(binds):  # the hot end reads e_bar, the cold end does not
+        assert binds[-1] and not binds[0]
+
+
+def test_cold_point_computes_no_e_bar(monkeypatch):
+    model = _model(0.0, 0.5)
+    explicit = cond_const_bound(1e-3, ACC, model, mean_energy_per_site(1e3, model))
+
+    def unused(*args):
+        raise AssertionError("e_bar computed")
+
+    monkeypatch.setattr("localtemp.ising.mean_energy_per_site", unused)
+    got = cond_const_bound(1e-3, ACC, model)
+    assert got == explicit
+    # the value that e_bar and the edge -1 - e_0 gave before, to its roundoff
+    assert got == pytest.approx(4177.85076008531, rel=1e-14)
 
 
 def test_e_bar_skip_depends_on_model_and_alpha():
@@ -492,12 +530,44 @@ def test_e_bar_skip_depends_on_model_and_alpha():
 @pytest.mark.parametrize("kl", _SKIP_MODELS + [(1.0, 0.0), (2.0, 0.0), (-1.6, 0.0), (1.0, 0.3)])
 def test_e_bar_stays_below_the_skip_bound(kl):
     # at beta -> 0 every Fermi factor is 1/2 and e_bar is the mean of omega / 2,
-    # within 6% of hypot(1 + |K|, L) at K = 0, L = 0.5; gapped and gapless
+    # within 6% of hypot(1 + |K|, L) at K = 0, L = 0.5; gapped and gapless.
+    # On a gapped chain the bound falls below that from beta w_min = 1 on, as
+    # the largest value a trapezoid node can take, down to the clip at e^-700
     model = _model(*kl)
-    reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
-    e_bar = mean_energy_per_site(np.array([1e-12, 1e-6, 1e-3, 1.0]), model)
-    assert (e_bar <= reach).all()
-    assert e_bar[0] > 0.45 * reach
+    gapped = _gap_node(model) is None
+    beta = np.concatenate([[1e-12, 1e-6, 1e-3, 1.0], np.geomspace(1e-2, 1e4, 57)]
+                          + [[1e300, math.inf]] * gapped)
+    reach = _e_bar_reach(model, beta)
+    e_bar = mean_energy_per_site(beta, model)
+    hot = math.hypot(1.0 + abs(model.k_param), model.l_param)
+    assert (e_bar <= reach * (1.0 + 1e-12)).all() and (reach <= hot).all()
+    assert reach[0] == hot and e_bar[0] > 0.45 * hot
+    assert (reach < hot).any() == gapped
+
+
+@pytest.mark.parametrize("kl", [(1e-9, 1e-9), (1e-7, -1e-7), (0.0, 1e-9), (-3e-8, 3e-8)])
+def test_weak_coupling_window_edge_keeps_its_digits(kl):
+    # e_min - e_0 -> L^2 / 4 as K, L -> 0; -1 - e_0 read 0 at K = L = 1e-9,
+    # so the constant condition divided by e_bar / alpha ~ 1e-304 and printed
+    # a 302-digit n_cond_const; beta K^2 / (L^2 / 4) is 4000 there
+    model = _model(*kl)
+    assert _window_edge(model) == pytest.approx(kl[1] ** 2 / 4.0, rel=1e-12)
+    if kl == (1e-9, 1e-9):
+        assert nmin(1e-3, ACC, model).n_cond_const == 4001
+
+
+@pytest.mark.parametrize("kl", [(0.5, 0.5), (0.0, 1.0), (0.0, 0.5), (-0.7, 0.7), (0.1, 0.1),
+                                (0.999, 0.001)])
+def test_window_edge_matches_mpmath(kl):
+    import mpmath
+
+    with mpmath.workdps(30):
+        k, l = (mpmath.mpf(x) for x in kl)
+        omega = lambda q: 2 * mpmath.sqrt((1 - k * mpmath.cos(q)) ** 2 + (l * mpmath.sin(q)) ** 2)
+        exact = mpmath.quad(lambda q: omega(q) - 2, [0, mpmath.pi / 2, mpmath.pi]) / (2 * mpmath.pi)
+    model = _model(*kl)
+    assert _window_edge(model) == pytest.approx(float(exact), rel=1e-13)
+    assert _window_edge(model) == pytest.approx(-1.0 - ground_energy_per_site(model), rel=1e-9)
 
 
 @pytest.mark.parametrize("t,delta", [(1.0, 1e-320), (1e-10, 1e-300), (1.0, 0.01)])

@@ -200,6 +200,34 @@ def test_batch_names_the_interval_over_budget():
     assert integrate(lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), a[:1], b[:1], tol[:1])[0] > 0
 
 
+def test_large_batch_counts_splits_per_interval_once_a_budget_can_run_out():
+    # 2,000 smooth intervals (one bump per unit period, an interval never
+    # straddles a period) split 6,003 times in the first two levels, yet no
+    # interval can pass 4096 splits before level 13: the starved one is still
+    # named there, and the batch without it keeps every interval's bits
+    def bumps(x):
+        u = x - np.floor(x) - 0.5
+        return 1.0 / (1e-2 + u * u)
+
+    def f(x):
+        assert x.shape[-1] <= 3 * 4096  # refinement past the budget
+        panels.append(x.shape[-1])
+        return bumps(x)
+
+    a = np.arange(2000) / 128.0
+    b, tol = a + 1.0 / 128.0, np.full(a.size, 1e-13)
+    panels = []
+    with pytest.raises(QuadratureError, match=r"within 4096 subdivisions on \[0\.0, 10\.0\]"):
+        integrate(f, np.insert(a, 1000, 0.0), np.insert(b, 1000, 10.0),
+                  np.insert(tol, 1000, 1e-300))
+    # each level after the first evaluates two quarter points per panel it splits
+    assert (panels[2] + panels[3]) / 2 > 4096 and len(panels) == 14
+    got = integrate(bumps, a, b, tol)
+    reference = [_depth_first(lambda x: float(bumps(x)), lo, hi, 1e-13)
+                 for lo, hi in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == reference
+
+
 def test_indexed_integrand_sees_its_interval():
     # f((x, i)) gets the interval index of every abscissa
     scale = np.array([1.0, 2.0, 3.0])

@@ -4,27 +4,30 @@ Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `localtemp` package (the `src/`
 of a checkout). The commands are the sweep catalog of
-`benchmarks/workloads.py`, a few longer grid sweeps, the four figures and
-single `nmin harmonic` and `materials` queries that print a length, each in
-csv, json and human format, then failure and range-edge commands
-(inputs that end in a named failure of the CLI, and inputs at the edge of
-the supported range, such as huge fields or couplings), then small oracle
-commands in json format, among them rings where the two fermion-parity
-sectors compete for the ground state. Every command runs in a fresh
-interpreter for each tree, and any difference in exit code, stdout or stderr
-is printed with a diff.
+`benchmarks/workloads.py`, a few longer grid sweeps, the four figures,
+single `nmin harmonic` and `materials` queries that print a length and
+single gapped `nmin ising` queries on both sides of the temperature where
+e_bar starts to count, each in csv, json and human format; then failure and
+range-edge commands (inputs that end in a named failure of the CLI, and
+inputs at the edge of the supported range, such as huge fields or
+couplings); then small oracle commands in json format, among them rings
+where the two fermion-parity sectors compete for the ground state. Every
+command runs in a fresh interpreter for each tree, and any difference in
+exit code, stdout or stderr is printed with a diff.
 
 Exit status: 1 when the change does not declare a difference in the stdout
-of a catalog, grid, figure or single-query command, or a number of an oracle command that moved by
-more than ORACLE_RTOL relative plus ORACLE_ATOL absolute; 0 otherwise. BLAS
-threading and summation order can move an oracle number's roundoff-level
-digits from run to run, so those pass. A change that alters such output on
-purpose (a golden re-record or a new oracle engine, say) lists the commands
-in tools/expected_output_changes.txt: one shell-style pattern per line,
+of a catalog, grid, figure or single-query command, or a number of an
+oracle command that moved by more than ORACLE_RTOL relative plus ORACLE_ATOL
+absolute, or when any command's stderr gains a line naming a Warning (no
+command may write a numpy warning); 0 otherwise. BLAS threading and
+summation order can move an oracle number's roundoff-level digits from run
+to run, so those pass. A change that alters such output on purpose (a
+golden re-record or a new oracle engine, say) lists the commands in
+tools/expected_output_changes.txt: one shell-style pattern per line,
 matched against the command as printed ("localtemp sweep ising ... --format
-csv"). Differences in stderr or exit code, and in the failure and range-edge
-commands, are printed but do not fail, as fixes change those on purpose;
-say which in the change log.
+csv"). Other differences in stderr or exit code, and in the failure and
+range-edge commands, are printed but do not fail, as fixes change those on
+purpose; say which in the change log.
 """
 from __future__ import annotations
 
@@ -53,6 +56,14 @@ GRID_SWEEPS = (
     ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "77", "--log",
      "--K", "-1", "--L", "1", "--alpha", "1.5"),
     ("sweep", "harmonic", "--tmin", "1e-4", "--tmax", "100", "--points", "1000", "--log"),
+    # gapped chains across the temperature where e_bar / alpha first can reach
+    # the window edge (e_bar_can_bind at beta); at alpha = 100 it never does
+    ("sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "200", "--log",
+     "--K", "0.1", "--L", "0.1"),
+    ("sweep", "ising", "--tmin", "1e-2", "--tmax", "1e2", "--points", "150", "--log",
+     "--K", "0", "--L", "0.5", "--alpha", "1.5"),
+    ("sweep", "ising", "--tmin", "1e-2", "--tmax", "1e2", "--points", "150", "--log",
+     "--K", "-0.7", "--L", "0.7", "--alpha", "100"),
 )
 
 FIGURES = tuple(("figure", fig) for fig in ("fig3", "fig4", "fig5", "fig6"))
@@ -65,6 +76,14 @@ SINGLE_QUERIES = (("materials",),) + tuple(
                                       ("silicon", "0.02", "12.9"))
     for query in (("nmin", "harmonic", "--t-over-theta", theta_ratio, "--name", name),
                   ("materials", "--name", name, "--temp-kelvin", kelvin))
+)
+
+# Single gapped-chain queries just below and just above that temperature
+CROSSOVER_QUERIES = tuple(
+    ("nmin", "ising", "--t-over-b", t, "--K", k, "--L", l)
+    for k, l, below, above in (("0.1", "0.1", "0.42", "0.43"), ("0", "0.5", "1.6", "1.7"),
+                               ("-0.7", "0.7", "0.59", "0.61"))
+    for t in (below, above)
 )
 
 EXPECTED = pathlib.Path(__file__).with_name("expected_output_changes.txt")
@@ -244,6 +263,13 @@ def json_close(old: str, new: str) -> bool:
         return False
 
 
+def new_warnings(parent_err: str, change_err: str) -> list[str]:
+    """The lines of the change's stderr that name a Warning (a numpy
+    RuntimeWarning, say) and are not in the parent's."""
+    old = set(parent_err.splitlines())
+    return [line for line in change_err.splitlines() if "Warning" in line and line not in old]
+
+
 def expected_patterns(path: pathlib.Path = EXPECTED) -> list[str]:
     """The declared patterns of path, without blank lines and # comments."""
     if not path.exists():
@@ -259,7 +285,7 @@ def main(argv: list[str]) -> int:
     parent_src, change_src = argv
     exact = [argv_ + ("--format", fmt)
              for argv_ in ([a for _, a in SWEEP_CATALOG] + list(GRID_SWEEPS) + list(FIGURES)
-                           + list(SINGLE_QUERIES))
+                           + list(SINGLE_QUERIES) + list(CROSSOVER_QUERIES))
              for fmt in ("csv", "json", "human")]
     commands = ([(c, "exact") for c in exact] + [(c, "failure") for c in FAILURES]
                 + [(c, "oracle") for c in ORACLE])
@@ -272,7 +298,9 @@ def main(argv: list[str]) -> int:
             continue
         differing += 1
         shown = f"localtemp {' '.join(command)}"
-        if gate == "failure":
+        if new_warnings(parent[2], change[2]):
+            kind, failed = "NEW WARNING", failed + 1
+        elif gate == "failure":
             kind = "failure command"
         elif parent[1] == change[1]:
             kind = "stdout matches"
