@@ -39,9 +39,9 @@ above |L| = 1, atan2(c, |L|)/c below.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
-up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid,
-its dispersion (read-only arrays) and their extremes, the ground energy and a
-gapped window edge at |K| <= 1 are computed once per model; the group minimum
+up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
+and its dispersion (read-only arrays), the ground energy and a gapped window
+edge at |K| <= 1 are computed once per model; the group minimum
 -_extreme_coefficient(K) per site and the width range (K^2, L^2) are closed
 forms, read where they are used.
 
@@ -57,7 +57,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -192,22 +191,15 @@ def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
     return None
 
 
-class _Grid(NamedTuple):
-    k: np.ndarray  # trapezoid nodes on [0, pi], read-only
-    w: np.ndarray  # omega_k there, read-only
-    w_min: float
-    w_max: float
-
-
 @functools.lru_cache(maxsize=16)
-def _trapezoid_grid(model: IsingModel) -> _Grid:
-    """The trapezoid grid of a gapped chain and the extremes of omega_k on
-    it, shared by every temperature of one model."""
+def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes on [0, pi] and omega_k there, shared by every
+    temperature of one model; both arrays are read-only."""
     k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
     w = dispersion_periodic(k, model)
     k.flags.writeable = False
     w.flags.writeable = False
-    return _Grid(k, w, float(w.min()), float(w.max()))
+    return k, w
 
 
 def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
@@ -312,7 +304,7 @@ def mean_energy_per_site(beta_b, model: IsingModel):
     with np.errstate(all="ignore"):
         beta = betas.ravel()
         if (node := _gap_node(model)) is None:
-            k, w = _trapezoid_grid(model)[:2]
+            k, w = _trapezoid_grid(model)
             rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
             y, s, dk = np.empty((rows, k.size)), np.empty((rows, k.size - 1)), np.diff(k)
             energy = in_chunks(_trapezoid_energy, beta, w, dk, y, s, size=_TRAPEZOID_ROWS)
@@ -328,7 +320,7 @@ def ground_energy_per_site(model: IsingModel) -> float:
     _extreme_coefficient(K); at K = +-1, u = cos(k/2) makes it elementary, and
     atan2 keeps the digits that asin(c) loses at small |L|."""
     if _gap_node(model) is None:
-        k, w = _trapezoid_grid(model)[:2]
+        k, w = _trapezoid_grid(model)
         return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
         return -_extreme_coefficient(model.k_param)
@@ -343,13 +335,13 @@ def _gapped_window_edge(model: IsingModel) -> float:
     """e_min - e_0 of a gapped chain at |K| <= 1, where e_min = -1 is
     -(1/pi) int_0^pi (1 - K cos k) dk: (1/2pi) int_0^pi (omega - m) dk with
     m = 2 (1 - K cos k) >= 0, summed on the trapezoid grid as
-    4 (L sin k)^2 / (omega + m), which does not cancel. -1 - e_0 rounds an
-    edge below e_0's roundoff to 0 (K = L = 1e-9: 2.5e-19); an overflowing
-    L^2 gives inf."""
-    k, w = _trapezoid_grid(model)[:2]
+    ls (ls / ((omega + m) / 4)) with ls = L sin k, which does not cancel.
+    -1 - e_0 rounds an edge below e_0's roundoff to 0 (K = L = 1e-9:
+    2.5e-19). As omega >= 2 |ls|, the second factor is at most 2 in size, so
+    no term overflows, and an omega that overflowed gives 0."""
+    k, w = _trapezoid_grid(model)
     ls = model.l_param * np.sin(k)
-    with np.errstate(over="ignore"):
-        lift = 4.0 * ls * ls / (w + 2.0 * (1.0 - model.k_param * np.cos(k)))
+    lift = ls * (ls / (0.25 * (w + 2.0 * (1.0 - model.k_param * np.cos(k)))))
     return float(np.trapezoid(lift, k) / (2.0 * math.pi))
 
 
@@ -366,7 +358,8 @@ def _e_bar_reach(model: IsingModel, beta: np.ndarray) -> np.ndarray:
     reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
     if _gap_node(model) is not None:
         return np.full(beta.shape, reach)
-    _, _, w_min, w_max = _trapezoid_grid(model)
+    w = _trapezoid_grid(model)[1]
+    w_min, w_max = float(w.min()), float(w.max())
     with np.errstate(all="ignore"):  # nan and inf beta keep reach
         x = beta * w_min
         cold = np.maximum(w_min * np.exp(-np.minimum(x, _EXP_CLIP)),
@@ -374,10 +367,15 @@ def _e_bar_reach(model: IsingModel, beta: np.ndarray) -> np.ndarray:
     return np.where(x >= 1.0, cold, reach)
 
 
-def _reaches(edge: float, model: IsingModel, acc: AccuracyParams, beta) -> np.ndarray:
-    """Whether e_bar / alpha at beta can reach the window edge (nan can)."""
-    return ~(_e_bar_reach(model, np.asarray(beta, dtype=float)) * (1.0 + 1e-9) / acc.alpha
-             < edge)
+def _reaches(edge: float, model: IsingModel, acc: AccuracyParams, beta):
+    """Whether e_bar / alpha at beta (a float, or an array giving an array)
+    can reach the window edge (nan can). The bound never exceeds its hot
+    value hypot(1 + |K|, L), so where that falls short no beta is looked at."""
+    def short(reach):
+        return reach * (1.0 + 1e-9) / acc.alpha < edge
+    if short(math.hypot(1.0 + abs(model.k_param), model.l_param)):
+        return np.zeros(np.shape(beta), dtype=bool)[()]
+    return ~short(_e_bar_reach(model, np.asarray(beta, dtype=float)))
 
 
 def _uses_mean_energy(model: IsingModel) -> bool:

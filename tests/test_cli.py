@@ -659,13 +659,25 @@ def test_sweep_failure_names_first_failing_point(argv, message):
     ],
 )
 def test_junction_width_overflow_names_coupling(argv, square):
-    # L^2 overflows in the window edge too, silently: no numpy warning (an
-    # error here) comes before the named failure
+    # the window edge stays finite: no numpy warning (an error here) comes
+    # before the named failure
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert f"numerical failure: junction width overflows: {square}" in err
+
+
+def test_window_edge_of_a_large_coupling_stays_finite():
+    # at K = 0 the window edge tends to 2 |L| / pi; forming (L sin k)^2 for it
+    # overflowed from |L| ~ 6.7e153, below the junction width's own overflow
+    # at 1.34e154, and the constant condition divided by an edge of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("nmin", "ising", "--t-over-b", "1e10", "--K", "0",
+                                 "--L", "1e154", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_cond_const"] == pytest.approx(1e144 * math.pi / 2, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -365,9 +365,8 @@ def test_mean_energy_per_site_bitwise(kl):
 
 def test_trapezoid_grid_is_shared_and_read_only():
     model = _model(0.0, 0.5)
-    k, w, w_min, w_max = _trapezoid_grid(model)
+    k, w = _trapezoid_grid(model)
     assert _trapezoid_grid(model)[0] is k
-    assert (w_min, w_max) == (w.min(), w.max())
     for array in (k, w):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -540,9 +539,11 @@ def test_e_bar_stays_below_the_skip_bound(kl):
     reach = _e_bar_reach(model, beta)
     e_bar = mean_energy_per_site(beta, model)
     hot = math.hypot(1.0 + abs(model.k_param), model.l_param)
-    assert (e_bar <= reach * (1.0 + 1e-12)).all() and (reach <= hot).all()
+    cold = reach < hot
+    assert (e_bar <= hot).all() and (e_bar[~cold] <= reach[~cold]).all()
+    assert (e_bar[cold] <= reach[cold]).all()
     assert reach[0] == hot and e_bar[0] > 0.45 * hot
-    assert (reach < hot).any() == gapped
+    assert cold.any() == gapped
 
 
 @pytest.mark.parametrize("kl", [(1e-9, 1e-9), (1e-7, -1e-7), (0.0, 1e-9), (-3e-8, 3e-8)])

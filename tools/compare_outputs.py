@@ -174,6 +174,9 @@ FAILURES = (
      "--beta-b", "30"),
     # weak coupling: the window edge rounds to 0 and e_bar / alpha sets the gap
     ("nmin", "ising", "--t-over-b", "1e-3", "--K", "1e-9", "--L", "1e-9"),
+    # a window edge near 2 |L| / pi whose (L sin k)^2 would overflow, though
+    # L^2 does not
+    ("nmin", "ising", "--t-over-b", "1e10", "--K", "0", "--L", "1e154"),
 )
 
 
