@@ -40,7 +40,7 @@ __all__ = [
     "entrypoint",
 ]
 
-# a 100,000-point sweep takes 11-15 s and about 100 MB (gapless Ising, 2-vCPU VM)
+# a 100,000-point sweep takes 8-9 s and 100-120 MB (gapless Ising, csv or json, 2-vCPU VM)
 _MAX_POINTS = 100_000
 
 
@@ -51,6 +51,9 @@ class MaterialRecord:
     a0_angstrom: float
 
     def __post_init__(self) -> None:
+        # a record's fields are scalars (see _json_text)
+        if not isinstance(self.name, str):
+            raise ValueError(f"material name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("material name must be nonempty")
         if not self.theta_kelvin > 0 or not self.a0_angstrom > 0:
@@ -88,17 +91,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# json's C encoder, breaking the line between any two items as indent=2 does
+# between two fields of a record inside a list
+_encode_records = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2) for a record (a nonempty dict of scalars)
+    or a list of records, built by json's C encoder: indent= would run the
+    pure-Python one. Each field comes on its own line, indented as in a list;
+    then each record's braces move onto lines of their own. An encoded string
+    holds no raw newline and a scalar never ends in "}", so "},\\n    {" only
+    ever joins two records."""
+    records = payload if isinstance(payload, list) else [payload]
+    if not records:
+        return "[]"
+    body = _encode_records(records)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    text = "[\n  {\n    " + body + "\n  }\n]"
+    if isinstance(payload, dict):  # the list's one entry, two spaces further out
+        return text[4:-2].replace("\n  ", "\n")
+    return text
+
+
 def _emit(args, payload, comments, header=None, human=None) -> int:
     """Write a computed result to --out (or stdout) in the chosen --format.
 
-    payload is one record (a dict) or a list of them. json dumps it as is;
-    csv writes the comment lines, then the header columns (by default the
-    first record's keys) of every record; human writes the given lines, and
-    falls back to csv for a command that has none. The output file is opened
-    only here, so a command that fails leaves it untouched.
+    payload is one record (a dict) or a list of them, and every value in a
+    record is a scalar. json writes json.dumps(payload, indent=2), byte for
+    byte (through _json_text); csv writes the comment lines, then the header
+    columns (by default the first record's keys) of every record; human
+    writes the given lines, and falls back to csv for a command that has
+    none. The output file is opened only here, so a command that fails
+    leaves it untouched.
     """
     if args.format == "json":
-        lines = [json.dumps(payload, indent=2)]
+        lines = [_json_text(payload)]
     elif args.format == "human" and human is not None:
         lines = human
     else:
@@ -116,9 +143,11 @@ def _emit(args, payload, comments, header=None, human=None) -> int:
     return 0
 
 
-def _criteria(report) -> dict:
-    """The group-size fields every criteria command reports."""
+def _criteria(t_label: str, t: float, report) -> dict:
+    """A new record of the temperature t and the group-size fields every
+    criteria command reports; callers append their own fields."""
     return {
+        t_label: t,
         "n_cond_const": report.n_cond_const,
         "n_linearity": report.n_linearity,
         "n_min": report.n_min,
@@ -199,12 +228,9 @@ def cmd_nmin(args) -> int:
         report = ising.nmin(args.t_over_b, acc, model)
         t_label, t_value = "t_over_b", args.t_over_b
 
-    payload = {
-        t_label: t_value,
-        **_criteria(report),
-        "c1_estimate": report.c1_estimate,
-        "intensive": report.intensive,
-    }
+    payload = _criteria(t_label, t_value, report)
+    payload["c1_estimate"] = report.c1_estimate
+    payload["intensive"] = report.intensive
     human = [
         f"{args.chain} chain at {t_label} = {_fmt(t_value)}",
         f"  n_cond_const = {report.n_cond_const}",
@@ -273,13 +299,9 @@ def cmd_sweep(args) -> int:
             report = harmonic.nmin(t, acc, e_bar)
         else:
             report = ising.nmin(t, acc, model, e_bar)
-        rows.append(
-            {
-                "t_ratio": t,
-                **_criteria(report),
-                "l_min_m": None if a0_m is None else report.n_min * a0_m,
-            }
-        )
+        row = _criteria("t_ratio", t, report)
+        row["l_min_m"] = None if a0_m is None else report.n_min * a0_m
+        rows.append(row)
 
     # json rows always carry l_min_m; the csv column needs a material
     header = ["t_ratio", "n_cond_const", "n_linearity", "n_min", "binding"]
@@ -301,15 +323,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # figure
 
-
-# raw bound of a curve at (t, acc, Ising model or None for the harmonic chain, e_bar)
-_BOUNDS = {
-    "cond_const": lambda t, acc, m, e: (harmonic.cond_const_bound(t, acc, e) if m is None
-                                        else ising.cond_const_bound(t, acc, m, e)),
-    "linearity": lambda t, acc, m, e: (harmonic.linearity_bound(t, acc, e) if m is None
-                                       else ising.linearity_bound(t, acc, m)),
-    "isotropic_weak": lambda t, acc, m, e: ising.isotropic_weak_bound(t, m),
-}
 
 # figure id -> (temperature column, grid ends, curves); each curve is
 # (column, (K, L) of an Ising model or None for the harmonic chain,
@@ -333,17 +346,29 @@ _FIGURES = {
 }
 
 
+def _curve(bound: str, model, grid: list, acc: AccuracyParams, e_bars: list) -> list:
+    """The raw bound of a figure curve at every temperature of grid, one call
+    per temperature; model is None for the harmonic chain."""
+    if model is None:
+        f = harmonic.cond_const_bound if bound == "cond_const" else harmonic.linearity_bound
+        return [f(t, acc, e) for t, e in zip(grid, e_bars)]
+    if bound == "cond_const":
+        return [ising.cond_const_bound(t, acc, model, e) for t, e in zip(grid, e_bars)]
+    if bound == "linearity":
+        return [ising.linearity_bound(t, acc, model) for t in grid]
+    return [ising.isotropic_weak_bound(t, model) for t in grid]
+
+
 def cmd_figure(args) -> int:
     acc = AccuracyParams(alpha=10.0, delta=0.01)
     t_label, ends, curves = _FIGURES[args.id]
     grid = np.geomspace(*ends, 200)
     models = {kl: None if kl is None else IsingModel(*kl) for _, kl, _ in curves}
     e_bars = {kl: _mean_energies(grid, acc, m) for kl, m in models.items()}
-    rows = [
-        {t_label: t, **{name: _BOUNDS[bound](t, acc, models[kl], e_bars[kl][i])
-                        for name, kl, bound in curves}}
-        for i, t in enumerate(grid.tolist())
-    ]
+    ts = grid.tolist()
+    names = [t_label] + [name for name, _, _ in curves]
+    columns = [ts] + [_curve(bound, models[kl], ts, acc, e_bars[kl]) for _, kl, bound in curves]
+    rows = [dict(zip(names, cells)) for cells in zip(*columns)]
     comments = [f"localtemp figure {args.id}", "alpha=10.0 delta=0.01"]
     return _emit(args, rows, comments)
 
@@ -386,8 +411,7 @@ def cmd_materials(args) -> int:
     payload = {
         **asdict(material),
         "temp_kelvin": args.temp_kelvin,
-        "t_over_theta": t,
-        **_criteria(report),
+        **_criteria("t_over_theta", t, report),
         "l_min_m": l_min,
     }
     human = [

@@ -88,6 +88,17 @@ _EXP_CLIP = 700.0
 _TRAPEZOID_ROWS = 16  # temperatures per 2-D trapezoid pass: 16 x 4097 floats, 0.5 MB
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# the trapezoid nodes on [0, pi], their cos and sin and the panel widths, the
+# same for every gapped model: built once per process, read-only
+_K_NODES = _read_only(np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1))
+_COS_K, _SIN_K, _DK = (_read_only(f(_K_NODES)) for f in (np.cos, np.sin, np.diff))
+
+
 class UnsupportedCouplingError(ValueError):
     """No closed-form criterion exists for this coupling combination."""
 
@@ -149,15 +160,22 @@ def dispersion_periodic(k, model: IsingModel):
     """Quasiparticle energy of the periodic chain at wavenumber k (a float
     or an array), computed in one buffer."""
     c = np.cos(k, out=np.empty(np.shape(k)))
+    # hypot(c, 0) is |c| exactly; skipping sin and hypot saves 6-9% of a `sweep`
+    # benchmark round (2-vCPU Xeon VM), whose gapless ladders at L = 0 call this most
+    c = _omega(c, None if model.l_param == 0.0 else np.sin(k), model)
+    return c if c.ndim else c[()]
+
+
+def _omega(c: np.ndarray, sin_k, model: IsingModel) -> np.ndarray:
+    """omega_k from c = cos k, written over c, and sin_k = sin k (read only
+    where L != 0)."""
     np.subtract(1.0, np.multiply(c, model.k_param, out=c), out=c)
     if model.l_param == 0.0:
-        # hypot(c, 0) is |c| exactly; skipping sin and hypot saves 6-9% of a `sweep`
-        # benchmark round (2-vCPU Xeon VM), whose gapless ladders at L = 0 call this most
         np.abs(c, out=c)
     else:
-        np.hypot(c, model.l_param * np.sin(k), out=c)
+        np.hypot(c, model.l_param * sin_k, out=c)
     c *= 2.0
-    return c if c.ndim else c[()]
+    return c
 
 
 def group_k_values(n: int) -> np.ndarray:
@@ -193,13 +211,12 @@ def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
 
 @functools.lru_cache(maxsize=16)
 def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes on [0, pi] and omega_k there, shared by every
-    temperature of one model; both arrays are read-only."""
-    k = np.linspace(0.0, math.pi, _TRAPEZOID_PANELS + 1)
-    w = dispersion_periodic(k, model)
-    k.flags.writeable = False
-    w.flags.writeable = False
-    return k, w
+    """Trapezoid nodes on [0, pi] (shared by every model) and omega_k there
+    (by every temperature of one model); both arrays are read-only. An omega
+    beyond the float range is inf, silently: the criteria name the coupling
+    (a junction width L^2 that overflows first)."""
+    with np.errstate(over="ignore"):
+        return _K_NODES, _read_only(_omega(_COS_K.copy(), _SIN_K, model))
 
 
 def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
@@ -211,9 +228,10 @@ def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
     if length == 0.0:
         return delta[:0], delta[:0], np.zeros(0, dtype=np.intp)
     width = np.minimum(delta, length)
-    # enough doublings for the narrowest ladder (with a spare one); the
-    # cumulative sum adds the widths one after another, as a loop would
-    cells = int(np.ceil(np.log2(length) - np.log2(width.min()))) + 2
+    # enough doublings for the narrowest ladder (with a spare one; two with
+    # no ladder at all); the cumulative sum adds the widths one after
+    # another, as a loop would
+    cells = int(np.ceil(np.log2(length) - np.log2(width.min(initial=length)))) + 2
     with np.errstate(over="ignore"):  # a ladder done early may overflow
         steps = np.ldexp(width[:, None], np.arange(-1, cells))
     steps[:, 0] = 0.0
@@ -306,8 +324,8 @@ def mean_energy_per_site(beta_b, model: IsingModel):
         if (node := _gap_node(model)) is None:
             k, w = _trapezoid_grid(model)
             rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
-            y, s, dk = np.empty((rows, k.size)), np.empty((rows, k.size - 1)), np.diff(k)
-            energy = in_chunks(_trapezoid_energy, beta, w, dk, y, s, size=_TRAPEZOID_ROWS)
+            y, s = np.empty((rows, k.size)), np.empty((rows, k.size - 1))
+            energy = in_chunks(_trapezoid_energy, beta, w, _DK, y, s, size=_TRAPEZOID_ROWS)
         else:
             energy = in_chunks(_ladder_energy, beta, node, model)
     return float(energy[0]) if betas.ndim == 0 else energy
@@ -321,7 +339,8 @@ def ground_energy_per_site(model: IsingModel) -> float:
     atan2 keeps the digits that asin(c) loses at small |L|."""
     if _gap_node(model) is None:
         k, w = _trapezoid_grid(model)
-        return float(-np.trapezoid(w, k) / (2.0 * math.pi))
+        with np.errstate(over="ignore"):  # as in _trapezoid_grid
+            return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
         return -_extreme_coefficient(model.k_param)
     a = abs(model.l_param)
@@ -338,11 +357,14 @@ def _gapped_window_edge(model: IsingModel) -> float:
     ls (ls / ((omega + m) / 4)) with ls = L sin k, which does not cancel.
     -1 - e_0 rounds an edge below e_0's roundoff to 0 (K = L = 1e-9:
     2.5e-19). As omega >= 2 |ls|, the second factor is at most 2 in size, so
-    no term overflows, and an omega that overflowed gives 0."""
+    a term overflows only from |L| ~ 9e307, far past the overflow of the
+    junction width L^2 that the criteria name, and an omega that overflowed
+    gives 0; the edge is then inf, silently."""
     k, w = _trapezoid_grid(model)
-    ls = model.l_param * np.sin(k)
-    lift = ls * (ls / (0.25 * (w + 2.0 * (1.0 - model.k_param * np.cos(k)))))
-    return float(np.trapezoid(lift, k) / (2.0 * math.pi))
+    ls = model.l_param * _SIN_K
+    with np.errstate(over="ignore"):
+        lift = ls * (ls / (0.25 * (w + 2.0 * (1.0 - model.k_param * _COS_K))))
+        return float(np.trapezoid(lift, k) / (2.0 * math.pi))
 
 
 def _window_edge(model: IsingModel) -> float:

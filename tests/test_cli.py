@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from localtemp.cli import main
+from localtemp.cli import _json_text, main
 
 
 def run_cli(*args):
@@ -231,6 +231,51 @@ def test_materials_rejects_malformed_file(tmp_path):
     assert run_cli("materials", "--file", str(bad))[0] == 1
     bad.write_text('[{"name": "x", "theta_kelvin": -4, "a0_angstrom": 1}]')
     assert run_cli("materials", "--file", str(bad))[0] == 1
+
+
+def test_materials_file_rejects_a_name_that_is_not_a_string(tmp_path):
+    db = tmp_path / "db.json"
+    db.write_text('[{"name": ["x", 1], "theta_kelvin": 100, "a0_angstrom": 1}]')
+    code, out, err = run_cli("materials", "--file", str(db), "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "localtemp: error: material name must be a string, got ['x', 1]\n"
+
+
+# the text a json record must keep: quotes, backslashes, a newline, non-ASCII
+# text, and the seam "},\n    {" that _json_text looks for between records
+_AWKWARD = 'a "b" \\c\nd \u00e9\u4e2d\U0001f600 },\n    {"e": 1}'
+
+_JSON_PAYLOADS = {
+    "record": {"t_over_b": 0.5, "n_min": 7, "binding": "Linearity", "intensive": True},
+    "records": [{"t_ratio": 1e-3, "n_min": 2, "l_min_m": None},
+                {"t_ratio": 2.5, "n_min": 10**20, "l_min_m": 4.885e-07}],
+    "empty list": [],
+    "one record in a list": [{"name": _AWKWARD}],
+    "awkward strings": [{_AWKWARD: _AWKWARD, "k": "},\n    {"}, {"k": "\n  }\n]"}],
+    "non-finite and big": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                           "true": True, "false": False, "none": None,
+                           "big": 2**53 + 1, "huge": -(10**30), "tiny": 5e-324},
+}
+
+
+@pytest.mark.parametrize("payload", list(_JSON_PAYLOADS.values()), ids=list(_JSON_PAYLOADS))
+def test_json_text_is_indent_2_byte_for_byte(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_materials_file_with_an_awkward_name_prints_indent_2_json(tmp_path):
+    db = tmp_path / "db.json"
+    records = [{"name": _AWKWARD, "theta_kelvin": 100.0, "a0_angstrom": 1.5},
+               {"name": "iron", "theta_kelvin": 470.0, "a0_angstrom": 2.5}]
+    db.write_text(json.dumps(records), encoding="utf-8")
+    code, out, err = run_cli("materials", "--file", str(db), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(records, indent=2) + "\n"
+    code, out, err = run_cli("materials", "--file", str(db), "--name", _AWKWARD,
+                             "--temp-kelvin", "50", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["name"] == _AWKWARD
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_materials_file_is_read_on_every_query(tmp_path):
@@ -656,11 +701,19 @@ def test_sweep_failure_names_first_failing_point(argv, message):
          "K^2 at K=1e+155"),
         (("oracle", "moments", "--sites", "4", "--groups", "2", "--K", "1e160"),
          "K^2 at K=1e+160"),
+        # omega_k itself overflows on the trapezoid grid: the grid, the
+        # ground energy and the window edge are formed without a warning
+        (("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "1e308"),
+         "L^2 at L=1e+308"),
+        (("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "3", "--K", "0",
+          "--L", "-1.7e308"), "L^2 at L=-1.7e+308"),
+        (("nmin", "ising", "--t-over-b", "1", "--K", "5e307", "--L", "5e307"),
+         "K^2 at K=5e+307"),
     ],
 )
 def test_junction_width_overflow_names_coupling(argv, square):
-    # the window edge stays finite: no numpy warning (an error here) comes
-    # before the named failure
+    # the window edge stays finite, or is inf where omega_k overflows: no
+    # numpy warning (an error here) comes before the named failure
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(*argv)

@@ -373,6 +373,29 @@ def test_trapezoid_grid_is_shared_and_read_only():
             array[0] = 1.0
 
 
+def test_trapezoid_grid_nodes_are_built_once_with_the_same_bits():
+    # every gapped model reads one set of nodes, cos k and sin k; omega there
+    # and the window edge keep the bits of sin and cos taken afresh
+    k_fresh = np.linspace(0.0, math.pi, 4097)
+    first = _trapezoid_grid(_model(0.0, 0.5))[0]
+    for kl in ((0.0, 0.5), (0.3, -0.3), (-0.7, 0.7), (1e-9, 1e-9), (2.5, 2.5), (0.5, 0.0)):
+        model = _model(*kl)
+        k, w = _trapezoid_grid(model)
+        assert k is first and k.tobytes() == k_fresh.tobytes()
+        assert w.tobytes() == dispersion_periodic(k_fresh, model).tobytes()
+        if abs(model.k_param) <= 1.0:
+            ls = model.l_param * np.sin(k_fresh)
+            lift = ls * (ls / (0.25 * (w + 2.0 * (1.0 - model.k_param * np.cos(k_fresh)))))
+            assert _window_edge(model) == float(np.trapezoid(lift, k_fresh) / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("kl", [(0.0, 0.5), (2.0, 0.0), (1.0, 0.0)],
+                         ids=["gapped", "linear-node", "quadratic-node"])
+def test_empty_temperature_array_gives_an_empty_array(kl):
+    got = mean_energy_per_site(np.array([]), _model(*kl))
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 @contextlib.contextmanager
 def _one_second_alarm():
     # a ladder that never reaches its end loops while the cell list grows; a
