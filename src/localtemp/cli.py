@@ -56,8 +56,16 @@ class MaterialRecord:
             raise ValueError(f"material name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("material name must be nonempty")
-        if not self.theta_kelvin > 0 or not self.a0_angstrom > 0:
-            raise ValueError(f"material {self.name!r} needs positive theta and a0")
+        for name in ("theta_kelvin", "a0_angstrom"):
+            value = getattr(self, name)
+            # a bool is an int; json reads 1e400 as inf, and 10^400 as an int
+            # no float holds
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and 0 < value <= sys.float_info.max):
+                raise ValueError(
+                    f"material {self.name!r}: {name} must be a finite positive"
+                    f" number, got {value!r}"
+                )
 
     @property
     def a0_m(self) -> float:

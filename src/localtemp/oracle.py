@@ -42,21 +42,23 @@ factors one at a time, the eigenvectors one block of columns at a time.
 
 Sectors (`rho`): every bond flips two bits, so the fermion parity
 prod sigma^z (the parity of a basis index's bit count) commutes with H for
-every K and L; a matrix with an element between the parity blocks is
-rejected. The couplings are uniform, so the site reflection
+every K and L. The couplings are uniform, so the site reflection
 R: j -> n - 1 - j commutes with H too, and keeps the bit count. Each parity
-block splits into a + and a - sector of R, with basis (|i> +- |R i>)/sqrt2
-for a mirror pair and |i> alone for a palindrome (R i = i, + sector only);
-a block that does not commute with R is rejected.
-The four sector blocks are gathered from H by index arithmetic, diagonalized
-one by one, and their eigenvectors scattered back into site order, merged
-into ascending eigenvalue order. Group Hamiltonians are diagonalized whole,
-so the product basis is the one a full eigh of the group picks. Each eigh,
-of a sector or of a group, is checked where it is computed: unit vectors
-and a small residual against the matrix it was given. Besides H and its
-eigenvectors, no dim x dim array is formed: each sector's matrix and
-vectors are freed once used, and the overlaps <a|phi> run over blocks of
-columns.
+class splits into a + and a - sector of R, with basis (|i> +- |R i>)/sqrt2
+for a mirror pair and |i> alone for a palindrome (R i = i, + sector only).
+Each sector is read straight from H, in one stage: its rows r are the
+indices of one parity with i <= R i (+) or i < R i (-), and its matrix is
+sign H[r, R r] + H[r, r], rescaled. R maps the + rows of a parity onto the
+rest of it, so both checks run on those rows: a matrix with an element
+between the parities, or one that does not commute with R, is rejected.
+The four sector matrices are diagonalized one by one, and their
+eigenvectors scattered back into site order, merged into ascending
+eigenvalue order. Group Hamiltonians are diagonalized whole, so the product
+basis is the one a full eigh of the group picks. Each eigh, of a sector or
+of a group, is checked where it is computed: unit vectors and a small
+residual against the matrix it was given. Besides H and its eigenvectors,
+no dim x dim array is formed: each sector's matrix and vectors are freed
+once used, and the overlaps <a|phi> run over blocks of columns.
 
 The formulas label a group state by occupation bits instead: entry l is the
 fermion mode k = pi (l + 1) / (n + 1), 1 meaning occupied. occupations_by_energy
@@ -174,67 +176,47 @@ def _column_blocks(n_cols: int, dim: int):
     return (slice(start, start + step) for start in range(0, n_cols, step))
 
 
-def _gather_block(hamiltonian: np.ndarray, rows: np.ndarray, other: np.ndarray):
-    """hamiltonian[rows][:, rows], gathered one band of rows at a time, after
-    checking that no element of those rows lies in the columns other."""
-    block = np.empty((rows.size, rows.size))
-    for part in _column_blocks(rows.size, hamiltonian.shape[0]):
-        band = hamiltonian.take(rows[part], axis=0)
-        if np.any(band.take(other, axis=1)):
-            raise ValueError("hamiltonian mixes the fermion-parity sectors")
-        band.take(rows, axis=1, out=block[part])
-    return block
+def _sectors(hamiltonian: np.ndarray):
+    """Split H by fermion parity and the site reflection R: j -> n - 1 - j.
 
-
-def _parity_blocks(hamiltonian: np.ndarray):
-    """Yield (indices, block) for the even and the odd bit-count sector, each
-    gathered only when asked."""
-    idx = np.arange(hamiltonian.shape[0])
-    parity = np.zeros_like(idx)
-    for j in range(idx.size.bit_length() - 1):
-        parity ^= (idx >> j) & 1
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    for r, other in ((even, odd), (odd, even)):
-        if r.size:
-            yield r, _gather_block(hamiltonian, r, other)
-
-
-def _sectors(n_sites: int, blocks):
-    """Split each parity block by the site reflection R: j -> n - 1 - j.
-
-    Yields (block, rows, mirrors, sign, coef) per nonempty sector, building
-    each only when asked. Its basis vector k is coef_k (|rows_k> + sign
-    |mirrors_k>), with mirrors_k = R(rows_k): coef 1/sqrt2 for a mirror pair,
-    and 1/2 for a palindrome (rows_k = mirrors_k, sign +1, which gives
-    |rows_k> itself). block is H in that basis, gathered from the parity
-    block. Rejects a block that does not commute with R.
+    Yields (block, rows, mirrors, sign, coef) per nonempty sector, even +,
+    even -, odd +, odd -, building each only when asked. Its basis vector k
+    is coef_k (|rows_k> + sign |mirrors_k>), with mirrors_k = R(rows_k): coef
+    1/sqrt2 for a mirror pair, and 1/2 for a palindrome (rows_k = mirrors_k,
+    sign +1, which gives |rows_k> itself). block is H in that basis, read
+    straight from H. Rejects an H that mixes the parities or does not commute
+    with R, checked on the + rows of each parity.
     """
-    idx = np.arange(2**n_sites)
-    mirror = np.zeros_like(idx)
+    idx = np.arange(hamiltonian.shape[0])
+    n_sites = idx.size.bit_length() - 1
+    parity, mirror = np.zeros_like(idx), np.zeros_like(idx)
     for j in range(n_sites):
-        mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
-    for rows, block in blocks:
-        local = np.searchsorted(rows, mirror[rows])  # R keeps the bit count
-        asym = block.take(local, axis=0).take(local, axis=1)
-        asym -= block
-        if _max_abs(asym) > 1e-12 * max(1.0, _max_abs(block)):
+        bit = (idx >> j) & 1
+        parity ^= bit
+        mirror |= bit << (n_sites - 1 - j)
+    for p in (0, 1):
+        upper = np.flatnonzero((parity == p) & (idx <= mirror))
+        band = hamiltonian.take(upper, axis=0)
+        if np.any(band.take(np.flatnonzero(parity != p), axis=1)):
+            raise ValueError("hamiltonian mixes the fermion-parity sectors")
+        asym = hamiltonian.take(mirror[upper], axis=0).take(mirror, axis=1)
+        asym -= band
+        if _max_abs(asym) > 1e-12 * max(1.0, _max_abs(band)):
             raise ValueError("hamiltonian breaks the site-reflection symmetry")
         del asym
-        k = np.arange(rows.size)
-        for sign, r in ((1.0, k[k <= local]), (-1.0, k[k < local])):
+        for sign, keep in ((1.0, slice(None)), (-1.0, upper < mirror[upper])):
+            r = upper[keep]
             if not r.size:
                 continue
-            lone = (r == local[r]).astype(float)  # palindromes
+            lone = (r == mirror[r]).astype(float)  # palindromes
             coef = np.where(lone, 0.5, math.sqrt(0.5))
             # [H, R] = 0 gives <k|H|l> = 2 coef_k coef_l (H[r_k, r_l] + sign
             # H[r_k, R r_l]); 2 coef_k coef_l is 1, 1/sqrt2 or exactly 1/2
-            sub = block.take(r, axis=0)
-            sector = sub.take(local[r], axis=1)
+            sector = band.take(mirror[r], axis=1)[keep]
             sector *= sign
-            sector += sub.take(r, axis=1)
-            del sub
+            sector += band.take(r, axis=1)[keep]
             sector *= np.exp2(-0.5 * np.add.outer(lone, lone))
-            yield sector, rows[r], rows[local[r]], sign, coef
+            yield sector, r, mirror[r], sign, coef
 
 
 def _checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +263,8 @@ class DenseThermalSystem:
         if hamiltonian.shape != (dim, dim) or 2**n_sites != dim:
             raise ValueError("hamiltonian must be square, of power-of-two dimension")
         _check_sites(n_sites)
-        # each parity block and sector matrix is built when needed and freed
-        # once used
-        sectors = _sectors(n_sites, _parity_blocks(hamiltonian))
+        # each sector matrix is built when needed and freed once used
+        sectors = _sectors(hamiltonian)
         solved = [(_checked_eigh(sector), basis) for sector, *basis in sectors]
         vals = np.concatenate([w for (w, _), _ in solved])
         order = np.argsort(vals, kind="stable")

@@ -241,6 +241,24 @@ def test_materials_file_rejects_a_name_that_is_not_a_string(tmp_path):
     assert err == "localtemp: error: material name must be a string, got ['x', 1]\n"
 
 
+@pytest.mark.parametrize("field", ["theta_kelvin", "a0_angstrom"])
+@pytest.mark.parametrize(
+    "text, shown",
+    [("true", "True"), ("1e400", "inf"), ("1" + "0" * 400, "1" + "0" * 400), ('"300"', "'300'")],
+)
+def test_materials_file_rejects_a_value_that_is_not_a_finite_positive_number(
+    tmp_path, field, text, shown
+):
+    # json reads 1e400 as inf, and 10^400 as an int no float holds; a bool or
+    # an inf used to pass "> 0" and print
+    values = {"theta_kelvin": "100", "a0_angstrom": "1", field: text}
+    db = tmp_path / "db.json"
+    db.write_text('[{"name": "x", ' + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}]")
+    message = f"localtemp: error: material 'x': {field} must be a finite positive number, got {shown}\n"
+    for query in ((), ("--name", "x", "--temp-kelvin", "3")):
+        assert run_cli("materials", "--file", str(db), *query) == (1, "", message)
+
+
 # the text a json record must keep: quotes, backslashes, a newline, non-ASCII
 # text, and the seam "},\n    {" that _json_text looks for between records
 _AWKWARD = 'a "b" \\c\nd \u00e9\u4e2d\U0001f600 },\n    {"e": 1}'

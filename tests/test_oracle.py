@@ -526,7 +526,7 @@ def test_parity_blocked_solve_matches_full_spectrum(boundary, k_param, l_param):
     # K = L = 0 and K = +-L put equal eigenvalues in different sectors; the
     # thermal projector is unique even where the eigenvectors are not
     model = _model(k_param, l_param)
-    for n in range(1, 10):
+    for n in range(1, 11):
         if boundary is Boundary.OPEN:
             h = build_hamiltonian(n, model)
         else:
@@ -596,8 +596,15 @@ def test_moments_diagonalize_only_a_group(monkeypatch, k_param, l_param):
 def test_solve_rejects_cross_parity_entries():
     h = build_hamiltonian(3, _model(0.3, 0.2))
     h[0, 1] = h[1, 0] = 0.25  # index 0 is even, index 1 odd
-    with pytest.raises(ValueError, match="parity"):
-        DenseThermalSystem.solve(h)
+    # sigma^x on one site flips one bit, so a field mixes the parities; on
+    # every site alike it keeps j -> n - 1 - j, so only the parity check sees it
+    field = build_hamiltonian(4, _model(0.3, 0.2))
+    idx = np.arange(16)
+    for j in range(4):
+        field[idx ^ (1 << j), idx] += 0.25
+    for bad in (h, field):
+        with pytest.raises(ValueError, match="^hamiltonian mixes the fermion-parity sectors$"):
+            DenseThermalSystem.solve(bad)
 
 
 def test_thermal_state_rejects_non_finite_or_negative_beta():

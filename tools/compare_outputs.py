@@ -10,10 +10,10 @@ single gapped `nmin ising` queries on both sides of the temperature where
 e_bar starts to count, each in csv, json and human format; then failure and
 range-edge commands (inputs that end in a named failure of the CLI, and
 inputs at the edge of the supported range, such as huge fields or
-couplings); then small oracle commands in json format, among them rings
-where the two fermion-parity sectors compete for the ground state. Every
-command runs in a fresh interpreter for each tree, and any difference in
-exit code, stdout or stderr is printed with a diff.
+couplings); then oracle commands of up to 12 sites in json format, among
+them rings where the two fermion-parity sectors compete for the ground
+state. Every command runs in a fresh interpreter for each tree, and any
+difference in exit code, stdout or stderr is printed with a diff.
 
 Exit status: 1 when the change does not declare a difference in the stdout
 of a catalog, grid, figure or single-query command, or a number of an
@@ -227,6 +227,10 @@ ORACLE = tuple(
     + ("--format", "json")
     for sites in ("7", "8")
     for model in (("--K", "1.6"), ("--K", "-1.6"), ("--K", "1.2", "--L", "1.2"))
+) + (
+    # the sector split at the largest chain, 12 sites, at L != 0
+    ("oracle", "rho", "--sites", "12", "--groups", "4", "--K", "0.3", "--L", "0.2",
+     "--beta-b", "1.3", "--format", "json"),
 )
 
 # an oracle number may move by roundoff, and by no more, without a declaration
