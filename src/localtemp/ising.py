@@ -40,10 +40,9 @@ above |L| = 1, atan2(c, |L|)/c below.
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
 up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
-and its dispersion (read-only arrays), the ground energy and a gapped window
-edge at |K| <= 1 are computed once per model; the group minimum
--_extreme_coefficient(K) per site and the width range (K^2, L^2) are closed
-forms, read where they are used.
+and its dispersion (read-only arrays), the ground energy, a gapped window
+edge at |K| <= 1, the group minimum -extreme_coefficient per site and the
+width range squared_couplings = (K^2, L^2) are computed once per model.
 
 e_bar_can_bind is the one gate on e_bar, one answer per temperature: nmin
 reads e_bar only in the constant condition, and only where a bound on it
@@ -123,8 +122,9 @@ def _classify(k_param: float, l_param: float) -> CouplingCase:
 @dataclass(frozen=True)
 class IsingModel:
     """Couplings K, L of one chain, in units of the field B; Jx = K + L,
-    Jy = K - L and the coupling case are derived. from_couplings builds one
-    from Jx, Jy in a field B."""
+    Jy = K - L, the coupling case, the junction width range (K^2, L^2) and
+    the group-energy bound per site are derived, the last three once per
+    model. from_couplings builds one from Jx, Jy in a field B."""
 
     k_param: float
     l_param: float
@@ -141,7 +141,17 @@ class IsingModel:
             raise ValueError("b_field must be positive")
         if b_field == math.inf:
             raise ValueError(f"b_field must be finite, got {b_field!r}")
-        return cls((jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field))
+        k_param, l_param = (jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field)
+        # a non-finite input is invalid input, which __post_init__ names
+        if math.isfinite(jx) and math.isfinite(jy):
+            derived = (("K = (jx + jy)/2B", k_param), ("L = (jx - jy)/2B", l_param),
+                       ("jx/B = K + L", k_param + l_param),
+                       ("jy/B = K - L", k_param - l_param))
+            for name, value in derived:
+                if not math.isfinite(value):
+                    raise OverflowError(f"{name} overflows at jx={jx!r}, jy={jy!r},"
+                                        f" B={b_field!r}")
+        return cls(k_param, l_param)
 
     @property
     def jx(self) -> float:
@@ -154,6 +164,24 @@ class IsingModel:
     @functools.cached_property
     def coupling_case(self) -> CouplingCase:
         return _classify(self.k_param, self.l_param)
+
+    @functools.cached_property
+    def squared_couplings(self) -> tuple[float, float]:
+        """(K^2, L^2), the ends of the junction width's range; an overflowing
+        square raises OverflowError."""
+        for name, value in (("K", self.k_param), ("L", self.l_param)):
+            if value * value == math.inf:
+                raise OverflowError(f"junction width overflows: {name}^2 at {name}={value!r}")
+        return self.k_param**2, self.l_param**2
+
+    @functools.cached_property
+    def extreme_coefficient(self) -> float:
+        """Per-site bound on |group energy|: 1 for |K| <= 1, else
+        (2/pi)(sqrt(K^2 - 1) + arcsin(1/|K|))."""
+        a = abs(self.k_param)
+        if a <= 1.0:
+            return 1.0
+        return 2.0 / math.pi * (math.sqrt(a * a - 1.0) + math.asin(1.0 / a))
 
 
 def dispersion_periodic(k, model: IsingModel):
@@ -335,14 +363,14 @@ def mean_energy_per_site(beta_b, model: IsingModel):
 def ground_energy_per_site(model: IsingModel) -> float:
     """Ground energy per site, -(1/2pi) int_0^pi omega_k dk (doubled by parity):
     a trapezoid sum if gapped. At L = 0 the integral of |1 - K cos k| is pi times
-    _extreme_coefficient(K); at K = +-1, u = cos(k/2) makes it elementary, and
+    model.extreme_coefficient; at K = +-1, u = cos(k/2) makes it elementary, and
     atan2 keeps the digits that asin(c) loses at small |L|."""
     if _gap_node(model) is None:
         k, w = _trapezoid_grid(model)
         with np.errstate(over="ignore"):  # as in _trapezoid_grid
             return float(-np.trapezoid(w, k) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
-        return -_extreme_coefficient(model.k_param)
+        return -model.extreme_coefficient
     a = abs(model.l_param)
     c = math.sqrt(abs(a - 1.0)) * math.sqrt(a + 1.0)  # no overflow of a^2
     g = 1.0 if c == 0.0 else (math.asinh(c) if a > 1.0 else math.atan2(c, a)) / c
@@ -371,7 +399,7 @@ def _window_edge(model: IsingModel) -> float:
     """The window edge e_min - e_0 at the group minimum."""
     if abs(model.k_param) <= 1.0 and _gap_node(model) is None:
         return _gapped_window_edge(model)
-    return -_extreme_coefficient(model.k_param) - ground_energy_per_site(model)
+    return -model.extreme_coefficient - ground_energy_per_site(model)
 
 
 def _e_bar_reach(model: IsingModel, beta: np.ndarray) -> np.ndarray:
@@ -455,30 +483,12 @@ def _s_sum(bits):
     return 2.0 / (k.size + 1) * np.sum(weight, axis=-1)
 
 
-def _squared_couplings(model: IsingModel) -> tuple[float, float]:
-    """(K^2, L^2) of the junction width; an overflowing square raises
-    OverflowError."""
-    for name, value in (("K", model.k_param), ("L", model.l_param)):
-        if value * value == math.inf:
-            raise OverflowError(f"junction width overflows: {name}^2 at {name}={value!r}")
-    return model.k_param**2, model.l_param**2
-
-
 def delta_sq(bits_mu, bits_next, model: IsingModel):
     """Junction interaction width between neighbouring groups."""
     if np.shape(bits_mu)[-1] != np.shape(bits_next)[-1]:
         raise ValueError("groups must have equal size")
-    k_sq, l_sq = _squared_couplings(model)
+    k_sq, l_sq = model.squared_couplings
     return 0.5 * (k_sq + l_sq) - 2.0 * (k_sq - l_sq) * _s_sum(bits_mu) * _s_sum(bits_next)
-
-
-def _extreme_coefficient(k_param: float) -> float:
-    """Per-site bound on |group energy|: 1 for |K| <= 1, else
-    (2/pi)(sqrt(K^2 - 1) + arcsin(1/|K|))."""
-    a = abs(k_param)
-    if a <= 1.0:
-        return 1.0
-    return 2.0 / math.pi * (math.sqrt(a * a - 1.0) + math.asin(1.0 / a))
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +524,17 @@ def cond_const_bound(
     gap = max(edge, e_bar / acc.alpha)
     if gap == 0.0:
         raise OverflowError(_UNDERFLOW.format("cond_const_bound", t_over_b))
-    return beta * max(_squared_couplings(model)) / gap
+    return beta * max(model.squared_couplings) / gap
 
 
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:
     """Raw linearity bound (beta / 2 delta) ([D^2]_max - [D^2]_min) / e-span."""
     if not t_over_b > 0:
         raise ValueError("t_over_b must be positive")
-    k_sq, l_sq = _squared_couplings(model)
+    k_sq, l_sq = model.squared_couplings
     if k_sq == l_sq:  # constant width; beta / 2 delta may overflow, and inf * 0 is nan
         return 0.0
-    span = 2.0 * _extreme_coefficient(model.k_param)
+    span = 2.0 * model.extreme_coefficient
     return 1.0 / t_over_b / (2.0 * acc.delta) * abs(k_sq - l_sq) / span
 
 

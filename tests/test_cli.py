@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -494,6 +495,8 @@ def test_cli_import_leaves_scipy_out():
         (("nmin", "ising", "--t-over-b", "1", "--B", "-1", "--jx", "1"), "must be positive"),
         (("nmin", "ising", "--t-over-b", "1", "--B", "inf", "--jx", "1"), "must be finite"),
         (("nmin", "ising", "--t-over-b", "1", "--B", "nan", "--jx", "1"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--jx", "inf", "--jy", "1"),
+         "jx must be finite, got inf"),
     ],
 )
 def test_ising_rejects_invalid_field_and_couplings(argv, message):
@@ -737,6 +740,70 @@ def test_junction_width_overflow_names_coupling(argv, square):
         code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert f"numerical failure: junction width overflows: {square}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("nmin", "ising", "--t-over-b", "1", "--jx", "1e308", "--jy", "1e308"),
+         "K = (jx + jy)/2B overflows at jx=1e+308, jy=1e+308, B=1.0"),
+        (("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2",
+          "--jx", "1e308", "--jy", "1e308"),
+         "K = (jx + jy)/2B overflows at jx=1e+308, jy=1e+308, B=1.0"),
+        (("oracle", "spectrum", "--sites", "3", "--boundary", "periodic", "--jx", "1",
+          "--jy", "1", "--B", "1e-320"),
+         "K = (jx + jy)/2B overflows at jx=1.0, jy=1.0, B=1e-320"),
+        # K and L are finite, their sum is not
+        (("nmin", "ising", "--t-over-b", "1", "--jx", "1.5e308", "--jy", "0", "--B", "0.5"),
+         "jx/B = K + L overflows at jx=1.5e+308, jy=0.0, B=0.5"),
+    ],
+)
+def test_finite_couplings_whose_ratio_to_b_overflows_exit_two(argv, message):
+    # the derived coupling overflows, not a value the user typed (a typed inf
+    # stays invalid input: test_ising_rejects_invalid_field_and_couplings)
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (2, "", f"localtemp: numerical failure: {message}\n")
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+_FAULTS = """
+import os, resource, sys
+from localtemp.cli import main
+out, sys.stdout = sys.stdout, open(os.devnull, "w")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = main(sys.argv[1:])
+out.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before}")
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()),
+                    reason="glibc's allocator on Linux")
+@pytest.mark.parametrize("malloc_env", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}])
+def test_main_keeps_freed_arrays_in_the_process(malloc_env):
+    # glibc's default thresholds hand most of a sweep's freed arrays back to
+    # the kernel, and each new array faults its pages in again: 47,800 minor
+    # faults for this sweep on a 2-vCPU Xeon VM, 3,100 with main()'s pinned
+    # thresholds. A MALLOC_*_ variable overrides the policy: with mmap from
+    # 128 KiB every array faults in, 173,000 faults.
+    env = {k: v for k, v in os.environ.items()
+           if k != "GLIBC_TUNABLES" and not k.startswith("MALLOC_")}
+    env.update(malloc_env)
+    argv = ["sweep", "ising", "--tmin", "1e-3", "--tmax", "1e3", "--points", "5000",
+            "--log", "--K", "2"]
+    proc = subprocess.run([sys.executable, "-c", _FAULTS, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, faults = map(int, proc.stdout.split())
+    assert (code, proc.stderr) == (0, "")
+    if malloc_env:
+        assert faults > 60_000
+    else:
+        assert faults < 12_000
 
 
 def test_window_edge_of_a_large_coupling_stays_finite():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import signal
 
 import numpy as np
@@ -16,9 +17,7 @@ from localtemp.ising import (
     IsingModel,
     UnsupportedCouplingError,
     _e_bar_reach,
-    _extreme_coefficient,
     _gap_node,
-    _squared_couplings,
     _trapezoid_grid,
     _window_edge,
     cond_const_bound,
@@ -81,6 +80,33 @@ def test_non_finite_derived_coupling_is_named():
         IsingModel(1e308, 1e308)
     with pytest.raises(ValueError, match="^jy must be finite, got inf"):
         IsingModel(1e308, -1e308)
+
+
+@pytest.mark.parametrize(
+    "b, jx, jy, name",
+    [(1.0, 1e308, 1e308, "K"), (1.0, 1e308, -1e308, "L"), (1e-320, 1.0, 1.0, "K"),
+     (0.5, 1.5e308, 0.0, "jx/B"), (0.5, 0.0, 1.5e308, "jy/B")],
+)
+def test_from_couplings_names_the_derived_coupling_that_overflows(b, jx, jy, name):
+    # finite inputs whose K, L, Jx/B or Jy/B overflows: an overflow, not an
+    # invalid input
+    inputs = re.escape(f" overflows at jx={jx!r}, jy={jy!r}, B={b!r}")
+    message = f"^{re.escape(name)} = .*{inputs}$"
+    with pytest.raises(OverflowError, match=message):
+        IsingModel.from_couplings(b, jx, jy)
+    with pytest.raises(ValueError, match="^jx must be finite, got inf"):
+        IsingModel.from_couplings(b, math.inf, jy)
+
+
+def test_derived_constants_are_computed_once_per_model():
+    m = _model(2.0, 0.5)
+    assert m.squared_couplings == (4.0, 0.25) and m.squared_couplings is m.squared_couplings
+    assert m.extreme_coefficient == 2.0 / math.pi * (math.sqrt(3.0) + math.asin(0.5))
+    assert _model(-0.5, 0.0).extreme_coefficient == 1.0
+    huge = _model(0.0, 1e200)
+    for _ in range(2):  # an overflowing square raises at every read
+        with pytest.raises(OverflowError, match=r"^junction width overflows: L\^2"):
+            huge.squared_couplings
 
 
 def test_dispersion_periodic_band_edges():
@@ -215,7 +241,7 @@ def test_group_energy_within_extremes():
     m = _model(0.8, 0.0)
     for n in range(1, 13):
         e = group_energy(occupation_patterns(n), m)
-        assert np.all(np.abs(e) <= n * _extreme_coefficient(m.k_param) + 1e-12)
+        assert np.all(np.abs(e) <= n * m.extreme_coefficient + 1e-12)
 
 
 def test_group_energy_complement_antisymmetry():
@@ -229,7 +255,7 @@ def test_group_energy_complement_antisymmetry():
 
 def test_delta_sq_within_extremes():
     m = _model(0.6, 0.9)
-    lo, hi = sorted(_squared_couplings(m))
+    lo, hi = sorted(m.squared_couplings)
     for n in range(1, 9):
         bits = occupation_patterns(n)
         val = delta_sq(bits[:, None], bits[None, :], m)
@@ -252,7 +278,7 @@ def test_delta_sq_saturates_extremes():
     n = 201  # S -> +-1/2 at large n
     up = np.ones(n, dtype=int)
     down = np.zeros(n, dtype=int)
-    lo, hi = sorted(_squared_couplings(m))
+    lo, hi = sorted(m.squared_couplings)
     assert abs(delta_sq(up, down, m) - hi) / hi < 0.02
     assert delta_sq(up, up, m) < lo + 0.02 * hi
 
@@ -545,7 +571,7 @@ def test_e_bar_skip_depends_on_model_and_alpha():
     # the rule is tight: at K = 0, L = 0.5 and alpha = 17 the hot e_bar / alpha
     # passes the edge, though B hypot(1, L) / alpha is only 6% above it
     acc = AccuracyParams(alpha=17.0, delta=0.01)
-    edge = -_extreme_coefficient(0.0) - ground_energy_per_site(weak)
+    edge = -weak.extreme_coefficient - ground_energy_per_site(weak)
     assert mean_energy_per_site(1e-4, weak) / 17.0 > edge and e_bar_can_bind(weak, acc)
 
 

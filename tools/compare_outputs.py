@@ -183,6 +183,13 @@ FAILURES = (
     # trapezoid grid; the junction width names the coupling
     ("nmin", "ising", "--t-over-b", "1", "--K", "0", "--L", "1e308"),
     ("nmin", "ising", "--t-over-b", "1", "--K", "5e307", "--L", "5e307"),
+    # finite --jx/--jy/--B whose K or L overflows: an overflow (exit 2) that
+    # names the derived coupling and the three inputs
+    ("nmin", "ising", "--t-over-b", "1", "--jx", "1e308", "--jy", "1e308"),
+    ("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--jx", "1e308",
+     "--jy", "1e308"),
+    ("oracle", "spectrum", "--sites", "3", "--boundary", "periodic", "--jx", "1", "--jy",
+     "1", "--B", "1e-320"),
 )
 
 
