@@ -43,7 +43,7 @@ __all__ = [
     "entrypoint",
 ]
 
-# a 100,000-point sweep takes 5-6 s and 100-120 MB (gapless Ising, csv or json, 2-vCPU VM)
+# a 100,000-point sweep takes 5-6 s and 80-100 MB (gapless Ising, json or csv, 2-vCPU VM)
 _MAX_POINTS = 100_000
 
 
@@ -54,7 +54,7 @@ class MaterialRecord:
     a0_angstrom: float
 
     def __post_init__(self) -> None:
-        # a record's fields are scalars (see _json_text)
+        # a record's fields are scalars (see _json_pieces)
         if not isinstance(self.name, str):
             raise ValueError(f"material name must be a string, got {self.name!r}")
         if not self.name:
@@ -105,23 +105,26 @@ def _fmt(value) -> str:
 # json's C encoder, breaking the line between any two items as indent=2 does
 # between two fields of a record inside a list
 _encode_records = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_JSON_BATCH = 256  # records per encoder call: the largest piece of json text held
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2) for a record (a nonempty dict of scalars)
-    or a list of records, built by json's C encoder: indent= would run the
-    pure-Python one. Each field comes on its own line, indented as in a list;
-    then each record's braces move onto lines of their own. An encoded string
-    holds no raw newline and a scalar never ends in "}", so "},\\n    {" only
-    ever joins two records."""
-    records = payload if isinstance(payload, list) else [payload]
-    if not records:
-        return "[]"
-    body = _encode_records(records)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-    text = "[\n  {\n    " + body + "\n  }\n]"
+def _json_pieces(payload):
+    """json.dumps(payload, indent=2) plus a newline for a record (a nonempty
+    dict of scalars) or a list of records, in pieces of _JSON_BATCH records
+    from json's C encoder: indent= would run the pure-Python one. Each field
+    comes on its own line, indented as in a list; then each record's braces
+    move onto lines of their own. An encoded string holds no raw newline and
+    a scalar never ends in "}", so "},\\n    {" only ever joins two records."""
     if isinstance(payload, dict):  # the list's one entry, two spaces further out
-        return text[4:-2].replace("\n  ", "\n")
-    return text
+        yield "".join(_json_pieces([payload]))[4:-3].replace("\n  ", "\n") + "\n"
+    elif not payload:
+        yield "[]\n"
+    else:
+        seam = "\n  },\n  {\n    "
+        for i in range(0, len(payload), _JSON_BATCH):
+            yield seam if i else "[\n  {\n    "
+            yield _encode_records(payload[i:i + _JSON_BATCH])[2:-2].replace("},\n    {", seam)
+        yield "\n  }\n]\n"
 
 
 def _emit(args, payload, comments, header=None, human=None) -> int:
@@ -129,28 +132,28 @@ def _emit(args, payload, comments, header=None, human=None) -> int:
 
     payload is one record (a dict) or a list of them, and every value in a
     record is a scalar. json writes json.dumps(payload, indent=2), byte for
-    byte (through _json_text); csv writes the comment lines, then the header
-    columns (by default the first record's keys) of every record; human
-    writes the given lines, and falls back to csv for a command that has
-    none. The output file is opened only here, so a command that fails
+    byte, in pieces (_json_pieces); csv writes the comment lines, then the
+    header columns (by default the first record's keys) of every record;
+    human writes the given lines, and falls back to csv for a command that
+    has none. The output file is opened only here, so a command that fails
     leaves it untouched.
     """
     if args.format == "json":
-        lines = [_json_text(payload)]
+        pieces = _json_pieces(payload)
     elif args.format == "human" and human is not None:
-        lines = human
+        pieces = ["".join(line + "\n" for line in human)]
     else:
         records = payload if isinstance(payload, list) else [payload]
         if header is None:
             header = list(records[0])
         lines = [f"# {line}" for line in comments] + [",".join(header)]
         lines += [",".join(_fmt(r[key]) for key in header) for r in records]
-    text = "".join(line + "\n" for line in lines)
+        pieces = ["".join(line + "\n" for line in lines)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -39,10 +39,10 @@ above |L| = 1, atan2(c, |L|)/c below.
 
 Temperature sweeps pass a whole grid to mean_energy_per_site, which takes
 it in chunks (specfun.in_chunks): one quadrature pass for the cell ladders of
-up to 64 points, or one 2-D trapezoid array for up to 16. The gapped k-grid
-and its dispersion (read-only arrays), the ground energy, a gapped window
-edge at |K| <= 1, the group minimum -extreme_coefficient per site and the
-width range squared_couplings = (K^2, L^2) are computed once per model.
+up to 64 points, or one 2-D trapezoid array for up to 16. An IsingModel
+derives its constants once: gap_node, reads_e_bar, omega on the shared k-grid
+(trapezoid_omega, read-only), a gapped window edge at |K| <= 1, the group
+minimum -extreme_coefficient and the width range squared_couplings = (K^2, L^2).
 
 e_bar_can_bind is the one gate on e_bar, one answer per temperature: nmin
 reads e_bar only in the constant condition, and only where a bound on it
@@ -121,10 +121,9 @@ def _classify(k_param: float, l_param: float) -> CouplingCase:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Couplings K, L of one chain, in units of the field B; Jx = K + L,
-    Jy = K - L, the coupling case, the junction width range (K^2, L^2) and
-    the group-energy bound per site are derived, the last three once per
-    model. from_couplings builds one from Jx, Jy in a field B."""
+    """Couplings K, L of one chain, in units of the field B; Jx = K + L and
+    Jy = K - L are derived, the cached properties once per model.
+    from_couplings builds one from Jx, Jy in a field B."""
 
     k_param: float
     l_param: float
@@ -183,6 +182,59 @@ class IsingModel:
             return 1.0
         return 2.0 / math.pi * (math.sqrt(a * a - 1.0) + math.asin(1.0 / a))
 
+    @functools.cached_property
+    def gap_node(self) -> tuple[float, str, float] | None:
+        """Gapless point of omega_k on [0, pi], if any: (k0, kind, scale) with
+        kind "linear" (scale = |d omega/dk|) or "quadratic" (scale =
+        d^2 omega/dk^2); None when the spectrum is gapped."""
+        K, L = self.k_param, self.l_param
+        if abs(L) <= _CASE_TOL:
+            if abs(abs(K) - 1.0) <= _CASE_TOL:
+                return (0.0 if K > 0 else math.pi, "quadratic", 2.0)
+            if abs(K) > 1.0:
+                return (math.acos(1.0 / K), "linear", 2.0 * math.sqrt(K * K - 1.0))
+            return None
+        if abs(K - 1.0) <= _CASE_TOL:
+            return (0.0, "linear", 2.0 * abs(L))
+        if abs(K + 1.0) <= _CASE_TOL:
+            return (math.pi, "linear", 2.0 * abs(L))
+        return None
+
+    @functools.cached_property
+    def reads_e_bar(self) -> bool:
+        """Whether nmin reads the thermal energy e_bar: the constant condition
+        does; the all-states bound of isotropic coupling below |K| = 1 and the
+        unsupported general case do not."""
+        case = self.coupling_case
+        if case is CouplingCase.GENERAL:
+            return False
+        return not (case is CouplingCase.ISOTROPIC and abs(self.k_param) < 1.0)
+
+    @functools.cached_property
+    def trapezoid_omega(self) -> np.ndarray:
+        """omega_k on the trapezoid nodes _K_NODES, read-only. An omega beyond
+        the float range is inf, silently: the criteria name the coupling (a
+        junction width L^2 that overflows first)."""
+        with np.errstate(over="ignore"):
+            return _read_only(_omega(_COS_K.copy(), _SIN_K, self))
+
+    @functools.cached_property
+    def gapped_window_edge(self) -> float:
+        """e_min - e_0 of a gapped chain at |K| <= 1, where e_min = -1 is
+        -(1/pi) int_0^pi (1 - K cos k) dk: (1/2pi) int_0^pi (omega - m) dk with
+        m = 2 (1 - K cos k) >= 0, summed on the trapezoid grid as
+        ls (ls / ((omega + m) / 4)) with ls = L sin k, which does not cancel.
+        -1 - e_0 rounds an edge below e_0's roundoff to 0 (K = L = 1e-9:
+        2.5e-19). As omega >= 2 |ls|, the second factor is at most 2 in size,
+        so a term overflows only from |L| ~ 9e307, far past the overflow of the
+        junction width L^2 that the criteria name, and an omega that overflowed
+        gives 0; the edge is then inf, silently."""
+        ls = self.l_param * _SIN_K
+        with np.errstate(over="ignore"):
+            m = 2.0 * (1.0 - self.k_param * _COS_K)
+            lift = ls * (ls / (0.25 * (self.trapezoid_omega + m)))
+            return float(np.trapezoid(lift, _K_NODES) / (2.0 * math.pi))
+
 
 def dispersion_periodic(k, model: IsingModel):
     """Quasiparticle energy of the periodic chain at wavenumber k (a float
@@ -215,36 +267,6 @@ def group_k_values(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # thermal k-integrals
-
-
-def _gap_node(model: IsingModel) -> tuple[float, str, float] | None:
-    """Gapless point of omega_k on [0, pi], if any.
-
-    Returns (k0, kind, scale) with kind "linear" (scale = |d omega/dk|) or
-    "quadratic" (scale = d^2 omega/dk^2); None when the spectrum is gapped.
-    """
-    K, L = model.k_param, model.l_param
-    if abs(L) <= _CASE_TOL:
-        if abs(abs(K) - 1.0) <= _CASE_TOL:
-            return (0.0 if K > 0 else math.pi, "quadratic", 2.0)
-        if abs(K) > 1.0:
-            return (math.acos(1.0 / K), "linear", 2.0 * math.sqrt(K * K - 1.0))
-        return None
-    if abs(K - 1.0) <= _CASE_TOL:
-        return (0.0, "linear", 2.0 * abs(L))
-    if abs(K + 1.0) <= _CASE_TOL:
-        return (math.pi, "linear", 2.0 * abs(L))
-    return None
-
-
-@functools.lru_cache(maxsize=16)
-def _trapezoid_grid(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes on [0, pi] (shared by every model) and omega_k there
-    (by every temperature of one model); both arrays are read-only. An omega
-    beyond the float range is inf, silently: the criteria name the coupling
-    (a junction width L^2 that overflows first)."""
-    with np.errstate(over="ignore"):
-        return _K_NODES, _read_only(_omega(_COS_K.copy(), _SIN_K, model))
 
 
 def _ladder_cells(k0: float, k_end: float, delta: np.ndarray):
@@ -317,9 +339,12 @@ def _trapezoid_energy(beta, w, dk, y, s) -> np.ndarray:
     return np.add.reduce(np.divide(s, 2.0, out=s), axis=-1) / math.pi
 
 
-def _ladder_energy(beta: np.ndarray, node, model: IsingModel) -> np.ndarray:
-    """Gapless mean_energy_per_site at the inverse temperatures beta."""
-    k0, kind, scale = node
+def _ladder_energy(beta: np.ndarray, model: IsingModel) -> np.ndarray:
+    """Gapless mean_energy_per_site at the inverse temperatures beta; an
+    infinite beta (1/t overflowed) is the T -> 0 limit, 0."""
+    if (cold := beta == math.inf).any():
+        return np.piecewise(beta, [~cold], [lambda warm: _ladder_energy(warm, model), 0.0])
+    k0, kind, scale = model.gap_node
     thermal = beta * scale if kind == "linear" else np.sqrt(beta * scale / 2.0)
     delta = 1.0 / thermal
 
@@ -349,13 +374,13 @@ def mean_energy_per_site(beta_b, model: IsingModel):
     # inf and nan stay silent, as in float arithmetic; the criteria name them
     with np.errstate(all="ignore"):
         beta = betas.ravel()
-        if (node := _gap_node(model)) is None:
-            k, w = _trapezoid_grid(model)
+        if model.gap_node is None:
+            w = model.trapezoid_omega
             rows = min(beta.size, _TRAPEZOID_ROWS)  # the largest chunk
-            y, s = np.empty((rows, k.size)), np.empty((rows, k.size - 1))
+            y, s = np.empty((rows, w.size)), np.empty((rows, w.size - 1))
             energy = in_chunks(_trapezoid_energy, beta, w, _DK, y, s, size=_TRAPEZOID_ROWS)
         else:
-            energy = in_chunks(_ladder_energy, beta, node, model)
+            energy = in_chunks(_ladder_energy, beta, model)
     return float(energy[0]) if betas.ndim == 0 else energy
 
 
@@ -365,10 +390,10 @@ def ground_energy_per_site(model: IsingModel) -> float:
     a trapezoid sum if gapped. At L = 0 the integral of |1 - K cos k| is pi times
     model.extreme_coefficient; at K = +-1, u = cos(k/2) makes it elementary, and
     atan2 keeps the digits that asin(c) loses at small |L|."""
-    if _gap_node(model) is None:
-        k, w = _trapezoid_grid(model)
-        with np.errstate(over="ignore"):  # as in _trapezoid_grid
-            return float(-np.trapezoid(w, k) / (2.0 * math.pi))
+    if model.gap_node is None:  # not model.trapezoid_omega: this cache keeps its models alive
+        with np.errstate(over="ignore"):  # as in model.trapezoid_omega
+            w = _omega(_COS_K.copy(), _SIN_K, model)
+            return float(-np.trapezoid(w, _K_NODES) / (2.0 * math.pi))
     if abs(model.l_param) <= _CASE_TOL:
         return -model.extreme_coefficient
     a = abs(model.l_param)
@@ -377,28 +402,10 @@ def ground_energy_per_site(model: IsingModel) -> float:
     return -2.0 / math.pi * (a + g)
 
 
-@functools.lru_cache(maxsize=16)
-def _gapped_window_edge(model: IsingModel) -> float:
-    """e_min - e_0 of a gapped chain at |K| <= 1, where e_min = -1 is
-    -(1/pi) int_0^pi (1 - K cos k) dk: (1/2pi) int_0^pi (omega - m) dk with
-    m = 2 (1 - K cos k) >= 0, summed on the trapezoid grid as
-    ls (ls / ((omega + m) / 4)) with ls = L sin k, which does not cancel.
-    -1 - e_0 rounds an edge below e_0's roundoff to 0 (K = L = 1e-9:
-    2.5e-19). As omega >= 2 |ls|, the second factor is at most 2 in size, so
-    a term overflows only from |L| ~ 9e307, far past the overflow of the
-    junction width L^2 that the criteria name, and an omega that overflowed
-    gives 0; the edge is then inf, silently."""
-    k, w = _trapezoid_grid(model)
-    ls = model.l_param * _SIN_K
-    with np.errstate(over="ignore"):
-        lift = ls * (ls / (0.25 * (w + 2.0 * (1.0 - model.k_param * _COS_K))))
-        return float(np.trapezoid(lift, k) / (2.0 * math.pi))
-
-
 def _window_edge(model: IsingModel) -> float:
     """The window edge e_min - e_0 at the group minimum."""
-    if abs(model.k_param) <= 1.0 and _gap_node(model) is None:
-        return _gapped_window_edge(model)
+    if abs(model.k_param) <= 1.0 and model.gap_node is None:
+        return model.gapped_window_edge
     return -model.extreme_coefficient - ground_energy_per_site(model)
 
 
@@ -406,10 +413,9 @@ def _e_bar_reach(model: IsingModel, beta: np.ndarray) -> np.ndarray:
     """The bound on mean_energy_per_site at each entry of beta that
     e_bar_can_bind describes."""
     reach = math.hypot(1.0 + abs(model.k_param), model.l_param)
-    if _gap_node(model) is not None:
+    if model.gap_node is not None:
         return np.full(beta.shape, reach)
-    w = _trapezoid_grid(model)[1]
-    w_min, w_max = float(w.min()), float(w.max())
+    w_min, w_max = float(model.trapezoid_omega.min()), float(model.trapezoid_omega.max())
     with np.errstate(all="ignore"):  # nan and inf beta keep reach
         x = beta * w_min
         cold = np.maximum(w_min * np.exp(-np.minimum(x, _EXP_CLIP)),
@@ -428,16 +434,6 @@ def _reaches(edge: float, model: IsingModel, acc: AccuracyParams, beta):
     return ~short(_e_bar_reach(model, np.asarray(beta, dtype=float)))
 
 
-def _uses_mean_energy(model: IsingModel) -> bool:
-    """Whether nmin reads the thermal energy e_bar of this model: the
-    constant condition does; the all-states bound of isotropic coupling below
-    |K| = 1 and the unsupported general case do not."""
-    case = model.coupling_case
-    if case is CouplingCase.GENERAL:
-        return False
-    return not (case is CouplingCase.ISOTROPIC and abs(model.k_param) < 1.0)
-
-
 def e_bar_can_bind(model: IsingModel, acc: AccuracyParams, beta_b=0.0):
     """Whether nmin at acc reads e_bar at beta_b = B/T (a float, or an array
     giving an array): the model's criteria read it, and a bound U on e_bar
@@ -453,10 +449,9 @@ def e_bar_can_bind(model: IsingModel, acc: AccuracyParams, beta_b=0.0):
     trapezoid mean, exceeds U(beta) = max(w_min e^{-min(beta w_min, 700)},
     w_max e^{-700}).
     """
-    beta = np.asarray(beta_b, dtype=float)
-    if not _uses_mean_energy(model):
-        return np.zeros(beta.shape, dtype=bool)[()]
-    return _reaches(_window_edge(model), model, acc, beta)
+    if not model.reads_e_bar:
+        return np.zeros(np.shape(beta_b), dtype=bool)[()]
+    return _reaches(_window_edge(model), model, acc, beta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +565,7 @@ def nmin(
         raise UnsupportedCouplingError(
             "no criterion covers K and L both nonzero with K != +-L"
         )
-    if _uses_mean_energy(model):
+    if model.reads_e_bar:
         n_cond = min_integer_above(cond_const_bound(t_over_b, acc, model, e_bar))
     else:
         n_cond = min_integer_above(isotropic_weak_bound(t_over_b, model))

@@ -10,7 +10,8 @@ import warnings
 
 import pytest
 
-from localtemp.cli import _json_text, main
+from localtemp import cli
+from localtemp.cli import _json_pieces, main
 
 
 def run_cli(*args):
@@ -261,7 +262,7 @@ def test_materials_file_rejects_a_value_that_is_not_a_finite_positive_number(
 
 
 # the text a json record must keep: quotes, backslashes, a newline, non-ASCII
-# text, and the seam "},\n    {" that _json_text looks for between records
+# text, and the seam "},\n    {" that _json_pieces looks for between records
 _AWKWARD = 'a "b" \\c\nd \u00e9\u4e2d\U0001f600 },\n    {"e": 1}'
 
 _JSON_PAYLOADS = {
@@ -278,8 +279,32 @@ _JSON_PAYLOADS = {
 
 
 @pytest.mark.parametrize("payload", list(_JSON_PAYLOADS.values()), ids=list(_JSON_PAYLOADS))
-def test_json_text_is_indent_2_byte_for_byte(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
+def test_json_text_is_indent_2_byte_for_byte(payload, monkeypatch):
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert "".join(_json_pieces(payload)) == expected
+    monkeypatch.setattr(cli, "_JSON_BATCH", 1)  # two records are two pieces
+    assert "".join(_json_pieces(payload)) == expected
+
+
+def test_json_emit_holds_no_whole_copy_of_its_text(tmp_path):
+    # the text goes out in pieces of _JSON_BATCH records, so the traced peak
+    # of _emit stays a fraction of the output: no whole copy of it is held
+    import tracemalloc
+    from types import SimpleNamespace
+
+    rows = [{"t_ratio": 1e-3 * (1 + i / 7), "n_cond_const": 3 + i, "n_linearity": 1,
+             "n_min": 3 + i, "binding": "ConstCondition", "l_min_m": None}
+            for i in range(20_000)]
+    out = tmp_path / "rows.json"
+    tracemalloc.start()
+    try:
+        cli._emit(SimpleNamespace(format="json", out=str(out)), rows, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(rows, indent=2) + "\n"
+    assert peak < 0.25 * len(text)
 
 
 def test_materials_file_with_an_awkward_name_prints_indent_2_json(tmp_path):
@@ -587,6 +612,21 @@ def test_gapless_chain_far_above_the_band():
     rows = json.loads(out)
     assert rows[-1]["t_ratio"] == 1e308
     assert rows[-1]["n_min"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("nmin", "ising", "--t-over-b", "1e-320", "--K", "2"),
+    ("nmin", "ising", "--t-over-b", "1e-320", "--K", "1"),
+    ("sweep", "ising", "--tmin", "1e-320", "--tmax", "1e-300", "--points", "3", "--log",
+     "--K", "2"),
+])
+def test_gapless_chain_where_one_over_t_overflows(argv):
+    # 1/t is inf: e_bar is its T -> 0 limit 0, and the failure is the bound's,
+    # as on a gapped chain, not an empty ladder's
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == ("localtemp: numerical failure: cond_const_bound divides by a quantity"
+                   " that underflows to 0 at t_over_b=1e-320; the bound is not finite\n")
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localtemp import ising as ising_module
 from localtemp.canonical import AccuracyParams, Binding
 from localtemp.ising import (
     CouplingCase,
     IsingModel,
     UnsupportedCouplingError,
+    _K_NODES,
     _e_bar_reach,
-    _gap_node,
-    _trapezoid_grid,
     _window_edge,
     cond_const_bound,
     delta_sq,
@@ -33,6 +33,7 @@ from localtemp.ising import (
     nmin,
     occupation_patterns,
 )
+from localtemp.specfun import QuadratureError
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
 
@@ -98,7 +99,7 @@ def test_from_couplings_names_the_derived_coupling_that_overflows(b, jx, jy, nam
         IsingModel.from_couplings(b, math.inf, jy)
 
 
-def test_derived_constants_are_computed_once_per_model():
+def test_derived_constants_are_computed_once_per_model(monkeypatch):
     m = _model(2.0, 0.5)
     assert m.squared_couplings == (4.0, 0.25) and m.squared_couplings is m.squared_couplings
     assert m.extreme_coefficient == 2.0 / math.pi * (math.sqrt(3.0) + math.asin(0.5))
@@ -107,6 +108,29 @@ def test_derived_constants_are_computed_once_per_model():
     for _ in range(2):  # an overflowing square raises at every read
         with pytest.raises(OverflowError, match=r"^junction width overflows: L\^2"):
             huge.squared_couplings
+    node = _model(2.0, 0.0)
+    assert node.gap_node is node.gap_node and node.gap_node[1] == "linear"
+    assert node.reads_e_bar and not _model(0.5, 0.0).reads_e_bar and not m.reads_e_bar
+    # omega on the k-grid and the window edge belong to a gapped model: a
+    # second round of e_bar, e_0 and gate calls on it runs _omega no more (its
+    # trapezoid sums read no other omega)
+    calls = []
+    omega = ising_module._omega
+    monkeypatch.setattr(ising_module, "_omega", lambda *a: calls.append(a) or omega(*a))
+    for kl in ((0.0, 0.5), (0.3, -0.3), (1.5, 1.5)):
+        model, counts = _model(*kl), []
+        assert model.gap_node is None
+        for _ in range(2):
+            mean_energy_per_site(np.array([0.5, 2.0]), model)
+            mean_energy_per_site(3.0, model)
+            ground_energy_per_site(model)
+            e_bar_can_bind(model, ACC, np.array([1e-3, 1.0, 1e3]))
+            _window_edge(model)
+            counts.append(len(calls))
+        assert counts[1] == counts[0] and model.trapezoid_omega is model.trapezoid_omega
+    # the ground-energy cache holds the models it saw, but not their omega
+    ground_energy_per_site(fresh := _model(0.0, 0.4375))
+    assert "trapezoid_omega" not in vars(fresh)
 
 
 def test_dispersion_periodic_band_edges():
@@ -391,8 +415,8 @@ def test_mean_energy_per_site_bitwise(kl):
 
 def test_trapezoid_grid_is_shared_and_read_only():
     model = _model(0.0, 0.5)
-    k, w = _trapezoid_grid(model)
-    assert _trapezoid_grid(model)[0] is k
+    k, w = _K_NODES, model.trapezoid_omega
+    assert model.trapezoid_omega is w
     for array in (k, w):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -403,11 +427,10 @@ def test_trapezoid_grid_nodes_are_built_once_with_the_same_bits():
     # every gapped model reads one set of nodes, cos k and sin k; omega there
     # and the window edge keep the bits of sin and cos taken afresh
     k_fresh = np.linspace(0.0, math.pi, 4097)
-    first = _trapezoid_grid(_model(0.0, 0.5))[0]
     for kl in ((0.0, 0.5), (0.3, -0.3), (-0.7, 0.7), (1e-9, 1e-9), (2.5, 2.5), (0.5, 0.0)):
         model = _model(*kl)
-        k, w = _trapezoid_grid(model)
-        assert k is first and k.tobytes() == k_fresh.tobytes()
+        k, w = _K_NODES, model.trapezoid_omega
+        assert k.tobytes() == k_fresh.tobytes()
         assert w.tobytes() == dispersion_periodic(k_fresh, model).tobytes()
         if abs(model.k_param) <= 1.0:
             ls = model.l_param * np.sin(k_fresh)
@@ -420,6 +443,23 @@ def test_trapezoid_grid_nodes_are_built_once_with_the_same_bits():
 def test_empty_temperature_array_gives_an_empty_array(kl):
     got = mean_energy_per_site(np.array([]), _model(*kl))
     assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+@pytest.mark.parametrize("kl", [(2.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 0.5)],
+                         ids=["linear-node", "quadratic-node", "K=L=1", "K=-1"])
+def test_gapless_e_bar_at_infinite_beta_is_its_zero_temperature_limit(kl):
+    # an infinite beta (1/t overflowed) gives e_bar = 0, and leaves the bits of
+    # the finite temperatures beside it; a node slope that overflows at a
+    # finite beta (beta 2|L| at K = L = 1) still names its empty cell
+    model = _model(*kl)
+    assert mean_energy_per_site(math.inf, model) == 0.0
+    beta = np.array([1.0, math.inf, 1e3, math.inf])
+    got = mean_energy_per_site(beta, model)
+    assert got[1] == got[3] == 0.0
+    assert got[[0, 2]].tobytes() == mean_energy_per_site(beta[[0, 2]], model).tobytes()
+    if kl == (1.0, 1.0):
+        with pytest.raises(QuadratureError, match="^ladder cell width 0.0 is not positive"):
+            mean_energy_per_site(np.array([math.inf, 1e308]), model)
 
 
 @contextlib.contextmanager
@@ -441,7 +481,6 @@ def _one_second_alarm():
 @pytest.mark.parametrize("delta", [0.0, math.nan, -1.0])
 def test_ladder_rejects_degenerate_cell_width(delta):
     from localtemp.ising import _ladder_integral
-    from localtemp.specfun import QuadratureError
 
     with _one_second_alarm(), pytest.raises(QuadratureError):
         _ladder_integral(lambda kp: np.cos(kp[0]), 0.0, (math.pi,), delta)
@@ -582,7 +621,7 @@ def test_e_bar_stays_below_the_skip_bound(kl):
     # On a gapped chain the bound falls below that from beta w_min = 1 on, as
     # the largest value a trapezoid node can take, down to the clip at e^-700
     model = _model(*kl)
-    gapped = _gap_node(model) is None
+    gapped = model.gap_node is None
     beta = np.concatenate([[1e-12, 1e-6, 1e-3, 1.0], np.geomspace(1e-2, 1e4, 57)]
                           + [[1e300, math.inf]] * gapped)
     reach = _e_bar_reach(model, beta)

@@ -112,6 +112,11 @@ FAILURES = (
      "--K", "2"),
     ("sweep", "ising", "--tmin", "1e-310", "--tmax", "1", "--points", "5", "--log",
      "--K", "1", "--L", "1"),
+    # 1/t overflows on a gapless chain: e_bar is its T -> 0 limit, 0
+    ("nmin", "ising", "--t-over-b", "1e-320", "--K", "2"),
+    ("nmin", "ising", "--t-over-b", "1e-320", "--K", "1"),
+    ("sweep", "ising", "--tmin", "1e-320", "--tmax", "1e-300", "--points", "3", "--log",
+     "--K", "2"),
     ("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--L=-inf"),
     ("oracle", "rho", "--sites", "4", "--groups", "2", "--K", "0.3", "--beta-b", "200"),
     ("oracle", "moments", "--sites", "8", "--groups", "2", "--K", "0.3"),
