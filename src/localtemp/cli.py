@@ -268,6 +268,8 @@ def _sweep_grid(args) -> np.ndarray:
     for name in ("tmin", "tmax"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
+    if not args.tmin > 0:  # every grid point is a temperature
+        raise ValueError("--tmin must be positive")
     if not args.tmin < args.tmax:
         raise ValueError("--tmin must be below --tmax")
     if args.points < 2:
@@ -275,28 +277,21 @@ def _sweep_grid(args) -> np.ndarray:
     if args.points > _MAX_POINTS:
         raise ValueError(f"--points must be at most {_MAX_POINTS}")
     if args.log:
-        if args.tmin <= 0:
-            raise ValueError("logarithmic grid needs --tmin > 0")
         return np.geomspace(args.tmin, args.tmax, args.points)
     return np.linspace(args.tmin, args.tmax, args.points)
 
 
 def _mean_energies(grid: np.ndarray, acc: AccuracyParams, model=None) -> list:
-    """e_bar of the harmonic chain (model None) or of an Ising model at every
-    grid point, from one quadrature pass over the points where the criteria
-    at acc can read it and 0.0 elsewhere, which gives the same bounds; None
-    throughout where the pass fails at some point: each point then computes
-    what it needs, so the first failing one names the error."""
-    try:
-        if model is None:
-            return harmonic.mean_energy_reduced(grid).tolist()
-        beta_b = np.array([1.0 / t for t in grid.tolist()])
-        e_bar = np.zeros(grid.size)
-        if (binds := ising.e_bar_can_bind(model, acc, beta_b)).any():
-            e_bar[binds] = ising.mean_energy_per_site(beta_b[binds], model)
-        return e_bar.tolist()
-    except (ValueError, ArithmeticError, QuadratureError):
-        return [None] * grid.size
+    """e_bar at every grid point of the harmonic chain (model None) or of an
+    Ising model, from one quadrature pass, the sweep's only source of e_bar;
+    0.0 where the criteria at acc cannot read it, which gives the same bounds."""
+    if model is None:
+        return harmonic.mean_energy_reduced(grid).tolist()
+    beta_b = np.array([1.0 / t for t in grid.tolist()])
+    e_bar = np.zeros(grid.size)
+    if (binds := ising.e_bar_can_bind(model, acc, beta_b)).any():
+        e_bar[binds] = ising.mean_energy_per_site(beta_b[binds], model)
+    return e_bar.tolist()
 
 
 def cmd_sweep(args) -> int:

@@ -27,8 +27,9 @@ mean_energy_reduced takes one temperature or a whole grid. Each integral
 is an adaptive Simpson quadrature to the integrator's default absolute
 tolerance, 1e-10, within its fixed budget of 4096 splits. A grid integrates
 each distinct upper limit once (every t <= 1/700 shares [0, 700]), in
-quadrature passes of up to 64 limits (specfun.in_chunks); sweeps hand the
-values to the criteria through their e_bar argument. A single temperature
+quadrature passes of up to 64 limits (specfun.in_chunks), a sweep's only
+source of e_bar. Where t**2 overflows (t above ~1.3e154), e_bar is
+t * (t * integral), finite as the integral is ~1/t. A single temperature
 keeps its last few results (keyed on t), so the e_bar >= 1/4 guard and both
 bounds at one temperature share a single quadrature.
 """
@@ -58,8 +59,8 @@ _BOSE_CUTOFF = 700.0
 def mean_energy_reduced(t_over_theta):
     """Thermal excitation energy per site over k_B Theta, Debye form.
 
-    t_over_theta is a float, or an array giving an array. An invalid or
-    overflowing temperature raises for the first such entry.
+    t_over_theta is a float, or an array giving an array. A temperature
+    that is not positive and finite raises for the first such entry.
     """
     if np.ndim(t_over_theta) == 0:
         return _mean_energy_memo(t_over_theta)
@@ -81,11 +82,14 @@ def _mean_energy(t_over_theta: np.ndarray) -> np.ndarray:
             raise ValueError("t_over_theta must be finite, got inf")
         try:
             scale.append(t**2)
-        except OverflowError:
-            raise OverflowError(f"e_bar overflows at t_over_theta={t!r}")
+        except OverflowError:  # t above ~1.3e154
+            scale.append(math.inf)
         which.append(limits.setdefault(min(1.0 / t, _BOSE_CUTOFF), len(limits)))
     integral = in_chunks(lambda u: integrate(bose_integrand, 0.0, u), np.array(list(limits)))
-    return np.array(scale) * integral[which]
+    e_bar = np.array(scale) * integral[which]
+    huge = np.isinf(e_bar)  # t * (t * integral) is finite, as the integral is ~1/t
+    e_bar[huge] = t_over_theta[huge] * (t_over_theta[huge] * integral[which][huge])
+    return e_bar
 
 
 def cond_const_bound(

@@ -571,7 +571,7 @@ def test_negative_values_in_scientific_notation_are_values():
         "sweep", "harmonic", "--tmin", "-1e-3", "--tmax", "1", "--points", "2", "--log"
     )
     assert (code, out) == (1, "")
-    assert "logarithmic grid needs --tmin > 0" in err
+    assert "--tmin must be positive" in err
 
     code, out, err = run_cli("nmin", "ising", "--t-over-b", "1", "--K", "0.5", "--L", "-inf")
     assert (code, out) == (1, "")
@@ -719,21 +719,48 @@ def test_sweep_rejects_non_finite_bound(flag, value):
     assert f"{flag} must be finite" in err
 
 
-def test_harmonic_e_bar_overflow_names_quantity():
-    # t^2 overflows above t ~ 1.3e154; the grid's middle point is 5e307
-    code, out, err = run_cli(
-        "sweep", "harmonic", "--tmin", "1", "--tmax", "1e308", "--points", "3"
-    )
-    assert code == 2
-    assert out == ""
-    assert "numerical failure: e_bar overflows at t_over_theta=5e+307" in err
+@pytest.mark.parametrize("t", ["1e155", "1e300", "8.9e304"])
+def test_nmin_harmonic_plateau_where_t_squared_overflows(t):
+    # t**2 overflows above t ~ 1.3e154, yet e_bar = t * (t * I) ~ t stays
+    # finite, and so does (2 alpha / delta) * e_bar up to t ~ 9e304; the
+    # linearity bound 2000 (1 - 1/(4t)) rounds to 2000.0, hence 2001 (the
+    # exact integer is 2000)
+    code, out, err = run_cli("nmin", "harmonic", "--t-over-theta", t, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["n_cond_const"], payload["n_min"]) == (1, 2001)
+
+
+def test_harmonic_sweep_across_the_t_squared_overflow():
+    code, out, err = run_cli("sweep", "harmonic", "--tmin", "1e150", "--tmax", "1e200",
+                             "--points", "5", "--log", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert len(rows) == 5
+    # the linearity bound 2000 (1 - 1/(4t)) is within rounding of 2000 here
+    assert all(row["n_min"] in (2000, 2001) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ising", "--tmin", "0", "--tmax", "1", "--points", "3", "--K", "2"),
+        ("harmonic", "--tmin", "-1", "--tmax", "1", "--points", "3"),
+        ("harmonic", "--tmin", "0", "--tmax", "1", "--points", "3", "--log"),
+    ],
+)
+def test_sweep_grid_points_are_positive_temperatures(argv):
+    code, out, err = run_cli("sweep", *argv)
+    assert (code, out) == (1, "")
+    assert err == "localtemp: error: --tmin must be positive\n"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("harmonic", "--tmin", "1e150", "--tmax", "1e200", "--points", "5", "--log"),
-         "e_bar overflows at t_over_theta=3.1622776601683794e+162"),
+        # (2 alpha / delta) * e_bar overflows at the grid's middle point, 5e307
+        (("harmonic", "--tmin", "1", "--tmax", "1e308", "--points", "3"),
+         "bound is not finite; no integer exceeds it"),
         (("harmonic", "--tmin", "1e-200", "--tmax", "1e-150", "--points", "5", "--log"),
          "e_bar underflows to 0 at t_over_theta=1e-200;"
          " the constant-condition bound is not finite"),
@@ -743,9 +770,9 @@ def test_harmonic_e_bar_overflow_names_quantity():
     ],
 )
 def test_sweep_failure_names_first_failing_point(argv, message):
-    # the grid's e_bar comes from one quadrature pass, yet the error is the
-    # one the first failing point in grid order raises, and no numpy warning
-    # (turned into an error here) reaches stderr
+    # the grid's e_bar comes from one quadrature pass, and the criteria then
+    # run point by point, so the first failing point in grid order names the
+    # error; no numpy warning (turned into an error here) reaches stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli("sweep", *argv)

@@ -14,7 +14,7 @@ from localtemp.harmonic import (
     mean_energy_reduced,
     nmin,
 )
-from localtemp.specfun import min_integer_above
+from localtemp.specfun import bose_integrand, integrate, min_integer_above
 
 ACC = AccuracyParams(alpha=10.0, delta=0.01)
 
@@ -151,12 +151,26 @@ def test_mean_energy_reduced_bitwise(t, expected):
     assert mean_energy_reduced(t) == expected
 
 
-def test_mean_energy_reduced_overflow_names_e_bar():
-    # t^2 overflows above t ~ 1.3e154; finite results keep their floats
-    # (test_mean_energy_reduced_bitwise)
-    with pytest.raises(OverflowError, match=r"e_bar overflows at t_over_theta=1e\+200"):
-        mean_energy_reduced(1e200)
-    assert math.isfinite(mean_energy_reduced(1e150))
+def test_mean_energy_reduced_answers_where_t_squared_overflows():
+    # t**2 overflows above t ~ 1.3e154; there e_bar is t * (t * I), and
+    # below it stays t**2 * I bit for bit (not t * t, which differs from
+    # Python's t**2 in the last bit for some t)
+    rng = np.random.default_rng(36)
+    t = np.concatenate([10.0 ** rng.uniform(-150, 300, 2000),
+                        [1.3e154, 1.3407807929942596e154, 1.3407807929942597e154]])
+    integral = integrate(bose_integrand, 0.0, np.minimum(1.0 / t, 700.0)).tolist()
+    expected = []
+    for x, i in zip(t.tolist(), integral):
+        try:
+            expected.append(x**2 * i)
+        except OverflowError:
+            expected.append(x * (x * i))
+    assert 0 < sum(x > 1.35e154 for x in t) < t.size
+    e_bar = mean_energy_reduced(t)
+    assert e_bar.tobytes() == np.array(expected).tobytes()
+    assert [mean_energy_reduced(x) for x in t[-8:].tolist()] == expected[-8:]
+    assert np.isfinite(e_bar).all()
+    assert mean_energy_reduced(1e300) == pytest.approx(1e300, rel=1e-15)
 
 
 def test_cond_const_bound_overflows_when_e_bar_underflows():

@@ -107,6 +107,13 @@ FAILURES = (
     ("nmin", "ising", "--t-over-b", "1", "--K", "1e155", "--L", "1e155"),
     ("nmin", "harmonic", "--t-over-theta", "1e-120"),
     ("nmin", "harmonic", "--t-over-theta", "inf"),
+    # t**2 overflows, e_bar does not; (2 alpha / delta) * e_bar overflows at 1e306
+    ("nmin", "harmonic", "--t-over-theta", "1e155"),
+    ("nmin", "harmonic", "--t-over-theta", "1e300"),
+    ("nmin", "harmonic", "--t-over-theta", "1e306"),
+    # every sweep grid point must be a positive temperature
+    ("sweep", "ising", "--tmin", "0", "--tmax", "1", "--points", "3", "--K", "2"),
+    ("sweep", "harmonic", "--tmin", "-1", "--tmax", "1", "--points", "3"),
     ("sweep", "harmonic", "--tmin", "1", "--tmax", "1e308", "--points", "3"),
     ("sweep", "ising", "--tmin", "1e-300", "--tmax", "1e-290", "--points", "3", "--log",
      "--K", "2"),
