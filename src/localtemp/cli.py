@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import fnmatch
 import functools
+import itertools
 import json
 import math
 import os
@@ -108,47 +109,44 @@ _encode_records = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 _JSON_BATCH = 256  # records per encoder call: the largest piece of json text held
 
 
-def _json_pieces(payload):
-    """json.dumps(payload, indent=2) plus a newline for a record (a nonempty
-    dict of scalars) or a list of records, in pieces of _JSON_BATCH records
-    from json's C encoder: indent= would run the pure-Python one. Each field
-    comes on its own line, indented as in a list; then each record's braces
-    move onto lines of their own. An encoded string holds no raw newline and
-    a scalar never ends in "}", so "},\\n    {" only ever joins two records."""
-    if isinstance(payload, dict):  # the list's one entry, two spaces further out
-        yield "".join(_json_pieces([payload]))[4:-3].replace("\n  ", "\n") + "\n"
-    elif not payload:
-        yield "[]\n"
-    else:
-        seam = "\n  },\n  {\n    "
-        for i in range(0, len(payload), _JSON_BATCH):
-            yield seam if i else "[\n  {\n    "
-            yield _encode_records(payload[i:i + _JSON_BATCH])[2:-2].replace("},\n    {", seam)
-        yield "\n  }\n]\n"
+def _json_pieces(records):
+    """json.dumps(records, indent=2) plus a newline for a list of records
+    (dicts of scalars), in pieces of _JSON_BATCH records from json's C
+    encoder: indent= would run the pure-Python one. Each field comes on its
+    own line, indented as in the list; then each record's braces move onto
+    lines of their own. An encoded string holds no raw newline and a scalar
+    never ends in "}", so "},\\n    {" only ever joins two records."""
+    seam = "\n  },\n  {\n    "
+    for i in range(0, len(records), _JSON_BATCH):
+        yield seam if i else "[\n  {\n    "
+        yield _encode_records(records[i:i + _JSON_BATCH])[2:-2].replace("},\n    {", seam)
+    yield "\n  }\n]\n" if records else "[]\n"
 
 
 def _emit(args, payload, comments, header=None, human=None) -> int:
     """Write a computed result to --out (or stdout) in the chosen --format.
 
     payload is one record (a dict) or a list of them, and every value in a
-    record is a scalar. json writes json.dumps(payload, indent=2), byte for
-    byte, in pieces (_json_pieces); csv writes the comment lines, then the
-    header columns (by default the first record's keys) of every record;
-    human writes the given lines, and falls back to csv for a command that
+    record is a scalar. json writes json.dumps(payload, indent=2): a list in
+    pieces (_json_pieces), one record whole. csv and human are one stream
+    of lines, each built as it is written: csv gives the comment lines, then
+    the header columns (by default the first record's keys) of every record;
+    human gives the given lines, and falls back to csv for a command that
     has none. The output file is opened only here, so a command that fails
     leaves it untouched.
     """
     if args.format == "json":
-        pieces = _json_pieces(payload)
-    elif args.format == "human" and human is not None:
-        pieces = ["".join(line + "\n" for line in human)]
+        pieces = (_json_pieces(payload) if isinstance(payload, list)
+                  else [json.dumps(payload, indent=2) + "\n"])
     else:
-        records = payload if isinstance(payload, list) else [payload]
-        if header is None:
-            header = list(records[0])
-        lines = [f"# {line}" for line in comments] + [",".join(header)]
-        lines += [",".join(_fmt(r[key]) for key in header) for r in records]
-        pieces = ["".join(line + "\n" for line in lines)]
+        lines = human
+        if args.format == "csv" or human is None:
+            records = payload if isinstance(payload, list) else [payload]
+            if header is None:
+                header = list(records[0])
+            lines = itertools.chain((f"# {line}" for line in comments), [",".join(header)],
+                                    (",".join(_fmt(r[key]) for key in header) for r in records))
+        pieces = (line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)

@@ -135,7 +135,10 @@ def nmin(
     n_cond = 1 if guard >= 0.25 else min_integer_above(
         cond_const_bound(t_over_theta, acc, e_bar))
     n_lin = min_integer_above(linearity_bound(t_over_theta, acc, e_bar))
-    c1 = 1.0 / (2.0 * max(n_cond, n_lin) * t_over_theta)
+    two_n = 2.0 * max(n_cond, n_lin)
+    two_n_t = two_n * t_over_theta
+    # where 2 n t overflows, (1/(2n))/t keeps the answer, a subnormal
+    c1 = 1.0 / two_n_t if two_n_t < math.inf else 1.0 / two_n / t_over_theta
     return build_report(n_cond, n_lin, c1, acc)
 
 

@@ -122,8 +122,9 @@ def _classify(k_param: float, l_param: float) -> CouplingCase:
 @dataclass(frozen=True)
 class IsingModel:
     """Couplings K, L of one chain, in units of the field B; Jx = K + L and
-    Jy = K - L are derived, the cached properties once per model.
-    from_couplings builds one from Jx, Jy in a field B."""
+    Jy = K - L are derived, the cached properties once per model; a Jx or Jy
+    that overflows from finite K, L raises OverflowError. from_couplings
+    builds one from Jx, Jy in a field B."""
 
     k_param: float
     l_param: float
@@ -132,6 +133,10 @@ class IsingModel:
         for name in ("jx", "jy", "k_param", "l_param"):
             value = getattr(self, name)
             if not math.isfinite(value):
+                if math.isfinite(self.k_param) and math.isfinite(self.l_param):
+                    formula = "K + L" if name == "jx" else "K - L"
+                    raise OverflowError(f"{name} = {formula} overflows at"
+                                        f" K={self.k_param!r}, L={self.l_param!r}")
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
@@ -451,6 +456,7 @@ def e_bar_can_bind(model: IsingModel, acc: AccuracyParams, beta_b=0.0):
     """
     if not model.reads_e_bar:
         return np.zeros(np.shape(beta_b), dtype=bool)[()]
+    model.squared_couplings  # names an overflowing junction width before any integral
     return _reaches(_window_edge(model), model, acc, beta_b)
 
 
@@ -512,6 +518,7 @@ def cond_const_bound(
     if t_over_b == math.inf:
         raise ValueError("t_over_b must be finite, got inf")
     beta = 1.0 / t_over_b
+    width_max = max(model.squared_couplings)  # names an overflowing width first
     # e_min - e_0 computed without the cancellation e_min ~ e_0 at low T
     edge = _window_edge(model)
     if e_bar is None:  # 0.0 for an e_bar that cannot reach the edge: the same max()
@@ -519,7 +526,7 @@ def cond_const_bound(
     gap = max(edge, e_bar / acc.alpha)
     if gap == 0.0:
         raise OverflowError(_UNDERFLOW.format("cond_const_bound", t_over_b))
-    return beta * max(model.squared_couplings) / gap
+    return beta * width_max / gap
 
 
 def linearity_bound(t_over_b: float, acc: AccuracyParams, model: IsingModel) -> float:

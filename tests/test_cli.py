@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -278,33 +280,67 @@ _JSON_PAYLOADS = {
 }
 
 
+def _emitted(tmp_path, fmt, payload, comments=(), header=None, human=None):
+    out = tmp_path / f"emitted.{fmt}"
+    cli._emit(SimpleNamespace(format=fmt, out=str(out)), payload, comments, header, human)
+    return out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("payload", list(_JSON_PAYLOADS.values()), ids=list(_JSON_PAYLOADS))
-def test_json_text_is_indent_2_byte_for_byte(payload, monkeypatch):
+def test_json_text_is_indent_2_byte_for_byte(payload, monkeypatch, tmp_path):
+    # a list goes out in pieces from _json_pieces, one record through json.dumps
     expected = json.dumps(payload, indent=2) + "\n"
-    assert "".join(_json_pieces(payload)) == expected
+    assert _emitted(tmp_path, "json", payload) == expected
+    if isinstance(payload, list):
+        assert "".join(_json_pieces(payload)) == expected
     monkeypatch.setattr(cli, "_JSON_BATCH", 1)  # two records are two pieces
-    assert "".join(_json_pieces(payload)) == expected
+    assert _emitted(tmp_path, "json", payload) == expected
+
+
+def _traced_peak(emit):
+    tracemalloc.start()
+    try:
+        emit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_ROWS = [{"t_ratio": 1e-3 * (1 + i / 7), "n_cond_const": 3 + i, "n_linearity": 1,
+          "n_min": 3 + i, "binding": "ConstCondition", "l_min_m": None}
+         for i in range(20_000)]
 
 
 def test_json_emit_holds_no_whole_copy_of_its_text(tmp_path):
     # the text goes out in pieces of _JSON_BATCH records, so the traced peak
     # of _emit stays a fraction of the output: no whole copy of it is held
-    import tracemalloc
-    from types import SimpleNamespace
-
-    rows = [{"t_ratio": 1e-3 * (1 + i / 7), "n_cond_const": 3 + i, "n_linearity": 1,
-             "n_min": 3 + i, "binding": "ConstCondition", "l_min_m": None}
-            for i in range(20_000)]
     out = tmp_path / "rows.json"
-    tracemalloc.start()
-    try:
-        cli._emit(SimpleNamespace(format="json", out=str(out)), rows, [])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: cli._emit(SimpleNamespace(format="json", out=str(out)), _ROWS, []))
     text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(rows, indent=2) + "\n"
+    assert text == json.dumps(_ROWS, indent=2) + "\n"
     assert peak < 0.25 * len(text)
+
+
+def test_csv_emit_holds_no_whole_copy_of_its_text(tmp_path):
+    # csv goes out a line at a time: no list of lines and no joined table
+    out = tmp_path / "rows.csv"
+    args = SimpleNamespace(format="csv", out=str(out))
+    peak = _traced_peak(lambda: cli._emit(args, _ROWS, ["localtemp sweep", "alpha=1"]))
+    text = out.read_text(encoding="utf-8")
+    header = list(_ROWS[0])
+    lines = ["# localtemp sweep", "# alpha=1", ",".join(header)]
+    lines += [",".join(cli._fmt(r[key]) for key in header) for r in _ROWS]
+    assert text == "".join(line + "\n" for line in lines)
+    assert peak < 0.25 * len(text)
+
+
+def test_csv_and_human_emit_the_same_lines(tmp_path):
+    rows = [{"quantity": "x", "value": 0.1}, {"quantity": "y", "value": None}]
+    csv = "# c\nquantity,value\nx,0.1\ny,None\n"
+    assert _emitted(tmp_path, "csv", rows, ["c"]) == csv
+    assert _emitted(tmp_path, "human", rows, ["c"]) == csv  # no human lines: csv
+    assert _emitted(tmp_path, "human", rows, ["c"], human=["a", "b"]) == "a\nb\n"
+    assert _emitted(tmp_path, "csv", rows[0], ["c"], header=["value"]) == "# c\nvalue\n0.1\n"
 
 
 def test_materials_file_with_an_awkward_name_prints_indent_2_json(tmp_path):
@@ -731,6 +767,17 @@ def test_nmin_harmonic_plateau_where_t_squared_overflows(t):
     assert (payload["n_cond_const"], payload["n_min"]) == (1, 2001)
 
 
+@pytest.mark.parametrize("t", [1e300, 8.9e304])
+def test_nmin_harmonic_c1_estimate_where_2nt_overflows(t):
+    # c1 = 1/(2 n t): at 8.9e304, 2 n t overflows but c1 is a subnormal, not 0.0;
+    # below the overflow it keeps the bits of 1/(2 n t)
+    code, out, err = run_cli("nmin", "harmonic", "--t-over-theta", repr(t), "--format", "json")
+    assert (code, err) == (0, "")
+    c1 = json.loads(out)["c1_estimate"]
+    assert c1 == (1.0 / (2.0 * 2001 * t) if t < 1e304 else 1.0 / (2.0 * 2001) / t)
+    assert c1 > 0.0
+
+
 def test_harmonic_sweep_across_the_t_squared_overflow():
     code, out, err = run_cli("sweep", "harmonic", "--tmin", "1e150", "--tmax", "1e200",
                              "--points", "5", "--log", "--format", "json")
@@ -797,6 +844,12 @@ def test_sweep_failure_names_first_failing_point(argv, message):
           "--L", "-1.7e308"), "L^2 at L=-1.7e+308"),
         (("nmin", "ising", "--t-over-b", "1", "--K", "5e307", "--L", "5e307"),
          "K^2 at K=5e+307"),
+        # gapless (Isotropic, |K| > 1): K^2 overflowed in the node slope and
+        # the window edge first, and a ladder cell width of 0.0 was reported
+        (("nmin", "ising", "--t-over-b", "1", "--K", "1e155"), "K^2 at K=1e+155"),
+        (("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--K", "1e155"),
+         "K^2 at K=1e+155"),
+        (("nmin", "ising", "--t-over-b", "1", "--K", "-1e200"), "K^2 at K=-1e+200"),
     ],
 )
 def test_junction_width_overflow_names_coupling(argv, square):
@@ -823,6 +876,11 @@ def test_junction_width_overflow_names_coupling(argv, square):
         # K and L are finite, their sum is not
         (("nmin", "ising", "--t-over-b", "1", "--jx", "1.5e308", "--jy", "0", "--B", "0.5"),
          "jx/B = K + L overflows at jx=1.5e+308, jy=0.0, B=0.5"),
+        # finite --K and --L whose Jx = K + L or Jy = K - L overflows
+        (("nmin", "ising", "--t-over-b", "1", "--K", "1e308", "--L", "1e308"),
+         "jx = K + L overflows at K=1e+308, L=1e+308"),
+        (("oracle", "moments", "--sites", "4", "--groups", "2", "--K", "1e308",
+          "--L", "-1e308"), "jy = K - L overflows at K=1e+308, L=-1e+308"),
     ],
 )
 def test_finite_couplings_whose_ratio_to_b_overflows_exit_two(argv, message):

@@ -76,11 +76,16 @@ def test_derived_couplings_reproduce_the_inputs(b, jx, jy):
 
 
 def test_non_finite_derived_coupling_is_named():
-    # K and L are finite, but K + L overflows
-    with pytest.raises(ValueError, match="^jx must be finite, got inf"):
+    # K and L are finite, but K + L or K - L overflows: an overflow, named
+    # with its inputs; a non-finite K or L is an invalid input
+    with pytest.raises(OverflowError, match=r"^jx = K \+ L overflows at K=1e\+308, L=1e\+308$"):
         IsingModel(1e308, 1e308)
-    with pytest.raises(ValueError, match="^jy must be finite, got inf"):
+    with pytest.raises(OverflowError, match=r"^jy = K - L overflows at K=1e\+308, L=-1e\+308$"):
         IsingModel(1e308, -1e308)
+    with pytest.raises(ValueError, match="^jx must be finite, got inf"):
+        IsingModel(math.inf, 1.0)
+    with pytest.raises(ValueError, match="^jx must be finite, got nan"):
+        IsingModel(1.0, math.nan)
 
 
 @pytest.mark.parametrize(

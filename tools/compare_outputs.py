@@ -202,6 +202,13 @@ FAILURES = (
      "--jy", "1e308"),
     ("oracle", "spectrum", "--sites", "3", "--boundary", "periodic", "--jx", "1", "--jy",
      "1", "--B", "1e-320"),
+    # a gapless chain's K^2 overflows: named before the node slope and window edge
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1e155"),
+    ("sweep", "ising", "--tmin", "1", "--tmax", "2", "--points", "2", "--K", "1e155"),
+    # finite --K/--L whose Jx = K + L overflows: an overflow, not an invalid input
+    ("nmin", "ising", "--t-over-b", "1", "--K", "1e308", "--L", "1e308"),
+    # 2 n t overflows, c1 = 1/(2 n t) is a subnormal
+    ("nmin", "harmonic", "--t-over-theta", "8.9e304"),
 )
 
 
