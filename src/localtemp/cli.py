@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: nmin (single-point criteria query), sweep (temperature sweep as
-CSV), figure (fixed parameter sets behind the standard log-log plots),
+Subcommands: nmin (single-point criteria query), sweep (temperature sweep, csv
+by default), figure (fixed parameter sets behind the standard log-log plots),
 materials (Debye-temperature database and minimal physical lengths), oracle
 (exact verification drivers). Kelvin, angstrom and the field B are converted
 here, once (--jx/--jy into K and L); everything below the argument layer works
@@ -176,12 +176,12 @@ def _ising_from_args(args) -> IsingModel:
     j_given = args.jx is not None or args.jy is not None
     if kl_given and j_given:
         raise ValueError("give either --K/--L or --jx/--jy, not both")
-    if j_given:
-        return IsingModel.from_couplings(args.b_field, args.jx or 0.0, args.jy or 0.0)
     if not math.isfinite(args.b_field):
         raise ValueError(f"b_field must be finite, got {args.b_field!r}")
     if not args.b_field > 0:
         raise ValueError("b_field must be positive")
+    if j_given:
+        return IsingModel.from_couplings(args.b_field, args.jx or 0.0, args.jy or 0.0)
     return IsingModel(args.k_param or 0.0, args.l_param or 0.0)
 
 
@@ -438,8 +438,7 @@ def cmd_materials(args) -> int:
 def _oracle_report(args):
     model = _ising_from_args(args)
     if args.oracle_cmd == "spectrum":
-        boundary = oracle.Boundary[args.boundary.upper()]
-        return oracle.spectrum_check(args.sites, model, boundary)
+        return oracle.spectrum_check(args.sites, model, args.boundary)
     if args.oracle_cmd == "moments":
         return oracle.moments_check(args.sites, args.groups, model)
     if args.oracle_cmd == "gaussian":  # w_a does not depend on the temperature
@@ -508,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(ni, "human")
     ni.set_defaults(func=cmd_nmin)
 
-    sweep = sub.add_parser("sweep", help="temperature sweep as CSV")
+    sweep = sub.add_parser("sweep", help="temperature sweep (csv, json or human)")
     sweep_sub = sweep.add_subparsers(dest="chain", required=True)
     for chain in ("harmonic", "ising"):
         sp = sweep_sub.add_parser(chain)

@@ -141,10 +141,10 @@ class IsingModel:
 
     @classmethod
     def from_couplings(cls, b_field: float, jx: float, jy: float) -> "IsingModel":
+        if not math.isfinite(b_field):
+            raise ValueError(f"b_field must be finite, got {b_field!r}")
         if not b_field > 0:
             raise ValueError("b_field must be positive")
-        if b_field == math.inf:
-            raise ValueError(f"b_field must be finite, got {b_field!r}")
         k_param, l_param = (jx + jy) / (2.0 * b_field), (jx - jy) / (2.0 * b_field)
         # a non-finite input is invalid input, which __post_init__ names
         if math.isfinite(jx) and math.isfinite(jy):

@@ -73,7 +73,6 @@ only.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -91,7 +90,6 @@ from .ising import (
 from .quadratic import open_spectrum, periodic_ground_energy, product_cumulants
 
 __all__ = [
-    "Boundary",
     "DenseThermalSystem",
     "ProductBasisData",
     "SpectrumReport",
@@ -131,20 +129,19 @@ _MIN_COLUMNS = 128
 _MODE_GAP = 1e-13
 
 
-class Boundary(enum.Enum):
-    OPEN = "Open"
-    PERIODIC = "Periodic"
-
-
 def _check_sites(n_sites: int, limit: int = _MAX_SITES) -> None:
     if not 1 <= n_sites <= limit:
         raise ValueError(f"n_sites must be between 1 and {limit}")
 
 
 def _group_size(n_sites: int, n_groups: int) -> int:
-    """Sites per group of a chain cut into n_groups equal groups."""
+    """Sites per group of n_sites <= _MAX_SITES cut into n_groups >= 2 equal
+    groups (every group check reads junctions); runs before any array."""
+    _check_sites(n_sites)
     if n_groups < 1 or n_sites % n_groups != 0:
         raise ValueError(f"cannot split {n_sites} sites into {n_groups} equal groups")
+    if n_groups < 2:
+        raise ValueError(f"need at least two groups, got {n_groups}")
     return n_sites // n_groups
 
 
@@ -565,23 +562,24 @@ class RhoDiagReport(_Report):
 
 
 def spectrum_check(
-    n_sites: int, model: IsingModel, boundary: Boundary = Boundary.OPEN
+    n_sites: int, model: IsingModel, boundary: str = "open"
 ) -> SpectrumReport | GroundEnergyReport:
-    """Open chain (up to _MAX_SITES): the free-fermion spectrum against the
-    mode formula. Periodic chain (up to _MAX_RING_SITES), where only the ground
-    energy is meaningful: the ring's exact ground energy against the
-    k-integral."""
-    label = boundary.name.lower()
-    if boundary is Boundary.OPEN:
+    """boundary "open" (up to _MAX_SITES): the free-fermion spectrum against
+    the mode formula. boundary "periodic" (up to _MAX_RING_SITES), where only
+    the ground energy is meaningful: the ring's exact ground energy against
+    the k-integral. Any other boundary raises ValueError."""
+    if boundary == "open":
         _check_sites(n_sites)
         exact = open_spectrum(n_sites, model)
         formula = np.sort(group_energy(occupation_patterns(n_sites), model))
-        return SpectrumReport(n_sites, label, float(np.max(np.abs(exact - formula))))
+        return SpectrumReport(n_sites, boundary, float(np.max(np.abs(exact - formula))))
+    if boundary != "periodic":
+        raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     _check_sites(n_sites, _MAX_RING_SITES)
     dense_ground = periodic_ground_energy(n_sites, model) / n_sites
     integral = ground_energy_per_site(model)
     return GroundEnergyReport(
-        n_sites, label, dense_ground, integral, abs(dense_ground - integral)
+        n_sites, boundary, dense_ground, integral, abs(dense_ground - integral)
     )
 
 
@@ -618,9 +616,6 @@ def skewness_by_groups(
     quadratic.py); w_a, the energy distribution of a product state, does not
     depend on beta. Raises ValueError where those states are not unique."""
     group_size = _group_size(n_sites, n_groups)
-    if n_groups < 2:
-        raise ValueError("gaussian check needs at least two groups")
-    _check_sites(n_sites)
     # the zero width is relative to the junction's Jx^2 + Jy^2
     zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     modes, cumulants = product_cumulants(n_groups, group_size, model)
@@ -655,8 +650,6 @@ def rho_diag_check(
     (large beta), since its logarithm is then not finite.
     """
     group_size = _group_size(n_sites, n_groups)
-    if n_groups < 2:
-        raise ValueError("rho check needs at least two groups")
     zero_width = _ZERO_WIDTH * (model.jx * model.jx + model.jy * model.jy)
     pb = product_basis(n_sites, group_size, model)
     eps, dsq = interaction_statistics(pb)

@@ -433,11 +433,15 @@ def test_oracle_groups_must_divide_sites(command):
     assert "cannot split 8 sites into 3 equal groups" in err
 
 
-def test_oracle_rho_needs_two_groups():
-    code, out, err = run_cli("oracle", "rho", "--sites", "4", "--groups", "1")
+@pytest.mark.parametrize("command", ["moments", "gaussian", "rho"])
+def test_oracle_needs_two_groups(command):
+    # every check reads the junctions between groups; one group has none
+    code, out, err = run_cli(
+        "oracle", command, "--sites", "4", "--groups", "1", "--K", "0.3", "--L", "0.2"
+    )
     assert code == 1
     assert out == ""
-    assert "two groups" in err
+    assert "need at least two groups, got 1" in err
 
 
 def test_oracle_row_layout_per_format():
@@ -520,13 +524,6 @@ def test_ladder_node_slope_overflow_exit_two():
     assert "numerical failure" in proc.stderr
 
 
-def test_oracle_gaussian_needs_two_groups():
-    code, out, err = run_cli("oracle", "gaussian", "--sites", "4", "--groups", "1")
-    assert code == 1
-    assert out == ""
-    assert "two groups" in err
-
-
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -555,7 +552,7 @@ def test_cli_import_leaves_scipy_out():
         (("nmin", "ising", "--t-over-b", "1", "--B", "-1", "--K", "0.5"), "must be positive"),
         (("nmin", "ising", "--t-over-b", "1", "--B", "-1", "--jx", "1"), "must be positive"),
         (("nmin", "ising", "--t-over-b", "1", "--B", "inf", "--jx", "1"), "must be finite"),
-        (("nmin", "ising", "--t-over-b", "1", "--B", "nan", "--jx", "1"), "must be positive"),
+        (("nmin", "ising", "--t-over-b", "1", "--B", "nan", "--jx", "1"), "must be finite"),
         (("nmin", "ising", "--t-over-b", "1", "--jx", "inf", "--jy", "1"),
          "jx must be finite, got inf"),
     ],
@@ -565,6 +562,14 @@ def test_ising_rejects_invalid_field_and_couplings(argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("b_field", ["nan", "inf", "-inf", "0", "-1"])
+def test_field_message_does_not_depend_on_how_the_couplings_are_given(b_field):
+    by_kl = run_cli("nmin", "ising", "--t-over-b", "1", "--B", b_field, "--K", "0.5")
+    by_j = run_cli("nmin", "ising", "--t-over-b", "1", "--B", b_field, "--jx", "1")
+    assert by_kl[0] == by_j[0] == 1
+    assert by_kl[2] == by_j[2]
 
 
 def test_oracle_rho_diagonal_underflow_exit_two():

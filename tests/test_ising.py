@@ -58,8 +58,12 @@ def test_model_coupling_consistency():
     assert math.isclose(m.l_param, 0.1, rel_tol=1e-12)
     assert math.isclose(m.jx, 0.6, rel_tol=1e-12)
     assert math.isclose(m.jy, 0.4, rel_tol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b_field must be positive"):
         IsingModel.from_couplings(0.0, 0.1, 0.1)
+    # a non-finite field is named as such, whatever its sign
+    for b in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"b_field must be finite, got {b!r}"):
+            IsingModel.from_couplings(b, 0.1, 0.1)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,13 @@ FAILURES = (
     ("nmin", "ising", "--t-over-b", "1", "--K", "1e308", "--L", "1e308"),
     # 2 n t overflows, c1 = 1/(2 n t) is a subnormal
     ("nmin", "harmonic", "--t-over-theta", "8.9e304"),
+    # the group checks need two groups and at most 12 sites, checked before
+    # any array is built
+    ("oracle", "moments", "--sites", "4", "--groups", "1", "--K", "0.3", "--L", "0.2"),
+    ("oracle", "moments", "--sites", "16", "--groups", "4", "--K", "0.3"),
+    # a non-finite field is named as such, however the couplings are given
+    ("nmin", "ising", "--t-over-b", "1", "--jx", "1", "--B", "nan"),
+    ("nmin", "ising", "--t-over-b", "1", "--jx", "1", "--B", "-inf"),
 )
 
 
